@@ -20,9 +20,9 @@ from typing import Mapping, Sequence
 import yaml
 
 from . import corpus as corpus_mod
-from .classifiers import SingleModelClassifier, VotingEnsembleClassifier
+from .classifiers import build_classifier
 from .corpus import DatasetDescriptor, LabeledText
-from .encoder import EncoderSpec, HyperParams
+from .encoder import EncoderSpec, HyperParams, members_from_entries
 from .errors import ArahateError
 from .labels import HATE_LABELS, Label
 
@@ -42,14 +42,11 @@ class LabelerPlan:
     """
 
     members: tuple[tuple[EncoderSpec, HyperParams], ...]
-    mode: str = "majority"
+    mode: str | None = None  # None: single for one member, majority otherwise
     weights: tuple[float, ...] | None = None
 
     def build(self):
-        if len(self.members) == 1:
-            spec, hp = self.members[0]
-            return SingleModelClassifier(spec, hp)
-        return VotingEnsembleClassifier(list(self.members), mode=self.mode, weights=self.weights)
+        return build_classifier(self.members, self.mode, self.weights)
 
 
 @dataclass(frozen=True)
@@ -114,15 +111,17 @@ def _require_normalized(rows: Sequence[LabeledText], what: str) -> None:
 def direct_merge(
     base: Sequence[LabeledText],
     sources: Sequence[tuple[DatasetDescriptor, Sequence[LabeledText]]],
-) -> list[LabeledText]:
+) -> tuple[list[LabeledText], dict[str, dict]]:
     """Append religious-hate source rows to the base corpus with label Re.
 
     Sources must be declared hate_only; rows whose normalized text already
-    occurs in the base (or an earlier source row) are dropped.
+    occurs in the base (or an earlier source row) are dropped. Returns base +
+    additions and, per source key, its rows / added / discarded_duplicates.
     """
     _require_normalized(base, "base corpus")
     merged = list(base)
     seen = {row.norm_text for row in base}
+    per_source: dict[str, dict] = {}
     for descriptor, rows in sources:
         if not descriptor.hate_only:
             raise AugmentError(
@@ -136,11 +135,17 @@ def direct_merge(
             seen.add(row.norm_text)
             merged.append(replace(row, label=Label.Re, origin="direct_merge"))
             added += 1
+        per_source[descriptor.key] = {
+            "kind": "direct",
+            "rows": len(rows),
+            "added": added,
+            "discarded_duplicates": len(rows) - added,
+        }
         log.info(
             "direct merge %s: added %d of %d rows (%d duplicates)",
             descriptor.key, added, len(rows), len(rows) - added,
         )
-    return merged
+    return merged, per_source
 
 
 def pseudo_label(
@@ -206,16 +211,16 @@ def build_augmented_corpus(
 ) -> tuple[list[LabeledText], AugmentReport]:
     """Full augmentation pipeline over an already-normalized base corpus.
 
-    Trains the plan's labeler on the base corpus (unless a fitted labeler is
-    supplied), merges the direct sources, pseudo-labels the rest, and returns
+    Merges the direct sources, trains the plan's labeler on the base corpus
+    (unless a fitted labeler is supplied), pseudo-labels the rest, and returns
     base + additions with source-qualified ids. Gold rows are carried over
     verbatim; deduplication happens inside the merge/pseudo stages so the
     per-source report reconciles exactly.
     """
-    _require_normalized(base, "base corpus")
     for key in (*plan.direct_sources, *plan.pseudo_sources):
         if key not in datasets:
             raise AugmentError(f"plan references unknown dataset key {key!r}")
+    merged, direct_counts = direct_merge(base, [datasets[key] for key in plan.direct_sources])
 
     if labeler is None:
         if plan.labeler is None:
@@ -225,51 +230,22 @@ def build_augmented_corpus(
         trainable = [row for row in base if row.norm_text]
         labeler.fit(trainable)
 
-    report = AugmentReport()
-    direct_rows: list[LabeledText] = []
-    seen = {row.norm_text for row in base}
-    for key in plan.direct_sources:
-        descriptor, rows = datasets[key]
-        if not descriptor.hate_only:
-            raise AugmentError(
-                f"source {descriptor.key!r} is not marked hate_only; refusing direct merge"
-            )
-        _require_normalized(rows, f"source {key!r}")
-        added = 0
-        duplicates = 0
-        for row in rows:
-            if row.norm_text in seen:
-                duplicates += 1
-                continue
-            seen.add(row.norm_text)
-            direct_rows.append(replace(row, label=Label.Re, origin="direct_merge"))
-            added += 1
-        report.added_direct += added
-        report.discarded_duplicates += duplicates
-        report.per_source[key] = {
-            "kind": "direct",
-            "rows": len(rows),
-            "added": added,
-            "discarded_duplicates": duplicates,
-        }
-
-    pseudo_rows, pseudo_report = pseudo_label(
+    pseudo_rows, report = pseudo_label(
         labeler,
         [(key, datasets[key][1]) for key in plan.pseudo_sources],
         plan,
-        known_norm_texts=seen,
+        known_norm_texts={row.norm_text for row in merged},
     )
-    report.pseudo_counts = pseudo_report.pseudo_counts
-    report.discarded_nh = pseudo_report.discarded_nh
-    report.discarded_low_confidence = pseudo_report.discarded_low_confidence
-    report.discarded_duplicates += pseudo_report.discarded_duplicates
-    report.per_source.update(pseudo_report.per_source)
+    report.added_direct = len(merged) - len(base)
+    report.discarded_duplicates += sum(
+        counts["discarded_duplicates"] for counts in direct_counts.values()
+    )
+    report.per_source.update(direct_counts)
 
     # The additions were already deduplicated against the base and each other,
     # so the final merge only concatenates and source-qualifies ids; gold rows
     # are never dropped even if the base itself holds internal duplicates.
-    merged = corpus_mod.merge([list(base), direct_rows, pseudo_rows], dedup=False)
-    return merged, report
+    return corpus_mod.merge([merged, pseudo_rows], dedup=False), report
 
 
 def load_plan(path: str | Path, default_seed: int = 0) -> AugmentPlan:
@@ -280,29 +256,12 @@ def load_plan(path: str | Path, default_seed: int = 0) -> AugmentPlan:
     data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
     labeler = None
     if data.get("labeler"):
-        spec_entries = data["labeler"].get("backends") or []
-        if not spec_entries:
+        entries = data["labeler"].get("backends") or []
+        if not entries:
             raise AugmentError(f"{path}: labeler section lists no backends")
-        members = []
-        for entry in spec_entries:
-            hp = entry.get("hyperparams") or {}
-            members.append(
-                (
-                    EncoderSpec(
-                        backend_key=str(entry["key"]),
-                        max_sequence_tokens=int(entry.get("max_sequence_tokens", 512)),
-                    ),
-                    HyperParams(
-                        epochs=int(hp.get("epochs", 2)),
-                        batch_size=int(hp.get("batch_size", 8)),
-                        learning_rate=float(hp.get("learning_rate", 1e-5)),
-                        seed=int(hp.get("seed", default_seed)),
-                    ),
-                )
-            )
         labeler = LabelerPlan(
-            members=tuple(members),
-            mode=str(data["labeler"].get("mode", "majority" if len(members) > 1 else "single")),
+            members=tuple(members_from_entries(entries, default_seed)),
+            mode=data["labeler"].get("mode"),
             weights=tuple(data["labeler"]["weights"]) if data["labeler"].get("weights") else None,
         )
     registry = data.get("registry")

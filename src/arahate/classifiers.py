@@ -14,7 +14,7 @@ import numpy as np
 
 from . import encoder
 from .corpus import LabeledText
-from .ensemble import average_vote, majority_vote
+from .ensemble import VoteError, _check_weights, average_vote, majority_vote
 from .errors import ArahateError
 from .labels import LABEL_INDEX, Label
 
@@ -69,9 +69,11 @@ class VotingEnsembleClassifier:
         weights: Sequence[float] | None = None,
     ):
         if mode not in ("majority", "average"):
-            raise ArahateError(f"unknown ensemble mode {mode!r}")
+            raise VoteError(f"unknown ensemble mode {mode!r}")
         if len(members) < 2:
-            raise ArahateError("a voting ensemble needs at least two members")
+            raise VoteError("a voting ensemble needs at least two members")
+        if weights is not None:
+            _check_weights(weights, len(members))
         self.members = list(members)
         self.mode = mode
         self.weights = list(weights) if weights is not None else None
@@ -115,22 +117,33 @@ class VotingEnsembleClassifier:
         return labels, confidence
 
 
-def make_recipe(
+def build_classifier(
     members: Sequence[tuple[encoder.EncoderSpec, encoder.HyperParams]],
-    mode: str = "single",
+    mode: str | None = None,
     weights: Sequence[float] | None = None,
-) -> Recipe:
-    """Build a recipe: rows -> freshly trained classifier.
+):
+    """An untrained classifier over ``members``.
 
-    mode "single" uses the first (and only) member; "majority" / "average"
-    train every member and vote.
+    mode "single" takes exactly one member; "majority" / "average" train every
+    member and vote. Without a mode, one member is "single" and several are
+    "majority".
     """
     members = list(members)
-    if not members:
-        raise ArahateError("at least one (spec, hyperparams) member is required")
+    if mode is None:
+        mode = "single" if len(members) == 1 else "majority"
     if mode == "single":
         if len(members) != 1:
-            raise ArahateError("mode 'single' takes exactly one member")
-        spec, hp = members[0]
-        return lambda rows: SingleModelClassifier(spec, hp).fit(rows)
-    return lambda rows: VotingEnsembleClassifier(members, mode=mode, weights=weights).fit(rows)
+            raise VoteError("mode 'single' takes exactly one member")
+        return SingleModelClassifier(*members[0])
+    return VotingEnsembleClassifier(members, mode=mode, weights=weights)
+
+
+def make_recipe(
+    members: Sequence[tuple[encoder.EncoderSpec, encoder.HyperParams]],
+    mode: str | None = None,
+    weights: Sequence[float] | None = None,
+) -> Recipe:
+    """Build a recipe: rows -> freshly trained classifier (see build_classifier)."""
+    members = list(members)
+    build_classifier(members, mode, weights)  # reject a bad mode, member count or weights now
+    return lambda rows: build_classifier(members, mode, weights).fit(rows)

@@ -8,9 +8,11 @@ bad config, bad inputs caught up front), 2 stage failure while working.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import yaml
@@ -64,12 +66,7 @@ def _read_hp(path: str | None, cfg: dict, seed: int) -> encoder.HyperParams:
         data = cfg.get("encoder", {}).get("hyperparams")
         if data is None:
             raise ConfigError("no --hp file given and the config declares no hyperparams")
-    return encoder.HyperParams(
-        epochs=int(data["epochs"]),
-        batch_size=int(data["batch_size"]),
-        learning_rate=float(data["learning_rate"]),
-        seed=int(data.get("seed", seed)),
-    )
+    return encoder.HyperParams.from_mapping(data, seed)
 
 
 def _normalization_config(args, cfg: dict) -> NormalizationConfig:
@@ -80,6 +77,32 @@ def _normalization_config(args, cfg: dict) -> NormalizationConfig:
     return NormalizationConfig.load(
         stopword_path=stopwords, repeat_collapse_len=collapse, strip_non_arabic=strip
     )
+
+
+def _augment_from_plan(args, cfg: dict, plan_path: str, seed: int, base: list):
+    """Normalize the base and every registry dataset of the plan if needed, then augment."""
+    plan = augment_mod.load_plan(plan_path, default_seed=seed)
+    if plan.registry is None:
+        raise ConfigError("augmentation plan must name a dataset registry")
+    norm_cfg = _normalization_config(args, cfg)
+
+    def normalized(rows):
+        return normalize_corpus(rows, norm_cfg) if any(row.norm_text is None for row in rows) else rows
+
+    base = normalized(base)
+    datasets = {
+        descriptor.key: (descriptor, normalized(corpus_mod.load_dataset(descriptor)))
+        for descriptor in corpus_mod.load_registry(plan.registry)
+    }
+    return augment_mod.build_augmented_corpus(base, plan, datasets)
+
+
+def _write_labels_csv(path: str, ids: list[str], labels) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "label"])
+        writer.writerows((row_id, label.value) for row_id, label in zip(ids, labels))
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -147,19 +170,12 @@ def _cmd_vote(args) -> int:
     weights = [float(w) for w in args.weights.split(",")] if args.weights else None
     if args.mode == "majority":
         labels = majority_vote(caches)
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("id,label\n")
-            for row_id, label in zip(caches[0].ids, labels):
-                fh.write(f"{row_id},{label.value}\n")
+        _write_labels_csv(out, caches[0].ids, labels)
     else:
         labels, combined = average_vote(caches, weights)
         write_proba_csv(out, combined)
     if args.labels_out:
-        with open(args.labels_out, "w", encoding="utf-8") as fh:
-            fh.write("id,label\n")
-            for row_id, label in zip(caches[0].ids, labels):
-                fh.write(f"{row_id},{label.value}\n")
+        _write_labels_csv(args.labels_out, caches[0].ids, labels)
     print(f"{args.mode} vote over {len(caches)} caches -> {out}")
     return 0
 
@@ -174,7 +190,7 @@ def _cmd_tune(args) -> int:
     grid = (
         tune_mod.SearchGrid.from_file(args.grid, seed=seed)
         if args.grid
-        else tune_mod.SearchGrid(initial=encoder.HyperParams(2, 8, 1e-5, seed=seed))
+        else tune_mod.SearchGrid(initial=encoder.HyperParams(*encoder.DEFAULT_HYPERPARAMS, seed=seed))
     )
     fold_plan = stratified_folds(data, k=args.folds, seed=seed)
     spec = encoder.EncoderSpec(backend_key=backend)
@@ -207,21 +223,8 @@ def _cmd_augment(args) -> int:
     cfg = _load_optional_config(args)
     base_path = _require(args.base or cfg.get("paths", {}).get("data"), "--base")
     out = _require(args.out, "--out")
-    seed = _seed(args, cfg)
-    plan = augment_mod.load_plan(_require(args.plan, "--plan"), default_seed=seed)
-    if plan.registry is None:
-        raise ConfigError("augmentation plan must name a dataset registry")
     base = corpus_mod.read_jsonl(base_path, key="base")
-    norm_cfg = _normalization_config(args, cfg)
-    if any(row.norm_text is None for row in base):
-        base = normalize_corpus(base, norm_cfg)
-    datasets = {}
-    for descriptor in corpus_mod.load_registry(plan.registry):
-        rows = corpus_mod.load_dataset(descriptor)
-        if any(row.norm_text is None for row in rows):
-            rows = normalize_corpus(rows, norm_cfg)
-        datasets[descriptor.key] = (descriptor, rows)
-    merged, aug_report = augment_mod.build_augmented_corpus(base, plan, datasets)
+    merged, aug_report = _augment_from_plan(args, cfg, _require(args.plan, "--plan"), _seed(args, cfg), base)
     corpus_mod.write_jsonl(out, merged)
     if args.report:
         aug_report.write_json(args.report)
@@ -240,34 +243,19 @@ def _cmd_evaluate(args) -> int:
     hp = _read_hp(args.hp, cfg, seed)
     rows = corpus_mod.read_jsonl(data_path)
     if args.augment_plan:
-        plan = augment_mod.load_plan(args.augment_plan, default_seed=seed)
-        if plan.registry is None:
-            raise ConfigError("augmentation plan must name a dataset registry")
-        norm_cfg = _normalization_config(args, cfg)
-        if any(row.norm_text is None for row in rows):
-            rows = normalize_corpus(rows, norm_cfg)
-        datasets = {}
-        for descriptor in corpus_mod.load_registry(plan.registry):
-            source_rows = corpus_mod.load_dataset(descriptor)
-            if any(row.norm_text is None for row in source_rows):
-                source_rows = normalize_corpus(source_rows, norm_cfg)
-            datasets[descriptor.key] = (descriptor, source_rows)
-        rows, _ = augment_mod.build_augmented_corpus(rows, plan, datasets)
+        rows, _ = _augment_from_plan(args, cfg, args.augment_plan, seed, rows)
     members = [
-        (encoder.EncoderSpec(backend_key=key), encoder.HyperParams(
-            hp.epochs, hp.batch_size, hp.learning_rate, seed=hp.seed + index
-        ))
+        (encoder.EncoderSpec(backend_key=key), replace(hp, seed=hp.seed + index))
         for index, key in enumerate(backends)
     ]
-    mode = args.mode or ("single" if len(members) == 1 else "majority")
     fold_plan = stratified_folds(rows, k=args.folds, seed=seed)
     metrics = cross_validate(
-        rows, make_recipe(members, mode=mode), fold_plan, seed=seed
+        rows, make_recipe(members, mode=args.mode), fold_plan, seed=seed
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics.write_json(out_dir / "metrics.json")
     print(
-        f"cross-validated {'+'.join(backends)} ({mode}) over {fold_plan.k} folds: "
+        f"cross-validated {'+'.join(backends)} over {fold_plan.k} folds: "
         f"micro F1 {metrics.micro_f1:.2f}%, macro F1 {metrics.macro_f1:.2f}% "
         f"-> {out_dir / 'metrics.json'}"
     )

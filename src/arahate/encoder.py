@@ -20,19 +20,21 @@ import logging
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .corpus import LabeledText
 from .ensemble import ProbabilityMatrix
-from .errors import ArahateError
+from .errors import ArahateError, ConfigError
 from .labels import LABEL_INDEX, N_CLASSES
 
 log = logging.getLogger(__name__)
 
 DEFAULT_MAX_TOKENS = 512
+# epochs, batch size, learning rate for fields a hyperparameter mapping omits
+DEFAULT_HYPERPARAMS = (2, 8, 1e-5)
 TOY_BACKEND_KEY = "toy"
 TOY_DEFAULT_BUCKETS = 2**16
 TOY_NGRAM_SIZES = (3, 4, 5)
@@ -78,6 +80,26 @@ class HyperParams:
         if not self.learning_rate > 0:
             raise EncoderError("learning_rate must be positive")
 
+    @classmethod
+    def from_mapping(cls, data: Mapping, seed: int = 0) -> "HyperParams":
+        """Read epochs / batch_size / learning_rate / seed from a mapping.
+
+        Missing fields take DEFAULT_HYPERPARAMS and ``seed``; a non-mapping,
+        non-numeric or out-of-range value raises ConfigError.
+        """
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"hyperparameters must be a mapping, got {data!r}")
+        epochs, batch_size, learning_rate = DEFAULT_HYPERPARAMS
+        try:
+            return cls(
+                epochs=int(data.get("epochs", epochs)),
+                batch_size=int(data.get("batch_size", batch_size)),
+                learning_rate=float(data.get("learning_rate", learning_rate)),
+                seed=int(data.get("seed", seed)),
+            )
+        except (TypeError, ValueError, EncoderError) as exc:
+            raise ConfigError(f"invalid hyperparameters {dict(data)!r}: {exc}") from None
+
 
 @dataclass(frozen=True)
 class EncoderSpec:
@@ -94,6 +116,27 @@ class EncoderSpec:
             # Inputs are padded to the longest text in a batch, but never past
             # the backend's own sequence limit.
             object.__setattr__(self, "max_sequence_tokens", backend.token_limit)
+
+
+def members_from_entries(
+    entries: Sequence[Mapping], seed: int, hyperparams: Mapping | None = None
+) -> list[tuple[EncoderSpec, HyperParams]]:
+    """(spec, hyperparams) per backend entry ``{key, max_sequence_tokens?, hyperparams?}``.
+
+    An entry without hyperparams takes ``hyperparams``. Member i's seed is its
+    explicit seed, else ``seed + i``: distinct member seeds keep an ensemble
+    of one backend from collapsing into identical models.
+    """
+    return [
+        (
+            EncoderSpec(
+                backend_key=str(entry["key"]),
+                max_sequence_tokens=int(entry.get("max_sequence_tokens", DEFAULT_MAX_TOKENS)),
+            ),
+            HyperParams.from_mapping(entry.get("hyperparams") or hyperparams or {}, seed + index),
+        )
+        for index, entry in enumerate(entries)
+    ]
 
 
 @dataclass
@@ -508,15 +551,9 @@ def _model_from_manifest(manifest: dict[str, str], params, directory: Path) -> T
         backend_key=manifest["backend"],
         max_sequence_tokens=int(manifest["max_sequence_tokens"]),
     )
-    hp = HyperParams(
-        epochs=int(manifest["epochs"]),
-        batch_size=int(manifest["batch_size"]),
-        learning_rate=float(manifest["learning_rate"]),
-        seed=int(manifest["seed"]),
-    )
     return TrainedModel(
         spec=spec,
-        hyperparams=hp,
+        hyperparams=HyperParams.from_mapping(manifest),
         params=params,
         train_fingerprint=manifest["fingerprint"],
         artifact_dir=str(directory),

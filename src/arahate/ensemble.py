@@ -51,23 +51,6 @@ class ProbabilityMatrix:
         return [LABEL_ORDER[i] for i in self.probs.argmax(axis=1)]
 
 
-@dataclass(frozen=True)
-class VoteConfig:
-    """Voting mode plus per-model weights (uniform by default)."""
-
-    mode: str = "majority"  # majority | average
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("majority", "average"):
-            raise VoteError(f"unknown voting mode {self.mode!r}")
-
-    def resolved_weights(self, n_models: int) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(n_models)
-        return _check_weights(self.weights, n_models)
-
-
 def _check_weights(weights: Sequence[float], n_models: int) -> np.ndarray:
     w = np.asarray(list(weights), dtype=float)
     if w.shape != (n_models,):

@@ -14,14 +14,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
 from .classifiers import make_recipe
 from .config import config_hash
-from .encoder import EncoderSpec, HyperParams
+from .encoder import EncoderSpec, HyperParams, members_from_entries
 from .ensemble import write_proba_csv
 from .errors import ArahateError
 from .evaluate import cross_validate, stratified_folds
@@ -80,27 +80,8 @@ class ExperimentRun:
         )
 
     def _members(self) -> list[tuple[EncoderSpec, HyperParams]]:
-        default_hp = self.cfg["encoder"].get("hyperparams")
-        members = []
-        for index, entry in enumerate(self.cfg["encoder"]["backends"]):
-            hp_cfg = entry.get("hyperparams", default_hp)
-            members.append(
-                (
-                    EncoderSpec(
-                        backend_key=entry["key"],
-                        max_sequence_tokens=entry.get("max_sequence_tokens", 512),
-                    ),
-                    HyperParams(
-                        epochs=hp_cfg["epochs"],
-                        batch_size=hp_cfg["batch_size"],
-                        learning_rate=hp_cfg["learning_rate"],
-                        # distinct member seeds keep a multi-backend ensemble
-                        # from collapsing into identical models
-                        seed=hp_cfg.get("seed", self.seed + index),
-                    ),
-                )
-            )
-        return members
+        encoder_cfg = self.cfg["encoder"]
+        return members_from_entries(encoder_cfg["backends"], self.seed, encoder_cfg.get("hyperparams"))
 
     def _tuned_members(self) -> list[tuple[EncoderSpec, HyperParams]]:
         members = self._members()
@@ -108,18 +89,10 @@ class ExperimentRun:
         if not best_path.exists():
             return members
         best = json.loads(best_path.read_text(encoding="utf-8"))
-        tuned = []
-        for name, (spec, hp) in zip(self._member_names(), members):
-            chosen = best.get(name)
-            if chosen:
-                hp = HyperParams(
-                    epochs=chosen["epochs"],
-                    batch_size=chosen["batch_size"],
-                    learning_rate=chosen["learning_rate"],
-                    seed=hp.seed,
-                )
-            tuned.append((spec, hp))
-        return tuned
+        return [
+            (spec, HyperParams.from_mapping(best[name], hp.seed) if best.get(name) else hp)
+            for name, (spec, hp) in zip(self._member_names(), members)
+        ]
 
     def _member_names(self) -> list[str]:
         # Artifact directory names; duplicate backend keys (e.g. three toy
@@ -179,14 +152,12 @@ class ExperimentRun:
                 key=descriptor.key,
             )
             datasets[descriptor.key] = (descriptor, rows)
-        members = self._members()
         plan = augment_mod.AugmentPlan(
             direct_sources=tuple(augment_cfg.get("direct_sources") or ()),
             pseudo_sources=tuple(augment_cfg.get("pseudo_sources") or ()),
             confidence_threshold=float(augment_cfg.get("confidence_threshold", 0.0)),
             labeler=augment_mod.LabelerPlan(
-                members=tuple(members),
-                mode="majority" if len(members) > 1 else "single",
+                members=tuple(self._members()),
                 weights=tuple(self._weights()) if self._weights() else None,
             ),
         )
@@ -203,12 +174,8 @@ class ExperimentRun:
         initial_cfg = tune_cfg.get("initial")
         best_map = {}
         for name, (spec, hp) in zip(self._member_names(), self._members()):
-            initial = HyperParams(
-                epochs=initial_cfg["epochs"],
-                batch_size=initial_cfg["batch_size"],
-                learning_rate=initial_cfg["learning_rate"],
-                seed=hp.seed,
-            ) if initial_cfg else hp
+            # the member's seed wins over a seed in tune.initial
+            initial = replace(HyperParams.from_mapping(initial_cfg), seed=hp.seed) if initial_cfg else hp
             grid = tune_mod.SearchGrid(
                 epochs_axis=tuple(tune_cfg.get("epochs_axis", tune_mod.DEFAULT_EPOCHS_AXIS)),
                 batch_axis=tuple(tune_cfg.get("batch_axis", tune_mod.DEFAULT_BATCH_AXIS)),

@@ -21,7 +21,7 @@ import yaml
 
 from .classifiers import make_recipe
 from .corpus import LabeledText
-from .encoder import EncoderSpec, HyperParams
+from .encoder import DEFAULT_HYPERPARAMS, EncoderSpec, HyperParams
 from .errors import ArahateError
 from .evaluate import FoldPlan, cross_validate
 
@@ -46,7 +46,7 @@ class SearchGrid:
     epochs_axis: tuple[int, ...] = DEFAULT_EPOCHS_AXIS
     batch_axis: tuple[int, ...] = DEFAULT_BATCH_AXIS
     lr_axis: tuple[float, ...] = DEFAULT_LR_AXIS
-    initial: HyperParams = HyperParams(epochs=2, batch_size=8, learning_rate=1e-5)
+    initial: HyperParams = HyperParams(*DEFAULT_HYPERPARAMS)
 
     def __post_init__(self) -> None:
         for name, axis in (
@@ -66,17 +66,11 @@ class SearchGrid:
     @classmethod
     def from_file(cls, path: str | Path, seed: int = 0) -> "SearchGrid":
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-        initial = data.get("initial") or {}
         return cls(
             epochs_axis=tuple(data.get("epochs_axis", DEFAULT_EPOCHS_AXIS)),
             batch_axis=tuple(data.get("batch_axis", DEFAULT_BATCH_AXIS)),
             lr_axis=tuple(data.get("lr_axis", DEFAULT_LR_AXIS)),
-            initial=HyperParams(
-                epochs=int(initial.get("epochs", 2)),
-                batch_size=int(initial.get("batch_size", 8)),
-                learning_rate=float(initial.get("learning_rate", 1e-5)),
-                seed=int(initial.get("seed", seed)),
-            ),
+            initial=HyperParams.from_mapping(data.get("initial") or {}, seed),
         )
 
 

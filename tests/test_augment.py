@@ -58,13 +58,19 @@ def fitted_labeler(base):
 class TestDirectMerge:
     def test_rows_arrive_with_re_label_and_origin(self, base):
         rows = source_rows(Label.Re, 12, seed=31, key="rel")
-        merged = direct_merge(base, [(hate_descriptor(), rows)])
+        merged, counts = direct_merge(base, [(hate_descriptor(), rows)])
         added = merged[len(base):]
         assert 0 < len(added) <= 12
         assert all(row.label == Label.Re and row.origin == "direct_merge" for row in added)
+        assert counts == {
+            "rel": {
+                "kind": "direct", "rows": 12, "added": len(added),
+                "discarded_duplicates": 12 - len(added),
+            }
+        }
 
     def test_empty_source_list_is_identity(self, base):
-        assert direct_merge(base, []) == list(base)
+        assert direct_merge(base, []) == (list(base), {})
 
     def test_fully_duplicated_source_adds_nothing(self, base):
         duplicates = [
@@ -74,18 +80,20 @@ class TestDirectMerge:
             )
             for i, row in enumerate(base[:8])
         ]
-        merged = direct_merge(base, [(hate_descriptor("dup"), duplicates)])
+        merged, counts = direct_merge(base, [(hate_descriptor("dup"), duplicates)])
         assert len(merged) == len(base)
+        assert counts["dup"]["discarded_duplicates"] == 8
 
     def test_corpus_scale_source_bounded_delta(self, base):
         # Source sized like the largest religious-hate corpus in the roster.
         rows = source_rows(Label.Re, 2759, seed=30, key="rhs")
         rows[0].norm_text = base[0].norm_text  # one overlap with the base
-        merged = direct_merge(base, [(hate_descriptor("rhs"), rows)])
+        merged, counts = direct_merge(base, [(hate_descriptor("rhs"), rows)])
         delta = len(merged) - len(base)
         assert 0 < delta <= 2759
         duplicates = 2759 - delta
         assert duplicates >= 1  # the constructed overlap was dropped
+        assert counts["rhs"]["discarded_duplicates"] == duplicates
 
     def test_non_hate_only_source_rejected(self, base):
         rows = source_rows(Label.Re, 3, seed=32, key="bad")
@@ -291,3 +299,22 @@ class TestPlanValidation:
         spec, hp = plan.labeler.members[0]
         assert spec.backend_key == "toy"
         assert hp == HyperParams(3, 4, 0.1, seed=5)
+
+    def test_load_plan_members_get_distinct_seeds(self, tmp_path):
+        plan_file = tmp_path / "plan.yaml"
+        plan_file.write_text(
+            "labeler:\n"
+            "  backends:\n"
+            "    - key: toy\n"
+            "    - key: toy\n"
+            "    - key: toy\n"
+            "      hyperparams: {seed: 40}\n",
+            encoding="utf-8",
+        )
+        plan = load_plan(plan_file, default_seed=7)
+        assert [hp for _, hp in plan.labeler.members] == [
+            HyperParams(2, 8, 1e-5, seed=7),
+            HyperParams(2, 8, 1e-5, seed=8),
+            HyperParams(2, 8, 1e-5, seed=40),
+        ]
+        assert plan.labeler.build().mode == "majority"

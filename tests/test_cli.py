@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import yaml
 
 from arahate.cli import main
 from arahate.corpus import read_jsonl, write_jsonl
+from arahate.ensemble import ProbabilityMatrix, write_proba_csv
 
 from conftest import make_separable_corpus
 
@@ -255,6 +257,46 @@ class TestStageCommands:
              "--out", str(combined), "--weights", "1,3"]
         ) == 0
         assert combined.read_text().splitlines()[0] == "id,p_NH,p_GH,p_Re,p_Ra,p_Se"
+
+    @pytest.mark.parametrize("mode", ["majority", "average"])
+    def test_vote_label_csv_quotes_ids(self, tmp_path, mode):
+        ids = ["a,b", 'c"d', "e\nf"]
+        caches = []
+        for name in ("a", "b", "c"):
+            cache = tmp_path / f"{name}.csv"
+            write_proba_csv(cache, ProbabilityMatrix(ids=ids, probs=[[0.6, 0.1, 0.1, 0.1, 0.1]] * 3))
+            caches.append(str(cache))
+        out = tmp_path / "out.csv"
+        labels_out = tmp_path / "labels.csv"
+        assert main(
+            ["vote", "--mode", mode, "--caches", *caches, "--out", str(out),
+             "--labels-out", str(labels_out)]
+        ) == 0
+        for path in [labels_out, out] if mode == "majority" else [labels_out]:
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert list(csv.reader(fh)) == [["id", "label"]] + [[i, "NH"] for i in ids]
+
+    @pytest.mark.parametrize(
+        "content, rc",
+        [
+            ("epochs: 0\nbatch_size: 8\nlearning_rate: 0.1\n", 1),
+            ("epochs: two\nbatch_size: 8\nlearning_rate: 0.1\n", 1),
+            ("epochs: 3\nbatch_size: 8\nlearning_rate: -0.1\n", 1),
+            ("- epochs\n", 1),
+            ("batch_size: 8\nlearning_rate: 0.1\n", 0),  # epochs defaults to 2
+        ],
+        ids=["epochs-zero", "epochs-not-a-number", "negative-lr", "not-a-mapping", "epochs-missing"],
+    )
+    def test_train_hp_file_validation(self, tmp_path, corpus_file, content, rc):
+        hp = tmp_path / "hp.yaml"
+        hp.write_text(content)
+        model_dir = tmp_path / "model"
+        assert main(
+            ["train", "--data", str(corpus_file), "--backend", "toy",
+             "--hp", str(hp), "--out", str(model_dir)]
+        ) == rc
+        if rc == 0:
+            assert "epochs=2\n" in (model_dir / "manifest.txt").read_text()
 
     def test_evaluate_command(self, tmp_path, corpus_file):
         hp = tmp_path / "hp.yaml"

@@ -7,9 +7,10 @@ import itertools
 import numpy as np
 import pytest
 
+from arahate.classifiers import build_classifier
+from arahate.encoder import EncoderSpec, HyperParams
 from arahate.ensemble import (
     ProbabilityMatrix,
-    VoteConfig,
     VoteError,
     average_vote,
     majority_vote,
@@ -194,17 +195,18 @@ class TestProbabilityMatrix:
         assert matrix.argmax_labels() == [Label.NH]
 
 
-class TestVoteConfig:
+class TestVotingDispatch:
+    # None weights meaning uniform is covered by
+    # TestAverageVote::test_random_triples_match_mean_argmax_oracle.
+    MEMBERS = [(EncoderSpec("toy"), HyperParams(1, 8, 0.1, seed=i)) for i in range(3)]
+
     def test_bad_mode_rejected(self):
         with pytest.raises(VoteError):
-            VoteConfig(mode="plurality")
-
-    def test_default_weights_uniform(self):
-        assert np.array_equal(VoteConfig().resolved_weights(3), np.ones(3))
+            build_classifier(self.MEMBERS, mode="plurality")
 
     def test_weight_count_enforced(self):
         with pytest.raises(VoteError):
-            VoteConfig(weights=(1.0, 2.0)).resolved_weights(3)
+            build_classifier(self.MEMBERS, mode="average", weights=(1.0, 2.0))
 
 
 class TestCacheRoundTrip:

@@ -20,9 +20,10 @@ from typing import Mapping, Sequence
 import yaml
 
 from . import corpus as corpus_mod
-from .classifiers import build_classifier
+from .classifiers import Classifier
 from .corpus import DatasetDescriptor, LabeledText
 from .encoder import EncoderSpec, HyperParams, members_from_entries
+from .ensemble import ensemble_policy
 from .errors import ArahateError
 from .labels import HATE_LABELS, Label
 
@@ -45,8 +46,11 @@ class LabelerPlan:
     mode: str | None = None  # None: single for one member, majority otherwise
     weights: tuple[float, ...] | None = None
 
-    def build(self):
-        return build_classifier(self.members, self.mode, self.weights)
+    def __post_init__(self) -> None:
+        ensemble_policy(len(self.members), self.mode, self.weights)
+
+    def build(self) -> Classifier:
+        return Classifier(self.members, self.mode, self.weights)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from pathlib import Path
 import yaml
 
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
-from .classifiers import make_recipe
+from .classifiers import Classifier
 from .config import load_config
-from .ensemble import average_vote, majority_vote, read_proba_csv, write_proba_csv
+from .ensemble import average_vote, ensemble_policy, majority_vote, read_proba_csv, write_proba_csv
 from .errors import ArahateError, ConfigError
 from .evaluate import cross_validate, stratified_folds
 from .normalize import NormalizationConfig, normalize_corpus
@@ -165,9 +165,11 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_vote(args) -> int:
-    caches = [read_proba_csv(path) for path in _require(args.caches, "--caches")]
+    paths = _require(args.caches, "--caches")
     out = _require(args.out, "--out")
     weights = [float(w) for w in args.weights.split(",")] if args.weights else None
+    ensemble_policy(len(paths), args.mode, weights)
+    caches = [read_proba_csv(path) for path in paths]
     if args.mode == "majority":
         labels = majority_vote(caches)
         _write_labels_csv(out, caches[0].ids, labels)
@@ -249,9 +251,7 @@ def _cmd_evaluate(args) -> int:
         for index, key in enumerate(backends)
     ]
     fold_plan = stratified_folds(rows, k=args.folds, seed=seed)
-    metrics = cross_validate(
-        rows, make_recipe(members, mode=args.mode), fold_plan, seed=seed
-    )
+    metrics = cross_validate(rows, Classifier(members, args.mode).fit, fold_plan, seed=seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics.write_json(out_dir / "metrics.json")
     print(

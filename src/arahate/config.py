@@ -17,6 +17,7 @@ import jsonschema
 import yaml
 
 from . import encoder
+from .ensemble import ensemble_policy
 from .errors import ConfigError
 
 ENV_PATH_PREFIX = "ARAHATE_PATH_"
@@ -158,15 +159,10 @@ def validate_config(cfg: dict, base_dir: Path) -> dict:
                 f"backend {entry['key']!r} has no hyperparams and no default is set"
             )
 
-    mode = cfg.get("ensemble", {}).get("mode", "single")
+    ensemble_cfg = cfg.get("ensemble", {})
+    # An omitted mode means 'single' here, so several backends need an explicit vote mode.
     n_backends = len(cfg["encoder"]["backends"])
-    if mode == "single" and n_backends != 1:
-        raise ConfigError("ensemble mode 'single' requires exactly one backend")
-    if mode in ("majority", "average") and n_backends < 2:
-        raise ConfigError(f"ensemble mode {mode!r} requires at least two backends")
-    weights = cfg.get("ensemble", {}).get("weights")
-    if weights is not None and len(weights) != n_backends:
-        raise ConfigError("ensemble weights must list one weight per backend")
+    ensemble_policy(n_backends, ensemble_cfg.get("mode", "single"), ensemble_cfg.get("weights"))
 
     def resolve(p: str) -> str:
         path = Path(p)
@@ -206,7 +202,9 @@ def load_config(path: str | Path) -> dict:
     return validate_config(cfg, path.parent.resolve())
 
 
-def config_hash(cfg: dict, seed: int, version: str) -> str:
-    """Stable run id: hash of the canonical config snapshot, seed and version."""
-    payload = json.dumps({"config": cfg, "seed": seed, "version": version}, sort_keys=True)
+def config_hash(cfg: dict, seed: int, version: str, input_hashes: dict[str, str | None]) -> str:
+    """Stable run id: hash of the config snapshot, seed, version and input file hashes."""
+    payload = json.dumps(
+        {"config": cfg, "seed": seed, "version": version, "inputs": input_hashes}, sort_keys=True
+    )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArahateError
+from .errors import ArahateError, ConfigError
 from .labels import LABEL_ORDER, N_CLASSES, Label
 
 ROW_SUM_TOL = 1e-6
@@ -18,6 +18,45 @@ PROBA_CSV_HEADER = ["id"] + [f"p_{label.value}" for label in LABEL_ORDER]
 
 class VoteError(ArahateError):
     pass
+
+
+class EnsemblePolicyError(VoteError, ConfigError):
+    """A mode, member count or weight list the ensemble policy rejects.
+
+    A ConfigError, so config files, plans and CLI flags that break the policy
+    are validation errors (exit 1).
+    """
+
+
+def ensemble_policy(
+    n_members: int, mode: str | None = None, weights: Sequence[float] | None = None
+) -> tuple[str, np.ndarray | None]:
+    """Check how ``n_members`` models combine; returns the mode and the weights.
+
+    Without a mode, one member is "single" and several are "majority".
+    "single" takes exactly one member, "majority" and "average" at least two.
+    Only "average" takes weights: one per member, non-negative, not all zero.
+    """
+    if mode is None:
+        mode = "single" if n_members == 1 else "majority"
+    if mode not in ("single", "majority", "average"):
+        raise EnsemblePolicyError(f"unknown ensemble mode {mode!r}")
+    if mode == "single" and n_members != 1:
+        raise EnsemblePolicyError(f"mode 'single' takes exactly one member, got {n_members}")
+    if mode != "single" and n_members < 2:
+        raise EnsemblePolicyError(f"mode {mode!r} needs at least two members, got {n_members}")
+    if weights is None:
+        return mode, None
+    if mode != "average":
+        raise EnsemblePolicyError(f"ensemble weights need mode 'average', not {mode!r}")
+    w = np.asarray(list(weights), dtype=float)
+    if w.shape != (n_members,):
+        raise EnsemblePolicyError(f"expected {n_members} weights, got {w.shape}")
+    if (w < 0).any():
+        raise EnsemblePolicyError("weights must be non-negative")
+    if w.sum() <= 0:
+        raise EnsemblePolicyError("weights must not all be zero")
+    return mode, w
 
 
 @dataclass
@@ -51,20 +90,7 @@ class ProbabilityMatrix:
         return [LABEL_ORDER[i] for i in self.probs.argmax(axis=1)]
 
 
-def _check_weights(weights: Sequence[float], n_models: int) -> np.ndarray:
-    w = np.asarray(list(weights), dtype=float)
-    if w.shape != (n_models,):
-        raise VoteError(f"expected {n_models} weights, got {w.shape}")
-    if (w < 0).any():
-        raise VoteError("weights must be non-negative")
-    if w.sum() <= 0:
-        raise VoteError("weights must not all be zero")
-    return w
-
-
 def _check_aligned(matrices: Sequence[ProbabilityMatrix]) -> None:
-    if len(matrices) < 2:
-        raise VoteError("voting needs at least two probability matrices")
     ids = matrices[0].ids
     for m in matrices[1:]:
         if m.ids != ids:
@@ -78,6 +104,7 @@ def majority_vote(matrices: Sequence[ProbabilityMatrix]) -> list[Label]:
     probability across models; an exact tie there falls back to the fixed
     column order (NH first).
     """
+    ensemble_policy(len(matrices), "majority")
     _check_aligned(matrices)
     votes = np.stack([m.probs.argmax(axis=1) for m in matrices])  # (M, N)
     prob_sum = np.sum([m.probs for m in matrices], axis=0)  # (N, K)
@@ -101,11 +128,10 @@ def average_vote(
     break by column order; scaling all weights by a positive constant does not
     change the labels.
     """
+    _, w = ensemble_policy(len(matrices), "average", weights)
     _check_aligned(matrices)
-    if weights is None:
+    if w is None:
         w = np.ones(len(matrices))
-    else:
-        w = _check_weights(weights, len(matrices))
     w = w / w.sum()
     combined = np.zeros_like(matrices[0].probs)
     for weight, matrix in zip(w, matrices):

@@ -62,14 +62,6 @@ class FoldPlan:
     def to_dict(self) -> dict:
         return {"k": self.k, "seed": self.seed, "assignments": dict(self.assignments)}
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FoldPlan":
-        return cls(
-            k=int(data["k"]),
-            seed=int(data["seed"]),
-            assignments={str(k): int(v) for k, v in data["assignments"].items()},
-        )
-
 
 def stratified_folds(corpus: Sequence[LabeledText], k: int = 10, seed: int = 0) -> FoldPlan:
     """Shuffle each class by seed, then deal its rows round-robin to k folds.

@@ -1,8 +1,9 @@
 """Resumable end-to-end experiment runs with persisted stage artifacts.
 
-A run directory is addressed by a hash of its config snapshot and seed, so
-re-running an unchanged config resumes (completed stages are skipped via
-their completion markers) while any config change lands in a fresh directory.
+A run directory is addressed by a hash of its config snapshot, seed and the
+contents of every input file, so re-running an unchanged config on unchanged
+inputs resumes (completed stages are skipped via their completion markers)
+while any config change or edited input lands in a fresh directory.
 A stage counts as complete when its marker and all of its declared outputs
 exist; deleting an output re-executes that stage and everything downstream.
 No artifact embeds wall-clock state, so identical configs, seeds and inputs
@@ -18,8 +19,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
+import yaml
+
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
-from .classifiers import make_recipe
+from .classifiers import Classifier
 from .config import config_hash
 from .encoder import EncoderSpec, HyperParams, members_from_entries
 from .ensemble import write_proba_csv
@@ -65,11 +68,31 @@ class ExperimentRun:
         self.cfg = cfg
         self.seed = seed if seed is not None else int(cfg.get("seed", 0))
         self.out_root = Path(out_root)
-        self.run_id = config_hash(cfg, self.seed, __version__)
+        self.input_hashes = {
+            path: _sha256_file(Path(path)) if Path(path).exists() else None
+            for path in self._input_paths()
+        }
+        self.run_id = config_hash(cfg, self.seed, __version__, self.input_hashes)
         self.run_dir = self.out_root / f"run-{self.run_id}"
         self._stage_status: dict[str, str] = {}
 
     # --- config helpers -------------------------------------------------
+
+    def _input_paths(self) -> list[str]:
+        """Every file a stage reads; a missing one is hashed as None and fails its stage."""
+        paths = self.cfg["paths"]
+        inputs = [paths["data"]] + ([paths["stopwords"]] if paths.get("stopwords") else [])
+        augment_cfg = self.cfg.get("augment", {})
+        if augment_cfg.get("enabled"):
+            inputs.append(augment_cfg["registry"])
+            try:
+                inputs += [d.path for d in corpus_mod.load_registry(augment_cfg["registry"])]
+            except (ArahateError, yaml.YAMLError):
+                pass  # the normalize stage reads the registry again and records the failure
+        report_cfg = self.cfg.get("report", {})
+        if report_cfg.get("enabled") and report_cfg.get("baselines"):
+            inputs.append(report_cfg["baselines"])
+        return inputs
 
     def _normalization_config(self) -> NormalizationConfig:
         section = self.cfg.get("normalize", {})
@@ -102,12 +125,6 @@ class ExperimentRun:
         for index, key in enumerate(keys):
             names.append(key if keys.count(key) == 1 else f"{key}-{index}")
         return names
-
-    def _mode(self) -> str:
-        return self.cfg.get("ensemble", {}).get("mode", "single")
-
-    def _weights(self):
-        return self.cfg.get("ensemble", {}).get("weights")
 
     # --- stage artifact paths --------------------------------------------
 
@@ -156,10 +173,9 @@ class ExperimentRun:
             direct_sources=tuple(augment_cfg.get("direct_sources") or ()),
             pseudo_sources=tuple(augment_cfg.get("pseudo_sources") or ()),
             confidence_threshold=float(augment_cfg.get("confidence_threshold", 0.0)),
-            labeler=augment_mod.LabelerPlan(
-                members=tuple(self._members()),
-                weights=tuple(self._weights()) if self._weights() else None,
-            ),
+            # The labeler has no mode: several members vote by majority, which
+            # takes no weights, so the run's ensemble section does not apply.
+            labeler=augment_mod.LabelerPlan(members=tuple(self._members())),
         )
         merged, aug_report = augment_mod.build_augmented_corpus(base, plan, datasets)
         corpus_mod.write_jsonl(self.augmented_corpus, merged)
@@ -207,9 +223,12 @@ class ExperimentRun:
         data = corpus_mod.read_jsonl(self._evaluation_corpus_path())
         folds = self.cfg["evaluate"].get("folds", 10)
         fold_plan = stratified_folds(data, k=folds, seed=self.seed)
-        recipe = make_recipe(self._tuned_members(), mode=self._mode(), weights=self._weights())
+        ensemble_cfg = self.cfg.get("ensemble", {})
+        classifier = Classifier(
+            self._tuned_members(), ensemble_cfg.get("mode", "single"), ensemble_cfg.get("weights")
+        )
         metrics = cross_validate(
-            data, recipe, fold_plan, seed=self.seed, config_hash=self.run_id
+            data, classifier.fit, fold_plan, seed=self.seed, config_hash=self.run_id
         )
         metrics.write_json(self.metrics_path)
         (self.run_dir / "folds.json").write_text(
@@ -257,18 +276,14 @@ class ExperimentRun:
         return stages
 
     def _write_manifest(self) -> None:
-        paths = self.cfg["paths"]
-        input_hashes = {paths["data"]: _sha256_file(Path(paths["data"]))}
-        stopword_hash = None
-        if paths.get("stopwords"):
-            stopword_hash = _sha256_file(Path(paths["stopwords"]))
+        stopwords = self.cfg["paths"].get("stopwords")
         manifest = {
             "run_id": self.run_id,
             "tool_version": __version__,
             "seed": self.seed,
             "config": self.cfg,
-            "input_hashes": input_hashes,
-            "stopword_sha256": stopword_hash,
+            "input_hashes": self.input_hashes,
+            "stopword_sha256": self.input_hashes[stopwords] if stopwords else None,
             "backends": [entry["key"] for entry in self.cfg["encoder"]["backends"]],
             "stages": self._stage_status,
         }

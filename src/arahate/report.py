@@ -17,6 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ArahateError
+from .evaluate import aggregate
 from .labels import LABEL_ORDER, Label
 
 FLAG_TOLERANCE = 0.02
@@ -91,14 +92,9 @@ class _TableRow:
     converted: bool = False
     ref: str | None = None
 
-    def recomputed(self) -> tuple[float, float]:
-        macro = sum(self.f1[label] for label in LABEL_ORDER) / len(LABEL_ORDER)
-        total = sum(self.supports[label] for label in LABEL_ORDER)
-        weighted = sum(self.f1[label] * self.supports[label] for label in LABEL_ORDER) / total
-        return macro, weighted
-
     def flags(self) -> list[str]:
-        macro, weighted = self.recomputed()
+        recomputed = aggregate(self.f1, self.supports)
+        macro, weighted = recomputed.macro_f1, recomputed.weighted_f1
         out = []
         if self.macro is not None and abs(self.macro - macro) > FLAG_TOLERANCE:
             out.append(f"macro!={macro:.2f}")

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import yaml
 
-from .classifiers import make_recipe
+from .classifiers import Classifier
 from .corpus import LabeledText
 from .encoder import DEFAULT_HYPERPARAMS, EncoderSpec, HyperParams
 from .errors import ArahateError
@@ -167,8 +167,7 @@ def make_cv_protocol(fold_plan: FoldPlan) -> EvalProtocol:
     """
 
     def protocol(spec: EncoderSpec, hp: HyperParams, data: Sequence[LabeledText]):
-        recipe = make_recipe([(spec, hp)], mode="single")
-        report = cross_validate(data, recipe, fold_plan)
+        report = cross_validate(data, Classifier([(spec, hp)], mode="single").fit, fold_plan)
         return report.micro_f1, report
 
     return protocol

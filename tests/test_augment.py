@@ -14,7 +14,7 @@ from arahate.augment import (
     load_plan,
     pseudo_label,
 )
-from arahate.classifiers import NotFittedError, SingleModelClassifier
+from arahate.classifiers import Classifier, NotFittedError
 from arahate.corpus import DatasetDescriptor, LabeledText
 from arahate.encoder import EncoderSpec, HyperParams
 from arahate.labels import HATE_LABELS, Label
@@ -52,7 +52,7 @@ def base(separable_corpus):
 
 @pytest.fixture
 def fitted_labeler(base):
-    return SingleModelClassifier(SPEC, HP).fit(base)
+    return Classifier([(SPEC, HP)]).fit(base)
 
 
 class TestDirectMerge:
@@ -161,7 +161,7 @@ class TestPseudoLabel:
         plan = AugmentPlan(pseudo_sources=("x",))
         rows = source_rows(Label.Ra, 2, seed=39, key="x")
         with pytest.raises(NotFittedError):
-            pseudo_label(SingleModelClassifier(SPEC, HP), [("x", rows)], plan)
+            pseudo_label(Classifier([(SPEC, HP)]), [("x", rows)], plan)
 
     def test_pseudo_rows_never_nh(self, fitted_labeler):
         plan = AugmentPlan(pseudo_sources=("mix",))

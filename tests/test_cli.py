@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import yaml
 from arahate.cli import main
 from arahate.corpus import read_jsonl, write_jsonl
 from arahate.ensemble import ProbabilityMatrix, write_proba_csv
+from arahate.labels import LABEL_ORDER
 
 from conftest import make_separable_corpus
 
@@ -41,6 +45,43 @@ def write_config(tmp_path: Path, corpus_rows, **overrides) -> Path:
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     return path
+
+
+def write_registry(tmp_path: Path) -> Path:
+    """A registry of two three-per-class sources: rel (direct merge) and ext (pseudo)."""
+    rel = tmp_path / "rel.jsonl"
+    write_jsonl(rel, make_separable_corpus(3, seed=52, source="rel", id_prefix="r"))
+    ext = tmp_path / "ext.jsonl"
+    write_jsonl(ext, make_separable_corpus(3, seed=53, source="ext", id_prefix="e"))
+    registry = tmp_path / "registry.yaml"
+    registry.write_text(
+        "datasets:\n"
+        f"  - key: rel\n    path: {rel.name}\n    hate_only: true\n"
+        "    label_map: {NH: Re, GH: Re, Re: Re, Ra: Re, Se: Re}\n"
+        f"  - key: ext\n    path: {ext.name}\n    hate_only: true\n"
+        "    label_map: {NH: GH, GH: GH, Re: GH, Ra: GH, Se: GH}\n",
+        encoding="utf-8",
+    )
+    return registry
+
+
+def augment_section(registry: Path) -> dict:
+    return {
+        "enabled": True,
+        "registry": str(registry),
+        "direct_sources": ["rel"],
+        "pseudo_sources": ["ext"],
+    }
+
+
+TWO_TOYS = {
+    "backends": [{"key": "toy"}, {"key": "toy"}],
+    "hyperparams": {"epochs": 3, "batch_size": 8, "learning_rate": 0.1},
+}
+
+
+def run_dir_of(capsys) -> Path:
+    return Path(capsys.readouterr().out.strip().split("-> ")[-1])
 
 
 @pytest.fixture
@@ -140,19 +181,6 @@ class TestRunCommand:
         assert "majority-voting" in tables.read_text(encoding="utf-8")
 
     def test_run_with_augmentation_and_ensemble(self, tmp_path, small_corpus, capsys):
-        rel = tmp_path / "rel.jsonl"
-        write_jsonl(rel, make_separable_corpus(3, seed=52, source="rel", id_prefix="r"))
-        ext = tmp_path / "ext.jsonl"
-        write_jsonl(ext, make_separable_corpus(3, seed=53, source="ext", id_prefix="e"))
-        registry = tmp_path / "registry.yaml"
-        registry.write_text(
-            "datasets:\n"
-            f"  - key: rel\n    path: {rel.name}\n    hate_only: true\n"
-            "    label_map: {NH: Re, GH: Re, Re: Re, Ra: Re, Se: Re}\n"
-            f"  - key: ext\n    path: {ext.name}\n    hate_only: true\n"
-            "    label_map: {NH: GH, GH: GH, Re: GH, Ra: GH, Se: GH}\n",
-            encoding="utf-8",
-        )
         config = write_config(
             tmp_path,
             small_corpus,
@@ -161,12 +189,7 @@ class TestRunCommand:
                 "hyperparams": {"epochs": 3, "batch_size": 8, "learning_rate": 0.1},
             },
             ensemble={"mode": "majority"},
-            augment={
-                "enabled": True,
-                "registry": str(registry),
-                "direct_sources": ["rel"],
-                "pseudo_sources": ["ext"],
-            },
+            augment=augment_section(write_registry(tmp_path)),
         )
         assert main(["run", "--config", str(config)]) == 0
         run_dir = Path(capsys.readouterr().out.strip().split("-> ")[-1])
@@ -198,6 +221,97 @@ class TestRunCommand:
         best = json.loads((run_dir / "tune" / "best.json").read_text())
         assert "toy" in best
         assert (run_dir / "tune" / "toy_trace.csv").exists()
+
+    @pytest.mark.parametrize("edited", ["data", "stopwords", "dataset", "baselines"])
+    def test_input_edited_in_place_starts_a_fresh_run(self, tmp_path, small_corpus, capsys, edited):
+        baselines = tmp_path / "baselines.json"
+        baselines.write_text(
+            resources.files("arahate").joinpath("data/baselines.json").read_text("utf-8"),
+            encoding="utf-8",
+        )
+        config = write_config(
+            tmp_path,
+            small_corpus,
+            augment=augment_section(write_registry(tmp_path)),
+            report={"enabled": True, "baselines": str(baselines)},
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        first = run_dir_of(capsys)
+        path = {
+            "data": tmp_path / "base.jsonl",
+            "stopwords": tmp_path / "stopwords.txt",
+            "dataset": tmp_path / "rel.jsonl",
+            "baselines": baselines,
+        }[edited]
+        if edited == "data":  # every label moves on to the next class
+            rotate = dict(zip(LABEL_ORDER, LABEL_ORDER[1:] + LABEL_ORDER[:1]))
+            write_jsonl(path, [replace(row, label=rotate[row.label]) for row in read_jsonl(path)])
+        else:
+            path.write_text(path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 0
+        second = run_dir_of(capsys)
+        assert second != first
+        manifest = json.loads((second / "manifest.json").read_text())
+        assert manifest["input_hashes"][str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+        corpus = read_jsonl(second / "augmented" / "corpus.jsonl")
+        gold_labels = [row.label for row in corpus if row.origin == "gold"]
+        assert gold_labels == [row.label for row in read_jsonl(tmp_path / "base.jsonl")]
+
+    def test_missing_registry_dataset_is_stage_failure(self, tmp_path, small_corpus, capsys):
+        registry = write_registry(tmp_path)
+        (tmp_path / "ext.jsonl").unlink()
+        config = write_config(tmp_path, small_corpus, augment=augment_section(registry))
+        assert main(["run", "--config", str(config)]) == 2
+        failed = list((tmp_path / "runs").glob("run-*/stages/normalize.failed"))
+        assert len(failed) == 1
+        assert "ext" in json.loads(failed[0].read_text())["error"]
+
+
+class TestEnsemblePolicy:
+    @pytest.mark.parametrize("path", ["config", "plan", "vote"])
+    def test_weights_need_average_mode(self, tmp_path, small_corpus, path):
+        registry = write_registry(tmp_path)
+        if path == "config":
+            ensemble = {"mode": "majority", "weights": [1, 0]}
+            config = write_config(tmp_path, small_corpus, encoder=TWO_TOYS, ensemble=ensemble)
+            argv = ["run", "--config", str(config)]
+        elif path == "plan":
+            base = tmp_path / "base.jsonl"
+            write_jsonl(base, small_corpus)
+            plan = tmp_path / "plan.yaml"
+            plan.write_text(
+                yaml.safe_dump(
+                    {
+                        "registry": str(registry),
+                        "pseudo_sources": ["ext"],
+                        "labeler": {**TWO_TOYS, "mode": "majority", "weights": [1, 0]},
+                    }
+                ),
+                encoding="utf-8",
+            )
+            argv = ["augment", "--base", str(base), "--plan", str(plan),
+                    "--out", str(tmp_path / "aug.jsonl")]
+        else:
+            caches = []
+            for name in ("a", "b"):
+                cache = tmp_path / f"{name}.csv"
+                matrix = ProbabilityMatrix(ids=["x"], probs=[[0.6, 0.1, 0.1, 0.1, 0.1]])
+                write_proba_csv(cache, matrix)
+                caches.append(str(cache))
+            argv = ["vote", "--mode", "majority", "--weights", "1,0", "--caches", *caches,
+                    "--out", str(tmp_path / "labels.csv")]
+        assert main(argv) == 1
+
+    def test_run_weights_do_not_reach_the_labeler(self, tmp_path, small_corpus, capsys):
+        augment = augment_section(write_registry(tmp_path))
+        reports = []
+        for ensemble in ({"mode": "average", "weights": [3, 1]}, {"mode": "average"}):
+            config = write_config(
+                tmp_path, small_corpus, encoder=TWO_TOYS, ensemble=ensemble, augment=augment
+            )
+            assert main(["run", "--config", str(config)]) == 0
+            reports.append((run_dir_of(capsys) / "augmented" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestStageCommands:

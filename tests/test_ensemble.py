@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from arahate.classifiers import build_classifier
+from arahate.classifiers import Classifier
 from arahate.encoder import EncoderSpec, HyperParams
 from arahate.ensemble import (
     ProbabilityMatrix,
@@ -202,11 +202,11 @@ class TestVotingDispatch:
 
     def test_bad_mode_rejected(self):
         with pytest.raises(VoteError):
-            build_classifier(self.MEMBERS, mode="plurality")
+            Classifier(self.MEMBERS, mode="plurality")
 
     def test_weight_count_enforced(self):
         with pytest.raises(VoteError):
-            build_classifier(self.MEMBERS, mode="average", weights=(1.0, 2.0))
+            Classifier(self.MEMBERS, mode="average", weights=(1.0, 2.0))
 
 
 class TestCacheRoundTrip:

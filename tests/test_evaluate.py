@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from arahate.classifiers import make_recipe
+from arahate.classifiers import Classifier
 from arahate.corpus import LabeledText
 from arahate.encoder import EncoderSpec, HyperParams
 from arahate.evaluate import (
@@ -214,8 +214,8 @@ class TestCrossValidate:
     def test_separable_corpus_high_macro(self):
         corpus = make_separable_corpus(n_per_class=20, seed=6)
         plan = stratified_folds(corpus, k=5, seed=1)
-        recipe = make_recipe([(EncoderSpec("toy"), HyperParams(5, 8, 0.1, seed=1))])
-        report = cross_validate(corpus, recipe, plan)
+        classifier = Classifier([(EncoderSpec("toy"), HyperParams(5, 8, 0.1, seed=1))])
+        report = cross_validate(corpus, classifier.fit, plan)
         assert report.macro_f1 >= 95.0
         assert len(report.fold_detail) == 5
 

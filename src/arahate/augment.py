@@ -11,20 +11,18 @@ and duplicates. Gold rows are never mutated or relabelled.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import yaml
-
 from . import corpus as corpus_mod
 from .classifiers import Classifier
+from .config import PLAN_SCHEMA, read_yaml
 from .corpus import DatasetDescriptor, LabeledText
 from .encoder import EncoderSpec, HyperParams, members_from_entries
 from .ensemble import ensemble_policy
-from .errors import ArahateError
+from .errors import ArahateError, ConfigError
 from .labels import HATE_LABELS, Label
 
 log = logging.getLogger(__name__)
@@ -32,6 +30,10 @@ log = logging.getLogger(__name__)
 
 class AugmentError(ArahateError):
     pass
+
+
+class AugmentPlanError(AugmentError, ConfigError):
+    """A plan whose sources overlap or whose threshold lies outside [0, 1] (exit 1)."""
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,20 @@ class AugmentPlan:
     def __post_init__(self) -> None:
         overlap = set(self.direct_sources) & set(self.pseudo_sources)
         if overlap:
-            raise AugmentError(f"sources cannot be both direct and pseudo: {sorted(overlap)}")
+            raise AugmentPlanError(f"sources cannot be both direct and pseudo: {sorted(overlap)}")
         if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise AugmentError("confidence_threshold must lie in [0, 1]")
+            raise AugmentPlanError("confidence_threshold must lie in [0, 1]")
+
+    @classmethod
+    def from_mapping(cls, section: Mapping, labeler: LabelerPlan | None) -> "AugmentPlan":
+        """Plan from a schema-checked ``augment`` section or `augment --plan` file."""
+        return cls(
+            direct_sources=tuple(section.get("direct_sources", ())),
+            pseudo_sources=tuple(section.get("pseudo_sources", ())),
+            confidence_threshold=float(section.get("confidence_threshold", 0.0)),
+            labeler=labeler,
+            registry=section.get("registry"),
+        )
 
 
 @dataclass
@@ -99,11 +112,7 @@ class AugmentReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        corpus_mod.write_json(path, self.to_dict())
 
 
 def _require_normalized(rows: Sequence[LabeledText], what: str) -> None:
@@ -253,31 +262,18 @@ def build_augmented_corpus(
 
 
 def load_plan(path: str | Path, default_seed: int = 0) -> AugmentPlan:
-    """Read a declarative augmentation plan (YAML or JSON)."""
-    path = Path(path)
-    if not path.exists():
-        raise AugmentError(f"augmentation plan not found: {path}")
-    data = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    labeler = None
-    if data.get("labeler"):
-        entries = data["labeler"].get("backends") or []
-        if not entries:
-            raise AugmentError(f"{path}: labeler section lists no backends")
+    """Read an `augment --plan` file: an ``augment`` section plus the labeler.
+
+    Labeler backend i's seed is its explicit seed, else ``default_seed`` + i.
+    """
+    data = read_yaml(path, "augmentation plan", PLAN_SCHEMA)
+    labeler = data.get("labeler")
+    if labeler is not None:
         labeler = LabelerPlan(
-            members=tuple(members_from_entries(entries, default_seed)),
-            mode=data["labeler"].get("mode"),
-            weights=tuple(data["labeler"]["weights"]) if data["labeler"].get("weights") else None,
+            members=tuple(members_from_entries(labeler["backends"], default_seed)),
+            mode=labeler.get("mode"),
+            weights=tuple(labeler["weights"]) if labeler.get("weights") else None,
         )
-    registry = data.get("registry")
-    if registry is not None:
-        registry_path = Path(registry)
-        if not registry_path.is_absolute():
-            registry_path = path.parent / registry_path
-        registry = str(registry_path)
-    return AugmentPlan(
-        direct_sources=tuple(data.get("direct_sources") or ()),
-        pseudo_sources=tuple(data.get("pseudo_sources") or ()),
-        confidence_threshold=float(data.get("confidence_threshold", 0.0)),
-        labeler=labeler,
-        registry=registry,
-    )
+    if "registry" in data:
+        data["registry"] = str(Path(path).parent / data["registry"])
+    return AugmentPlan.from_mapping(data, labeler)

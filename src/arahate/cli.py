@@ -9,21 +9,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
-
-import yaml
 
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
 from .classifiers import Classifier
-from .config import load_config
+from .config import GRID_SCHEMA, load_config, normalization_config, read_yaml
 from .ensemble import average_vote, ensemble_policy, majority_vote, read_proba_csv, write_proba_csv
 from .errors import ArahateError, ConfigError
 from .evaluate import cross_validate, stratified_folds
-from .normalize import NormalizationConfig, normalize_corpus
+from .normalize import normalize_corpus
 from .pipeline import run_experiment
 
 log = logging.getLogger(__name__)
@@ -59,24 +55,21 @@ def _require(value, flag: str):
     return value
 
 
-def _read_hp(path: str | None, cfg: dict, seed: int) -> encoder.HyperParams:
-    if path:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    else:
-        data = cfg.get("encoder", {}).get("hyperparams")
-        if data is None:
-            raise ConfigError("no --hp file given and the config declares no hyperparams")
-    return encoder.HyperParams.from_mapping(data, seed)
+def _read_hp(path: str | None, cfg: dict):
+    """The hyperparameter mapping of the --hp file, else of the config's encoder section."""
+    data = read_yaml(path, "hyperparameter file") if path else cfg.get("encoder", {}).get("hyperparams")
+    if data is None:
+        raise ConfigError("no --hp file given and the config declares no hyperparams")
+    return data
 
 
-def _normalization_config(args, cfg: dict) -> NormalizationConfig:
-    section = cfg.get("normalize", {})
-    stopwords = getattr(args, "stopwords", None) or cfg.get("paths", {}).get("stopwords")
-    collapse = getattr(args, "repeat_collapse_len", None) or section.get("repeat_collapse_len", 2)
-    strip = not getattr(args, "keep_non_arabic", False) and section.get("strip_non_arabic", True)
-    return NormalizationConfig.load(
-        stopword_path=stopwords, repeat_collapse_len=collapse, strip_non_arabic=strip
-    )
+def _normalization_flags(args) -> dict:
+    """normalization_config arguments from the normalization flags (None: flag not given)."""
+    return {
+        "stopwords": args.stopwords,
+        "repeat_collapse_len": args.repeat_collapse_len,
+        "strip_non_arabic": False if args.keep_non_arabic else None,
+    }
 
 
 def _augment_from_plan(args, cfg: dict, plan_path: str, seed: int, base: list):
@@ -84,7 +77,7 @@ def _augment_from_plan(args, cfg: dict, plan_path: str, seed: int, base: list):
     plan = augment_mod.load_plan(plan_path, default_seed=seed)
     if plan.registry is None:
         raise ConfigError("augmentation plan must name a dataset registry")
-    norm_cfg = _normalization_config(args, cfg)
+    norm_cfg = normalization_config(cfg, **_normalization_flags(args))
 
     def normalized(rows):
         return normalize_corpus(rows, norm_cfg) if any(row.norm_text is None for row in rows) else rows
@@ -113,7 +106,7 @@ def _cmd_normalize(args) -> int:
     source = _require(args.infile or cfg.get("paths", {}).get("data"), "--in")
     out = _require(args.out, "--out")
     rows = corpus_mod.read_jsonl(source)
-    normalized = normalize_corpus(rows, _normalization_config(args, cfg))
+    normalized = normalize_corpus(rows, normalization_config(cfg, **_normalization_flags(args)))
     corpus_mod.write_jsonl(out, normalized)
     empty = sum(1 for row in normalized if not row.norm_text)
     print(f"normalized {len(normalized)} rows -> {out} ({empty} empty after normalization)")
@@ -126,8 +119,7 @@ def _cmd_split(args) -> int:
     out = _require(args.out, "--out")
     rows = corpus_mod.read_jsonl(data)
     plan = stratified_folds(rows, k=args.folds, seed=_seed(args, cfg))
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    Path(out).write_text(json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n")
+    corpus_mod.write_json(out, plan.to_dict())
     print(f"assigned {len(plan.assignments)} gold rows to {plan.k} folds -> {out}")
     return 0
 
@@ -138,7 +130,7 @@ def _cmd_train(args) -> int:
     backend = _require(args.backend, "--backend")
     out = _require(args.out, "--out")
     seed = _seed(args, cfg)
-    hp = _read_hp(args.hp, cfg, seed)
+    hp = encoder.HyperParams.from_mapping(_read_hp(args.hp, cfg), seed)
     rows = [row for row in corpus_mod.read_jsonl(data) if row.norm_text]
     spec = encoder.EncoderSpec(backend_key=backend, max_sequence_tokens=args.max_tokens)
     model = encoder.fit(spec, hp, rows)
@@ -167,8 +159,7 @@ def _cmd_predict(args) -> int:
 def _cmd_vote(args) -> int:
     paths = _require(args.caches, "--caches")
     out = _require(args.out, "--out")
-    weights = [float(w) for w in args.weights.split(",")] if args.weights else None
-    ensemble_policy(len(paths), args.mode, weights)
+    _, weights = ensemble_policy(len(paths), args.mode, args.weights.split(",") if args.weights else None)
     caches = [read_proba_csv(path) for path in paths]
     if args.mode == "majority":
         labels = majority_vote(caches)
@@ -189,31 +180,15 @@ def _cmd_tune(args) -> int:
     out_dir = Path(_require(args.out, "--out"))
     seed = _seed(args, cfg)
     data = corpus_mod.read_jsonl(data_path)
-    grid = (
-        tune_mod.SearchGrid.from_file(args.grid, seed=seed)
-        if args.grid
-        else tune_mod.SearchGrid(initial=encoder.HyperParams(*encoder.DEFAULT_HYPERPARAMS, seed=seed))
-    )
+    section = read_yaml(args.grid, "search grid", GRID_SCHEMA) if args.grid else {}
+    grid = tune_mod.SearchGrid.from_mapping(section, encoder.HyperParams.from_mapping({}, seed))
     fold_plan = stratified_folds(data, k=args.folds, seed=seed)
     spec = encoder.EncoderSpec(backend_key=backend)
     best, trace = tune_mod.coordinate_search(
         spec, grid, data, tune_mod.make_cv_protocol(fold_plan)
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     tune_mod.write_trace_csv(out_dir / "trace.csv", trace)
-    (out_dir / "best.json").write_text(
-        json.dumps(
-            {
-                "backend": backend,
-                "epochs": best.epochs,
-                "batch_size": best.batch_size,
-                "learning_rate": best.learning_rate,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    corpus_mod.write_json(out_dir / "best.json", {"backend": backend, **best.fields()})
     print(
         f"best for {backend}: epochs={best.epochs} batch_size={best.batch_size} "
         f"learning_rate={best.learning_rate} -> {out_dir}"
@@ -242,17 +217,12 @@ def _cmd_evaluate(args) -> int:
     backends = _require(args.backend, "--backend")
     out_dir = Path(_require(args.out, "--out"))
     seed = _seed(args, cfg)
-    hp = _read_hp(args.hp, cfg, seed)
+    members = encoder.members_from_entries([{"key": key} for key in backends], seed, _read_hp(args.hp, cfg))
     rows = corpus_mod.read_jsonl(data_path)
     if args.augment_plan:
         rows, _ = _augment_from_plan(args, cfg, args.augment_plan, seed, rows)
-    members = [
-        (encoder.EncoderSpec(backend_key=key), replace(hp, seed=hp.seed + index))
-        for index, key in enumerate(backends)
-    ]
     fold_plan = stratified_folds(rows, k=args.folds, seed=seed)
     metrics = cross_validate(rows, Classifier(members, args.mode).fit, fold_plan, seed=seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
     metrics.write_json(out_dir / "metrics.json")
     print(
         f"cross-validated {'+'.join(backends)} over {fold_plan.k} folds: "

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from typing import Mapping
 
 import jsonschema
 import yaml
@@ -19,6 +20,8 @@ import yaml
 from . import encoder
 from .ensemble import ensemble_policy
 from .errors import ConfigError
+from .normalize import NormalizationConfig
+from .tune import SearchGrid
 
 ENV_PATH_PREFIX = "ARAHATE_PATH_"
 
@@ -35,6 +38,36 @@ _HP_SCHEMA = {
 }
 
 _AXIS = lambda item: {"type": "array", "minItems": 1, "items": item}  # noqa: E731
+
+
+def _backends(hyperparams: dict) -> dict:
+    entry = {"key": {"type": "string"}, "max_sequence_tokens": {"type": "integer", "minimum": 1}}
+    return _AXIS(
+        {
+            "type": "object",
+            "required": ["key"],
+            "additionalProperties": False,
+            "properties": {**entry, "hyperparams": hyperparams},
+        }
+    )
+
+
+_ENSEMBLE = {
+    "mode": {"enum": ["single", "majority", "average"]},
+    "weights": {"type": "array", "items": {"type": "number", "minimum": 0}},
+}
+
+_AUGMENT_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "enabled": {"type": "boolean"},
+        "registry": {"type": "string"},
+        "direct_sources": {"type": "array", "items": {"type": "string"}},
+        "pseudo_sources": {"type": "array", "items": {"type": "string"}},
+        "confidence_threshold": {"type": "number", "minimum": 0, "maximum": 1},
+    },
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -65,32 +98,9 @@ CONFIG_SCHEMA = {
             "type": "object",
             "required": ["backends"],
             "additionalProperties": False,
-            "properties": {
-                "backends": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["key"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "key": {"type": "string"},
-                            "max_sequence_tokens": {"type": "integer", "minimum": 1},
-                            "hyperparams": _HP_SCHEMA,
-                        },
-                    },
-                },
-                "hyperparams": _HP_SCHEMA,
-            },
+            "properties": {"backends": _backends(_HP_SCHEMA), "hyperparams": _HP_SCHEMA},
         },
-        "ensemble": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["single", "majority", "average"]},
-                "weights": {"type": "array", "items": {"type": "number", "minimum": 0}},
-            },
-        },
+        "ensemble": {"type": "object", "additionalProperties": False, "properties": _ENSEMBLE},
         "tune": {
             "type": "object",
             "additionalProperties": False,
@@ -102,17 +112,7 @@ CONFIG_SCHEMA = {
                 "initial": _HP_SCHEMA,
             },
         },
-        "augment": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "enabled": {"type": "boolean"},
-                "registry": {"type": "string"},
-                "direct_sources": {"type": "array", "items": {"type": "string"}},
-                "pseudo_sources": {"type": "array", "items": {"type": "string"}},
-                "confidence_threshold": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
+        "augment": _AUGMENT_SCHEMA,
         "evaluate": {
             "type": "object",
             "additionalProperties": False,
@@ -130,6 +130,60 @@ CONFIG_SCHEMA = {
     },
 }
 
+# A `tune --grid` file is a `tune` section. An `augment --plan` file is an
+# `augment` section plus the labeler; labeler hyperparams may omit fields.
+GRID_SCHEMA = CONFIG_SCHEMA["properties"]["tune"]
+PLAN_SCHEMA = {
+    **_AUGMENT_SCHEMA,
+    "properties": {
+        **_AUGMENT_SCHEMA["properties"],
+        "labeler": {
+            "type": "object",
+            "required": ["backends"],
+            "additionalProperties": False,
+            "properties": {"backends": _backends({"type": "object"}), **_ENSEMBLE},
+        },
+    },
+}
+
+
+def _check_schema(data, schema: dict, what: str) -> None:
+    """Raise ConfigError naming the first place where ``data`` breaks ``schema``."""
+    try:
+        jsonschema.validate(data, schema)
+    except jsonschema.ValidationError as exc:
+        location = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise ConfigError(f"{what} invalid at {location}: {exc.message}") from None
+
+
+def read_yaml(path: str | Path, what: str, schema: dict | None = None):
+    """Parse a YAML/JSON file (an empty one reads as {}) and check it against ``schema`` if given."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{what} is not valid YAML/JSON: {exc}") from None
+    data = {} if data is None else data
+    if schema is not None:
+        _check_schema(data, schema, f"{what} {path}")
+    return data
+
+
+def normalization_config(cfg: Mapping, stopwords: str | None = None, **overrides) -> NormalizationConfig:
+    """Normalization options from a run config's ``normalize`` section and ``paths.stopwords``.
+
+    ``stopwords`` and ``overrides`` (section keys) replace config values unless None.
+    """
+    section = {**cfg.get("normalize", {}), **{k: v for k, v in overrides.items() if v is not None}}
+    _check_schema(section, CONFIG_SCHEMA["properties"]["normalize"], "normalize options")
+    return NormalizationConfig.load(
+        stopwords or cfg.get("paths", {}).get("stopwords"),
+        repeat_collapse_len=section.get("repeat_collapse_len", 2),
+        strip_non_arabic=section.get("strip_non_arabic", True),
+    )
+
 
 def _apply_env_overrides(cfg: dict) -> None:
     for name, value in os.environ.items():
@@ -142,11 +196,7 @@ def validate_config(cfg: dict, base_dir: Path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
     _apply_env_overrides(cfg)
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        location = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {location}: {exc.message}") from None
+    _check_schema(cfg, CONFIG_SCHEMA, "config")
 
     known = encoder.backend_keys()
     for entry in cfg["encoder"]["backends"]:
@@ -163,6 +213,10 @@ def validate_config(cfg: dict, base_dir: Path) -> dict:
     # An omitted mode means 'single' here, so several backends need an explicit vote mode.
     n_backends = len(cfg["encoder"]["backends"])
     ensemble_policy(n_backends, ensemble_cfg.get("mode", "single"), ensemble_cfg.get("weights"))
+    if cfg.get("tune", {}).get("enabled"):
+        encoder_cfg = cfg["encoder"]
+        for _, hp in encoder.members_from_entries(encoder_cfg["backends"], 0, encoder_cfg.get("hyperparams")):
+            SearchGrid.from_mapping(cfg["tune"], hp)
 
     def resolve(p: str) -> str:
         path = Path(p)
@@ -192,14 +246,7 @@ def validate_config(cfg: dict, base_dir: Path) -> dict:
 
 
 def load_config(path: str | Path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        cfg = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file is not valid YAML/JSON: {exc}") from None
-    return validate_config(cfg, path.parent.resolve())
+    return validate_config(read_yaml(path, "config file"), Path(path).parent.resolve())
 
 
 def config_hash(cfg: dict, seed: int, version: str, input_hashes: dict[str, str | None]) -> str:

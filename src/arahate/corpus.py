@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -278,6 +279,15 @@ def write_jsonl(path: str | Path, rows: list[LabeledText]) -> None:
             if row.origin != "gold":
                 record["origin"] = row.origin
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write indented, key-sorted JSON atomically: readers see the old file or the new one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def load_registry(path: str | Path) -> list[DatasetDescriptor]:

@@ -18,7 +18,7 @@ import hashlib
 import json
 import logging
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -100,6 +100,10 @@ class HyperParams:
         except (TypeError, ValueError, EncoderError) as exc:
             raise ConfigError(f"invalid hyperparameters {dict(data)!r}: {exc}") from None
 
+    def fields(self) -> dict:
+        """epochs / batch_size / learning_rate as from_mapping reads them (no seed)."""
+        return {"epochs": self.epochs, "batch_size": self.batch_size, "learning_rate": self.learning_rate}
+
 
 @dataclass(frozen=True)
 class EncoderSpec:
@@ -123,17 +127,21 @@ def members_from_entries(
 ) -> list[tuple[EncoderSpec, HyperParams]]:
     """(spec, hyperparams) per backend entry ``{key, max_sequence_tokens?, hyperparams?}``.
 
-    An entry without hyperparams takes ``hyperparams``. Member i's seed is its
-    explicit seed, else ``seed + i``: distinct member seeds keep an ensemble
-    of one backend from collapsing into identical models.
+    An entry without hyperparams takes the shared ``hyperparams``. The base
+    seed is the shared hyperparams' seed, else ``seed``; member i's seed is
+    its entry's explicit seed, else base + i: distinct member seeds keep an
+    ensemble of one backend from collapsing into identical models.
     """
+    shared = HyperParams.from_mapping({} if hyperparams is None else hyperparams, seed)
     return [
         (
             EncoderSpec(
                 backend_key=str(entry["key"]),
                 max_sequence_tokens=int(entry.get("max_sequence_tokens", DEFAULT_MAX_TOKENS)),
             ),
-            HyperParams.from_mapping(entry.get("hyperparams") or hyperparams or {}, seed + index),
+            HyperParams.from_mapping(entry["hyperparams"], shared.seed + index)
+            if entry.get("hyperparams")
+            else replace(shared, seed=shared.seed + index),
         )
         for index, entry in enumerate(entries)
     ]

@@ -49,7 +49,10 @@ def ensemble_policy(
         return mode, None
     if mode != "average":
         raise EnsemblePolicyError(f"ensemble weights need mode 'average', not {mode!r}")
-    w = np.asarray(list(weights), dtype=float)
+    try:
+        w = np.asarray(list(weights), dtype=float)
+    except (TypeError, ValueError):
+        raise EnsemblePolicyError(f"weights must be numbers, got {list(weights)!r}") from None
     if w.shape != (n_members,):
         raise EnsemblePolicyError(f"expected {n_members} weights, got {w.shape}")
     if (w < 0).any():

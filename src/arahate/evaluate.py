@@ -15,7 +15,6 @@ pooled-prediction metrics kept alongside for transparency.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import LabeledText
+from .corpus import LabeledText, write_json
 from .errors import ArahateError
 from .labels import LABEL_INDEX, LABEL_ORDER, N_CLASSES, Label
 
@@ -254,12 +253,7 @@ class MetricsReport:
         }
 
     def write_json(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
-        )
+        write_json(path, self.to_dict())
 
 
 def cross_validate(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -23,12 +23,12 @@ import yaml
 
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
 from .classifiers import Classifier
-from .config import config_hash
+from .config import config_hash, normalization_config
 from .encoder import EncoderSpec, HyperParams, members_from_entries
 from .ensemble import write_proba_csv
 from .errors import ArahateError
-from .evaluate import cross_validate, stratified_folds
-from .normalize import NormalizationConfig, normalize_corpus
+from .evaluate import FoldPlan, cross_validate, stratified_folds
+from .normalize import normalize_corpus
 
 log = logging.getLogger(__name__)
 
@@ -94,14 +94,6 @@ class ExperimentRun:
             inputs.append(report_cfg["baselines"])
         return inputs
 
-    def _normalization_config(self) -> NormalizationConfig:
-        section = self.cfg.get("normalize", {})
-        return NormalizationConfig.load(
-            stopword_path=self.cfg["paths"].get("stopwords"),
-            repeat_collapse_len=section.get("repeat_collapse_len", 2),
-            strip_non_arabic=section.get("strip_non_arabic", True),
-        )
-
     def _members(self) -> list[tuple[EncoderSpec, HyperParams]]:
         encoder_cfg = self.cfg["encoder"]
         return members_from_entries(encoder_cfg["backends"], self.seed, encoder_cfg.get("hyperparams"))
@@ -116,6 +108,9 @@ class ExperimentRun:
             (spec, HyperParams.from_mapping(best[name], hp.seed) if best.get(name) else hp)
             for name, (spec, hp) in zip(self._member_names(), members)
         ]
+
+    def _fold_plan(self, data) -> FoldPlan:
+        return stratified_folds(data, k=self.cfg["evaluate"].get("folds", 10), seed=self.seed)
 
     def _member_names(self) -> list[str]:
         # Artifact directory names; duplicate backend keys (e.g. three toy
@@ -140,6 +135,11 @@ class ExperimentRun:
     def metrics_path(self) -> Path:
         return self.run_dir / "metrics.json"
 
+    @property
+    def report_path(self) -> Path:
+        suffix = "md" if self.cfg.get("report", {}).get("format", "markdown") == "markdown" else "csv"
+        return self.run_dir / "report" / f"tables.{suffix}"
+
     def _evaluation_corpus_path(self) -> Path:
         if self.cfg.get("augment", {}).get("enabled"):
             return self.augmented_corpus
@@ -148,7 +148,7 @@ class ExperimentRun:
     # --- stages -----------------------------------------------------------
 
     def _stage_normalize(self) -> None:
-        cfg = self._normalization_config()
+        cfg = normalization_config(self.cfg)
         base = corpus_mod.read_jsonl(self.cfg["paths"]["data"], key="base")
         corpus_mod.write_jsonl(self.normalized_base, normalize_corpus(base, cfg))
         augment_cfg = self.cfg.get("augment", {})
@@ -169,14 +169,10 @@ class ExperimentRun:
                 key=descriptor.key,
             )
             datasets[descriptor.key] = (descriptor, rows)
-        plan = augment_mod.AugmentPlan(
-            direct_sources=tuple(augment_cfg.get("direct_sources") or ()),
-            pseudo_sources=tuple(augment_cfg.get("pseudo_sources") or ()),
-            confidence_threshold=float(augment_cfg.get("confidence_threshold", 0.0)),
-            # The labeler has no mode: several members vote by majority, which
-            # takes no weights, so the run's ensemble section does not apply.
-            labeler=augment_mod.LabelerPlan(members=tuple(self._members())),
-        )
+        # The labeler has no mode: several members vote by majority, which
+        # takes no weights, so the run's ensemble section does not apply.
+        labeler = augment_mod.LabelerPlan(members=tuple(self._members()))
+        plan = augment_mod.AugmentPlan.from_mapping(augment_cfg, labeler)
         merged, aug_report = augment_mod.build_augmented_corpus(base, plan, datasets)
         corpus_mod.write_jsonl(self.augmented_corpus, merged)
         aug_report.write_json(self.run_dir / "augmented" / "report.json")
@@ -184,29 +180,14 @@ class ExperimentRun:
     def _stage_tune(self) -> None:
         tune_cfg = self.cfg["tune"]
         data = corpus_mod.read_jsonl(self._evaluation_corpus_path())
-        folds = self.cfg["evaluate"].get("folds", 10)
-        fold_plan = stratified_folds(data, k=folds, seed=self.seed)
-        protocol = tune_mod.make_cv_protocol(fold_plan)
-        initial_cfg = tune_cfg.get("initial")
+        protocol = tune_mod.make_cv_protocol(self._fold_plan(data))
         best_map = {}
         for name, (spec, hp) in zip(self._member_names(), self._members()):
-            # the member's seed wins over a seed in tune.initial
-            initial = replace(HyperParams.from_mapping(initial_cfg), seed=hp.seed) if initial_cfg else hp
-            grid = tune_mod.SearchGrid(
-                epochs_axis=tuple(tune_cfg.get("epochs_axis", tune_mod.DEFAULT_EPOCHS_AXIS)),
-                batch_axis=tuple(tune_cfg.get("batch_axis", tune_mod.DEFAULT_BATCH_AXIS)),
-                lr_axis=tuple(tune_cfg.get("lr_axis", tune_mod.DEFAULT_LR_AXIS)),
-                initial=initial,
-            )
+            grid = tune_mod.SearchGrid.from_mapping(tune_cfg, hp)
             best, trace = tune_mod.coordinate_search(spec, grid, data, protocol)
             tune_mod.write_trace_csv(self.run_dir / "tune" / f"{name}_trace.csv", trace)
-            best_map[name] = {
-                "epochs": best.epochs,
-                "batch_size": best.batch_size,
-                "learning_rate": best.learning_rate,
-            }
-        path = self.run_dir / "tune" / "best.json"
-        path.write_text(json.dumps(best_map, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            best_map[name] = best.fields()
+        corpus_mod.write_json(self.run_dir / "tune" / "best.json", best_map)
 
     def _stage_train(self) -> None:
         data = corpus_mod.read_jsonl(self._evaluation_corpus_path())
@@ -221,8 +202,7 @@ class ExperimentRun:
 
     def _stage_evaluate(self) -> None:
         data = corpus_mod.read_jsonl(self._evaluation_corpus_path())
-        folds = self.cfg["evaluate"].get("folds", 10)
-        fold_plan = stratified_folds(data, k=folds, seed=self.seed)
+        fold_plan = self._fold_plan(data)
         ensemble_cfg = self.cfg.get("ensemble", {})
         classifier = Classifier(
             self._tuned_members(), ensemble_cfg.get("mode", "single"), ensemble_cfg.get("weights")
@@ -231,17 +211,13 @@ class ExperimentRun:
             data, classifier.fit, fold_plan, seed=self.seed, config_hash=self.run_id
         )
         metrics.write_json(self.metrics_path)
-        (self.run_dir / "folds.json").write_text(
-            json.dumps(fold_plan.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        corpus_mod.write_json(self.run_dir / "folds.json", fold_plan.to_dict())
 
     def _stage_report(self) -> None:
         report_cfg = self.cfg.get("report", {})
         baselines = report_mod.load_baselines(report_cfg.get("baselines"))
-        fmt = report_cfg.get("format", "markdown")
-        suffix = "md" if fmt == "markdown" else "csv"
         report_mod.write_report(
-            self.run_dir / "report" / f"tables.{suffix}", [self.run_dir], baselines, fmt
+            self.report_path, [self.run_dir], baselines, report_cfg.get("format", "markdown")
         )
 
     def _stages(self) -> list[Stage]:
@@ -268,11 +244,7 @@ class ExperimentRun:
         )
         stages.append(Stage("evaluate", [self.metrics_path], self._stage_evaluate))
         if self.cfg.get("report", {}).get("enabled", False):
-            fmt = self.cfg.get("report", {}).get("format", "markdown")
-            suffix = "md" if fmt == "markdown" else "csv"
-            stages.append(
-                Stage("report", [self.run_dir / "report" / f"tables.{suffix}"], self._stage_report)
-            )
+            stages.append(Stage("report", [self.report_path], self._stage_report))
         return stages
 
     def _write_manifest(self) -> None:
@@ -287,9 +259,7 @@ class ExperimentRun:
             "backends": [entry["key"] for entry in self.cfg["encoder"]["backends"]],
             "stages": self._stage_status,
         }
-        (self.run_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        corpus_mod.write_json(self.run_dir / "manifest.json", manifest)
 
     def execute(self) -> Path:
         """Run (or resume) every configured stage; returns the run directory."""
@@ -310,9 +280,7 @@ class ExperimentRun:
             except Exception as exc:
                 self._stage_status[stage.name] = "failed"
                 failure = {"stage": stage.name, "error": str(exc)}
-                (self.run_dir / "stages" / f"{stage.name}.failed").write_text(
-                    json.dumps(failure, indent=2) + "\n", encoding="utf-8"
-                )
+                corpus_mod.write_json(self.run_dir / "stages" / f"{stage.name}.failed", failure)
                 self._write_manifest()
                 raise StageFailure(stage.name, exc) from exc
             (self.run_dir / "stages" / f"{stage.name}.failed").unlink(missing_ok=True)

@@ -15,14 +15,12 @@ import csv
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
-
-import yaml
+from typing import Callable, Mapping, Sequence
 
 from .classifiers import Classifier
 from .corpus import LabeledText
 from .encoder import DEFAULT_HYPERPARAMS, EncoderSpec, HyperParams
-from .errors import ArahateError
+from .errors import ArahateError, ConfigError
 from .evaluate import FoldPlan, cross_validate
 
 log = logging.getLogger(__name__)
@@ -39,6 +37,10 @@ class SearchError(ArahateError):
     pass
 
 
+class SearchGridError(SearchError, ConfigError):
+    """An empty axis or an initial point off its axes: a validation error (exit 1)."""
+
+
 @dataclass(frozen=True)
 class SearchGrid:
     """Axes for the three-stage search plus the initial configuration."""
@@ -49,28 +51,29 @@ class SearchGrid:
     initial: HyperParams = HyperParams(*DEFAULT_HYPERPARAMS)
 
     def __post_init__(self) -> None:
-        for name, axis in (
-            ("epochs_axis", self.epochs_axis),
-            ("batch_axis", self.batch_axis),
-            ("lr_axis", self.lr_axis),
+        for name, axis, field in (
+            ("epochs_axis", self.epochs_axis, "epochs"),
+            ("batch_axis", self.batch_axis, "batch_size"),
+            ("lr_axis", self.lr_axis, "learning_rate"),
         ):
             if not axis:
-                raise SearchError(f"{name} must not be empty")
-        if self.initial.epochs not in self.epochs_axis:
-            raise SearchError("initial epochs must be a member of epochs_axis")
-        if self.initial.batch_size not in self.batch_axis:
-            raise SearchError("initial batch_size must be a member of batch_axis")
-        if self.initial.learning_rate not in self.lr_axis:
-            raise SearchError("initial learning_rate must be a member of lr_axis")
+                raise SearchGridError(f"{name} must not be empty")
+            if getattr(self.initial, field) not in axis:
+                raise SearchGridError(f"initial {field} must be a member of {name}")
 
     @classmethod
-    def from_file(cls, path: str | Path, seed: int = 0) -> "SearchGrid":
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    def from_mapping(cls, section: Mapping, base: HyperParams) -> "SearchGrid":
+        """Grid from a schema-checked ``tune`` section (of a run config or a `tune --grid` file).
+
+        Omitted axes take the defaults, an omitted ``initial`` is ``base``, and
+        ``base``'s seed wins over a seed in ``initial``.
+        """
+        initial = section.get("initial")
         return cls(
-            epochs_axis=tuple(data.get("epochs_axis", DEFAULT_EPOCHS_AXIS)),
-            batch_axis=tuple(data.get("batch_axis", DEFAULT_BATCH_AXIS)),
-            lr_axis=tuple(data.get("lr_axis", DEFAULT_LR_AXIS)),
-            initial=HyperParams.from_mapping(data.get("initial") or {}, seed),
+            epochs_axis=tuple(section.get("epochs_axis", DEFAULT_EPOCHS_AXIS)),
+            batch_axis=tuple(section.get("batch_axis", DEFAULT_BATCH_AXIS)),
+            lr_axis=tuple(section.get("lr_axis", DEFAULT_LR_AXIS)),
+            initial=base if initial is None else replace(HyperParams.from_mapping(initial), seed=base.seed),
         )
 
 

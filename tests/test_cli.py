@@ -74,10 +74,23 @@ def augment_section(registry: Path) -> dict:
     }
 
 
+LABELER = "labeler:\n  backends:\n    - key: toy\n"
+
 TWO_TOYS = {
     "backends": [{"key": "toy"}, {"key": "toy"}],
     "hyperparams": {"epochs": 3, "batch_size": 8, "learning_rate": 0.1},
 }
+
+
+def write_caches(tmp_path: Path, ids: list[str], names=("a", "b")) -> list[str]:
+    """One probability cache per name, every row predicting NH."""
+    caches = []
+    for name in names:
+        cache = tmp_path / f"{name}.csv"
+        probs = [[0.6, 0.1, 0.1, 0.1, 0.1]] * len(ids)
+        write_proba_csv(cache, ProbabilityMatrix(ids=ids, probs=probs))
+        caches.append(str(cache))
+    return caches
 
 
 def run_dir_of(capsys) -> Path:
@@ -292,15 +305,15 @@ class TestEnsemblePolicy:
             argv = ["augment", "--base", str(base), "--plan", str(plan),
                     "--out", str(tmp_path / "aug.jsonl")]
         else:
-            caches = []
-            for name in ("a", "b"):
-                cache = tmp_path / f"{name}.csv"
-                matrix = ProbabilityMatrix(ids=["x"], probs=[[0.6, 0.1, 0.1, 0.1, 0.1]])
-                write_proba_csv(cache, matrix)
-                caches.append(str(cache))
-            argv = ["vote", "--mode", "majority", "--weights", "1,0", "--caches", *caches,
-                    "--out", str(tmp_path / "labels.csv")]
+            argv = ["vote", "--mode", "majority", "--weights", "1,0",
+                    "--caches", *write_caches(tmp_path, ["x"]), "--out", str(tmp_path / "labels.csv")]
         assert main(argv) == 1
+
+    def test_vote_weights_must_be_numbers(self, tmp_path):
+        assert main(
+            ["vote", "--mode", "average", "--weights", "1,x",
+             "--caches", *write_caches(tmp_path, ["x"]), "--out", str(tmp_path / "p.csv")]
+        ) == 1
 
     def test_run_weights_do_not_reach_the_labeler(self, tmp_path, small_corpus, capsys):
         augment = augment_section(write_registry(tmp_path))
@@ -375,11 +388,7 @@ class TestStageCommands:
     @pytest.mark.parametrize("mode", ["majority", "average"])
     def test_vote_label_csv_quotes_ids(self, tmp_path, mode):
         ids = ["a,b", 'c"d', "e\nf"]
-        caches = []
-        for name in ("a", "b", "c"):
-            cache = tmp_path / f"{name}.csv"
-            write_proba_csv(cache, ProbabilityMatrix(ids=ids, probs=[[0.6, 0.1, 0.1, 0.1, 0.1]] * 3))
-            caches.append(str(cache))
+        caches = write_caches(tmp_path, ids, ("a", "b", "c"))
         out = tmp_path / "out.csv"
         labels_out = tmp_path / "labels.csv"
         assert main(
@@ -411,6 +420,49 @@ class TestStageCommands:
         ) == rc
         if rc == 0:
             assert "epochs=2\n" in (model_dir / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("tune", "epochs_axis: [1, 3]\nbatch_axis: [8]\nlr_axis: [0.1]\n"
+                     "initial: {epochs: 2, batch_size: 8, learning_rate: 0.1}\n"),
+            ("tune", "epochs_axis: 5\n"),
+            ("augment",
+             "registry: registry.yaml\npseudo_sources: [ext]\nconfidence_threshold: high\n" + LABELER),
+            ("augment", "registry: registry.yaml\ndirect_sources: rel\n" + LABELER),
+            ("run", {"enabled": True, "epochs_axis": [1, 3], "batch_axis": [8], "lr_axis": [0.1],
+                     "initial": {"epochs": 2, "batch_size": 8, "learning_rate": 0.1}}),
+        ],
+        ids=["grid-initial-off-axis", "grid-scalar-axis", "plan-threshold-not-a-number",
+             "plan-sources-not-a-list", "run-initial-off-axis"],
+    )
+    def test_grid_and_plan_validation(self, tmp_path, corpus_file, small_corpus, command, content):
+        section = tmp_path / "section.yaml"
+        if command == "run":
+            argv = ["run", "--config", str(write_config(tmp_path, small_corpus, tune=content))]
+        elif command == "tune":
+            section.write_text(content)
+            argv = ["tune", "--backend", "toy", "--grid", str(section), "--data", str(corpus_file),
+                    "--folds", "5", "--out", str(tmp_path / "tuned")]
+        else:
+            write_registry(tmp_path)
+            section.write_text(content)
+            argv = ["augment", "--base", str(corpus_file), "--plan", str(section),
+                    "--out", str(tmp_path / "augmented.jsonl")]
+        assert main(argv) == 1
+        assert not list(tmp_path.glob("runs/run-*/stages"))
+
+    @pytest.mark.parametrize("command", ["normalize", "augment"])
+    def test_repeat_collapse_len_zero_rejected(self, tmp_path, corpus_file, command):
+        out = str(tmp_path / "out.jsonl")
+        if command == "normalize":
+            argv = ["normalize", "--in", str(corpus_file), "--out", out]
+        else:
+            write_registry(tmp_path)
+            plan = tmp_path / "plan.yaml"
+            plan.write_text("registry: registry.yaml\ndirect_sources: [rel]\n" + LABELER)
+            argv = ["augment", "--base", str(corpus_file), "--plan", str(plan), "--out", out]
+        assert main([*argv, "--repeat-collapse-len", "0"]) == 1
 
     def test_evaluate_command(self, tmp_path, corpus_file):
         hp = tmp_path / "hp.yaml"

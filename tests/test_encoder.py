@@ -89,6 +89,17 @@ class TestHyperParams:
         with pytest.raises(EncoderError):
             HyperParams(**kwargs)
 
+    def test_member_seeds_count_up_from_the_shared_seed(self):
+        entries = [
+            {"key": "toy"},
+            {"key": "toy"},
+            {"key": "toy", "hyperparams": {"seed": 40}},
+            {"key": "toy", "hyperparams": {"epochs": 3}},
+        ]
+        members = encoder.members_from_entries(entries, 7, {"epochs": 5, "seed": 3})
+        assert [hp.seed for _, hp in members] == [3, 4, 40, 6]
+        assert [hp.epochs for _, hp in members] == [5, 5, 2, 3]
+
 
 class TestEncoderSpec:
     def test_unknown_backend_rejected(self):

@@ -145,6 +145,14 @@ class TestSearchMechanics:
         with pytest.raises(SearchError, match="initial"):
             SearchGrid(epochs_axis=(2, 3), initial=HyperParams(4, 8, 1e-5))
 
+    def test_grid_from_mapping_seed_rule(self):
+        base = HyperParams(3, 16, 2e-5, seed=9)
+        assert SearchGrid.from_mapping({}, base) == SearchGrid(initial=base)
+        initial = {"epochs": 1, "batch_size": 8, "learning_rate": 1e-5, "seed": 4}
+        grid = SearchGrid.from_mapping({"epochs_axis": [1, 3], "initial": initial}, base)
+        assert grid.epochs_axis == (1, 3)
+        assert grid.initial == HyperParams(1, 8, 1e-5, seed=9)
+
     def test_protocol_detail_is_kept(self):
         def protocol(spec, hp, data):
             return 1.0, {"hp": hp}

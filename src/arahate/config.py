@@ -198,24 +198,19 @@ def validate_config(cfg: dict, base_dir: Path) -> dict:
     _apply_env_overrides(cfg)
     _check_schema(cfg, CONFIG_SCHEMA, "config")
 
-    known = encoder.backend_keys()
-    for entry in cfg["encoder"]["backends"]:
-        if entry["key"] not in known:
-            raise ConfigError(
-                f"unknown backend key {entry['key']!r}; registered: {', '.join(known)}"
-            )
-        if "hyperparams" not in entry and "hyperparams" not in cfg["encoder"]:
+    encoder_cfg = cfg["encoder"]
+    members = encoder.members_from_entries(encoder_cfg["backends"], 0, encoder_cfg.get("hyperparams"))
+    for entry in encoder_cfg["backends"]:
+        if "hyperparams" not in entry and "hyperparams" not in encoder_cfg:
             raise ConfigError(
                 f"backend {entry['key']!r} has no hyperparams and no default is set"
             )
 
     ensemble_cfg = cfg.get("ensemble", {})
     # An omitted mode means 'single' here, so several backends need an explicit vote mode.
-    n_backends = len(cfg["encoder"]["backends"])
-    ensemble_policy(n_backends, ensemble_cfg.get("mode", "single"), ensemble_cfg.get("weights"))
+    ensemble_policy(len(members), ensemble_cfg.get("mode", "single"), ensemble_cfg.get("weights"))
     if cfg.get("tune", {}).get("enabled"):
-        encoder_cfg = cfg["encoder"]
-        for _, hp in encoder.members_from_entries(encoder_cfg["backends"], 0, encoder_cfg.get("hyperparams")):
+        for _, hp in members:
             SearchGrid.from_mapping(cfg["tune"], hp)
 
     def resolve(p: str) -> str:
@@ -239,6 +234,9 @@ def validate_config(cfg: dict, base_dir: Path) -> dict:
             raise ConfigError(f"augment.registry file not found: {augment_cfg['registry']}")
         if not (augment_cfg.get("direct_sources") or augment_cfg.get("pseudo_sources")):
             raise ConfigError("augment.enabled requires at least one source list")
+        from .augment import AugmentPlan  # augment imports this module
+
+        AugmentPlan.from_mapping(augment_cfg, None)  # overlapping sources raise here
     report_cfg = cfg.get("report", {})
     if report_cfg.get("baselines"):
         report_cfg["baselines"] = resolve(report_cfg["baselines"])

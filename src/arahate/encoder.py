@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -77,8 +78,8 @@ class HyperParams:
             raise EncoderError("epochs must be >= 1")
         if self.batch_size < 1:
             raise EncoderError("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise EncoderError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise EncoderError("learning_rate must be positive and finite")
 
     @classmethod
     def from_mapping(cls, data: Mapping, seed: int = 0) -> "HyperParams":
@@ -130,8 +131,14 @@ def members_from_entries(
     An entry without hyperparams takes the shared ``hyperparams``. The base
     seed is the shared hyperparams' seed, else ``seed``; member i's seed is
     its entry's explicit seed, else base + i: distinct member seeds keep an
-    ensemble of one backend from collapsing into identical models.
+    ensemble of one backend from collapsing into identical models. An
+    unknown backend key raises ConfigError.
     """
+    for entry in entries:
+        if entry["key"] not in _REGISTRY:
+            raise ConfigError(
+                f"unknown backend key {entry['key']!r}; registered: {', '.join(backend_keys())}"
+            )
     shared = HyperParams.from_mapping({} if hyperparams is None else hyperparams, seed)
     return [
         (
@@ -300,13 +307,28 @@ class ToyBackend:
         losses = []
         for _ in range(hp.epochs):
             order = rng.permutation(n)
+            # Shuffle once per epoch, so each batch is a contiguous run of CSR rows.
+            shuffled, y_shuffled = features[order], y[order]
             running = 0.0
             for start in range(0, n, hp.batch_size):
-                batch = order[start : start + hp.batch_size]
-                loss, (grad_w, grad_b) = toy_forward_backward(params, features[batch], y[batch])
-                params.weights -= hp.learning_rate * grad_w
+                stop = min(start + hp.batch_size, n)
+                lo, hi = shuffled.indptr[start], shuffled.indptr[stop]
+                # A step reads and writes only the buckets its batch touches;
+                # with no regularizer every other column's update is zero.
+                # np.unique keeps bucket order, so each row and column sums in
+                # the same order as a dense step and the result is bit-identical.
+                cols, local = np.unique(shuffled.indices[lo:hi], return_inverse=True)
+                batch = sparse.csr_matrix(
+                    (shuffled.data[lo:hi], local, shuffled.indptr[start : stop + 1] - lo),
+                    shape=(stop - start, len(cols)),
+                )
+                touched = replace(params, weights=params.weights[:, cols])
+                loss, (grad_w, grad_b) = toy_forward_backward(touched, batch, y_shuffled[start:stop])
+                params.weights[:, cols] = touched.weights - hp.learning_rate * grad_w
                 params.bias -= hp.learning_rate * grad_b
-                running += loss * len(batch)
+                running += loss * (stop - start)
+            if not (np.isfinite(params.weights).all() and np.isfinite(params.bias).all()):
+                raise EncoderError("non-finite model parameters after an epoch")
             losses.append(running / n)
         return TrainedModel(
             spec=spec,

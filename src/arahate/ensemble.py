@@ -111,15 +111,12 @@ def majority_vote(matrices: Sequence[ProbabilityMatrix]) -> list[Label]:
     _check_aligned(matrices)
     votes = np.stack([m.probs.argmax(axis=1) for m in matrices])  # (M, N)
     prob_sum = np.sum([m.probs for m in matrices], axis=0)  # (N, K)
-    out = []
-    for row in range(votes.shape[1]):
-        counts = np.bincount(votes[:, row], minlength=N_CLASSES)
-        tied = np.flatnonzero(counts == counts.max())
-        if len(tied) > 1:
-            sums = prob_sum[row, tied]
-            tied = tied[np.flatnonzero(sums == sums.max())]
-        out.append(LABEL_ORDER[int(tied[0])])
-    return out
+    counts = (votes[:, :, None] == np.arange(N_CLASSES)).sum(axis=0)  # (N, K)
+    leading = counts == counts.max(axis=1, keepdims=True)
+    # Probabilities are non-negative, so -1 never wins; argmax takes the first
+    # maximum, so an exact tie on the sum goes to column order.
+    winners = np.where(leading, prob_sum, -1.0).argmax(axis=1)
+    return [LABEL_ORDER[i] for i in winners]
 
 
 def average_vote(

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from .classifiers import Classifier
 from .corpus import LabeledText
-from .encoder import DEFAULT_HYPERPARAMS, EncoderSpec, HyperParams
+from .encoder import DEFAULT_HYPERPARAMS, EncoderError, EncoderSpec, HyperParams
 from .errors import ArahateError, ConfigError
 from .evaluate import FoldPlan, cross_validate
 
@@ -60,6 +60,11 @@ class SearchGrid:
                 raise SearchGridError(f"{name} must not be empty")
             if getattr(self.initial, field) not in axis:
                 raise SearchGridError(f"initial {field} must be a member of {name}")
+            for value in axis:  # every grid point must be valid hyperparameters
+                try:
+                    replace(self.initial, **{field: value})
+                except EncoderError as exc:
+                    raise SearchGridError(f"{name} value {value!r}: {exc}") from None
 
     @classmethod
     def from_mapping(cls, section: Mapping, base: HyperParams) -> "SearchGrid":

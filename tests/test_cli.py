@@ -405,10 +405,12 @@ class TestStageCommands:
             ("epochs: 0\nbatch_size: 8\nlearning_rate: 0.1\n", 1),
             ("epochs: two\nbatch_size: 8\nlearning_rate: 0.1\n", 1),
             ("epochs: 3\nbatch_size: 8\nlearning_rate: -0.1\n", 1),
+            ("epochs: 3\nbatch_size: 8\nlearning_rate: .inf\n", 1),
             ("- epochs\n", 1),
             ("batch_size: 8\nlearning_rate: 0.1\n", 0),  # epochs defaults to 2
         ],
-        ids=["epochs-zero", "epochs-not-a-number", "negative-lr", "not-a-mapping", "epochs-missing"],
+        ids=["epochs-zero", "epochs-not-a-number", "negative-lr", "infinite-lr", "not-a-mapping",
+             "epochs-missing"],
     )
     def test_train_hp_file_validation(self, tmp_path, corpus_file, content, rc):
         hp = tmp_path / "hp.yaml"
@@ -427,25 +429,32 @@ class TestStageCommands:
             ("tune", "epochs_axis: [1, 3]\nbatch_axis: [8]\nlr_axis: [0.1]\n"
                      "initial: {epochs: 2, batch_size: 8, learning_rate: 0.1}\n"),
             ("tune", "epochs_axis: 5\n"),
+            ("tune", "lr_axis: [.inf, 1.0e-5]\n"),
             ("augment",
              "registry: registry.yaml\npseudo_sources: [ext]\nconfidence_threshold: high\n" + LABELER),
             ("augment", "registry: registry.yaml\ndirect_sources: rel\n" + LABELER),
-            ("run", {"enabled": True, "epochs_axis": [1, 3], "batch_axis": [8], "lr_axis": [0.1],
-                     "initial": {"epochs": 2, "batch_size": 8, "learning_rate": 0.1}}),
+            ("augment", "registry: registry.yaml\npseudo_sources: [ext]\nlabeler:\n  backends:\n    - key: nope\n"),
+            ("run", {"tune": {"enabled": True, "epochs_axis": [1, 3], "batch_axis": [8], "lr_axis": [0.1],
+                              "initial": {"epochs": 2, "batch_size": 8, "learning_rate": 0.1}}}),
+            ("run", {"augment": {"enabled": True, "registry": "registry.yaml",
+                                 "direct_sources": ["rel"], "pseudo_sources": ["rel"]}}),
+            ("run", {"encoder": {"backends": [{"key": "toy"}],
+                                 "hyperparams": {"epochs": 5, "batch_size": 8, "learning_rate": float("inf")}}}),
         ],
-        ids=["grid-initial-off-axis", "grid-scalar-axis", "plan-threshold-not-a-number",
-             "plan-sources-not-a-list", "run-initial-off-axis"],
+        ids=["grid-initial-off-axis", "grid-scalar-axis", "grid-infinite-lr", "plan-threshold-not-a-number",
+             "plan-sources-not-a-list", "plan-unknown-labeler-key", "run-initial-off-axis",
+             "run-overlapping-sources", "run-infinite-lr"],
     )
     def test_grid_and_plan_validation(self, tmp_path, corpus_file, small_corpus, command, content):
         section = tmp_path / "section.yaml"
+        write_registry(tmp_path)
         if command == "run":
-            argv = ["run", "--config", str(write_config(tmp_path, small_corpus, tune=content))]
+            argv = ["run", "--config", str(write_config(tmp_path, small_corpus, **content))]
         elif command == "tune":
             section.write_text(content)
             argv = ["tune", "--backend", "toy", "--grid", str(section), "--data", str(corpus_file),
                     "--folds", "5", "--out", str(tmp_path / "tuned")]
         else:
-            write_registry(tmp_path)
             section.write_text(content)
             argv = ["augment", "--base", str(corpus_file), "--plan", str(section),
                     "--out", str(tmp_path / "augmented.jsonl")]

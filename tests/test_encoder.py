@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from arahate import encoder
+from arahate.corpus import LabeledText
 from arahate.encoder import (
     BackendNotInstalledError,
     BackendWeightsError,
@@ -13,13 +16,15 @@ from arahate.encoder import (
     EncoderSpec,
     HyperParams,
     PretrainedBackend,
+    TOY_DEFAULT_BUCKETS,
+    ToyBackend,
     ToyParams,
     hashed_ngram_features,
     load_model,
     save_model,
     toy_forward_backward,
 )
-from arahate.labels import Label
+from arahate.labels import LABEL_INDEX, LABEL_ORDER, Label
 
 from conftest import class_word, make_separable_corpus
 
@@ -83,6 +88,7 @@ class TestHyperParams:
             {"epochs": 1, "batch_size": 0, "learning_rate": 1e-5},
             {"epochs": 1, "batch_size": 8, "learning_rate": 0.0},
             {"epochs": 1, "batch_size": 8, "learning_rate": -1e-5},
+            {"epochs": 1, "batch_size": 8, "learning_rate": math.inf},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -210,6 +216,85 @@ class TestFit:
         m1 = encoder.fit(TOY, HP, rows)
         m2 = encoder.fit(TOY, HyperParams(5, 8, 0.1, seed=2), rows)
         assert m1.train_fingerprint != m2.train_fingerprint
+
+
+def dense_reference_fit(hp: HyperParams, rows):
+    """The dense mini-batch loop: every step reads and updates all buckets."""
+    features = hashed_ngram_features([row.norm_text for row in rows], max_tokens=TOY.max_sequence_tokens)
+    y = np.asarray([LABEL_INDEX[row.label] for row in rows])
+    params = ToyParams(weights=np.zeros((5, features.shape[1])), bias=np.zeros(5))
+    rng = np.random.default_rng(hp.seed)
+    n = len(rows)
+    losses = []
+    for _ in range(hp.epochs):
+        order = rng.permutation(n)
+        running = 0.0
+        for start in range(0, n, hp.batch_size):
+            batch = order[start : start + hp.batch_size]
+            loss, (grad_w, grad_b) = toy_forward_backward(params, features[batch], y[batch])
+            params.weights -= hp.learning_rate * grad_w
+            params.bias -= hp.learning_rate * grad_b
+            running += loss * len(batch)
+        losses.append(running / n)
+    return params, losses
+
+
+def text_row(index: int, text: str, label: Label) -> LabeledText:
+    return LabeledText(id=f"t{index}", raw_text=text, label=label, source="test", norm_text=text)
+
+
+def corpus_with_short_rows() -> list[LabeledText]:
+    """45 separable rows plus 5 texts shorter than a 3-gram (all-zero feature rows)."""
+    rows = make_separable_corpus(n_per_class=9, seed=12)
+    short = [text_row(i, "اب", label) for i, label in enumerate(LABEL_ORDER)]
+    return rows + short
+
+
+class TestSparseStep:
+    @pytest.mark.parametrize(
+        "hp",
+        [
+            HyperParams(epochs=3, batch_size=7, learning_rate=0.1, seed=2),  # 7 does not divide 50
+            HyperParams(epochs=2, batch_size=1, learning_rate=0.5, seed=3),  # all-zero batches
+            HyperParams(epochs=2, batch_size=64, learning_rate=0.05, seed=4),  # one batch >= n
+        ],
+        ids=["ragged-last-batch", "batch-of-one", "batch-covers-all-rows"],
+    )
+    def test_bit_identical_to_dense_update(self, hp):
+        rows = corpus_with_short_rows()
+        model = ToyBackend().fit(TOY, hp, rows)
+        params, losses = dense_reference_fit(hp, rows)
+        assert np.array_equal(model.params.weights, params.weights)
+        assert np.array_equal(model.params.bias, params.bias)
+        assert model.epoch_losses == losses
+
+    def test_untouched_buckets_stay_zero(self):
+        rows = corpus_with_short_rows()
+        model = ToyBackend().fit(TOY, HP, rows)
+        features = hashed_ngram_features([row.norm_text for row in rows])
+        untouched = np.setdiff1d(np.arange(model.params.n_buckets), features.indices)
+        assert (model.params.weights[:, untouched] == 0.0).all()
+        assert (model.params.weights[:, np.unique(features.indices)] != 0.0).any(axis=0).all()
+
+    def test_each_step_sees_only_its_batch_buckets(self, monkeypatch):
+        widths = []
+
+        def spy(params, features, labels):
+            widths.append((params.weights.shape[1], features.shape[1], np.unique(features.indices).size))
+            return toy_forward_backward(params, features, labels)
+
+        monkeypatch.setattr(encoder, "toy_forward_backward", spy)
+        rows = corpus_with_short_rows()
+        ToyBackend().fit(TOY, HP, rows)
+        assert len(widths) == HP.epochs * math.ceil(len(rows) / HP.batch_size)
+        for weight_cols, feature_cols, distinct in widths:
+            assert weight_cols == feature_cols == distinct < TOY_DEFAULT_BUCKETS
+
+    def test_overflowing_step_raises_instead_of_returning_non_finite_weights(self):
+        # One batch, one epoch: a 58-count trigram times a huge rate overflows to inf.
+        rows = [text_row(0, "ب" * 60, Label.NH), text_row(1, "ت" * 60, Label.GH)]
+        with pytest.raises(EncoderError, match="non-finite"), np.errstate(over="ignore"):
+            ToyBackend().fit(TOY, HyperParams(epochs=1, batch_size=2, learning_rate=1e308), rows)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arahate.classifiers import Classifier
 from arahate.encoder import EncoderSpec, HyperParams
@@ -17,7 +19,7 @@ from arahate.ensemble import (
     read_proba_csv,
     write_proba_csv,
 )
-from arahate.labels import LABEL_ORDER, Label
+from arahate.labels import LABEL_ORDER, N_CLASSES, Label
 
 
 def pm(rows, ids=None):
@@ -54,7 +56,44 @@ def oracle_majority(model_rows):
     return tied[0]
 
 
+def loop_majority_vote(matrices):
+    """The per-row loop majority_vote replaced; the property test's oracle."""
+    votes = np.stack([m.probs.argmax(axis=1) for m in matrices])
+    prob_sum = np.sum([m.probs for m in matrices], axis=0)
+    out = []
+    for row in range(votes.shape[1]):
+        counts = np.bincount(votes[:, row], minlength=N_CLASSES)
+        tied = np.flatnonzero(counts == counts.max())
+        if len(tied) > 1:
+            sums = prob_sum[row, tied]
+            tied = tied[np.flatnonzero(sums == sums.max())]
+        out.append(LABEL_ORDER[int(tied[0])])
+    return out
+
+
+# Rows are quarters: four units dropped into five classes. Sums of quarters are
+# exact, so ties on vote count and on summed probability both occur often.
+quarter_row = st.lists(st.integers(0, N_CLASSES - 1), min_size=4, max_size=4).map(
+    lambda units: np.bincount(units, minlength=N_CLASSES) / 4
+)
+
+
+@st.composite
+def quarter_matrices(draw):
+    n_models = draw(st.integers(2, 5))
+    n_rows = draw(st.integers(0, 6))
+    return [
+        pm(np.reshape([draw(quarter_row) for _ in range(n_rows)], (n_rows, N_CLASSES)))
+        for _ in range(n_models)
+    ]
+
+
 class TestMajorityVote:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(quarter_matrices())
+    def test_matches_per_row_loop_on_tied_grids(self, matrices):
+        assert majority_vote(matrices) == loop_majority_vote(matrices)
+
     def test_unanimous(self):
         matrices = [pm([one_hotish(2)]) for _ in range(3)]
         assert majority_vote(matrices) == [Label.Re]

@@ -129,10 +129,10 @@ def _cmd_train(args) -> int:
     data = _require(args.data or cfg.get("paths", {}).get("data"), "--data")
     backend = _require(args.backend, "--backend")
     out = _require(args.out, "--out")
-    seed = _seed(args, cfg)
-    hp = encoder.HyperParams.from_mapping(_read_hp(args.hp, cfg), seed)
+    [(spec, hp)] = encoder.members_from_entries(
+        [{"key": backend, "max_sequence_tokens": args.max_tokens}], _seed(args, cfg), _read_hp(args.hp, cfg)
+    )
     rows = [row for row in corpus_mod.read_jsonl(data) if row.norm_text]
-    spec = encoder.EncoderSpec(backend_key=backend, max_sequence_tokens=args.max_tokens)
     model = encoder.fit(spec, hp, rows)
     encoder.save_model(model, out)
     print(f"trained {backend} on {len(rows)} rows -> {out} (fingerprint {model.train_fingerprint})")
@@ -179,11 +179,11 @@ def _cmd_tune(args) -> int:
     backend = _require(args.backend, "--backend")
     out_dir = Path(_require(args.out, "--out"))
     seed = _seed(args, cfg)
+    [(spec, base_hp)] = encoder.members_from_entries([{"key": backend}], seed)
     data = corpus_mod.read_jsonl(data_path)
     section = read_yaml(args.grid, "search grid", GRID_SCHEMA) if args.grid else {}
-    grid = tune_mod.SearchGrid.from_mapping(section, encoder.HyperParams.from_mapping({}, seed))
+    grid = tune_mod.SearchGrid.from_mapping(section, base_hp)
     fold_plan = stratified_folds(data, k=args.folds, seed=seed)
-    spec = encoder.EncoderSpec(backend_key=backend)
     best, trace = tune_mod.coordinate_search(
         spec, grid, data, tune_mod.make_cv_protocol(fold_plan)
     )

@@ -7,6 +7,14 @@ over hashed character 3-to-5-gram counts (2^16 buckets) trained with
 mini-batch gradient descent: no heavyweight dependencies, bit-reproducible
 under a fixed seed, and fast enough to exercise the whole pipeline in tests.
 
+Its features are a pure function of the text. ``hashed_ngram_features``
+hashes a batch in one numpy pass with a table-driven CRC-32 that is
+bit-equal to ``zlib.crc32``, and ``cached_features`` keeps one read-only
+CSR row per distinct text in a per-process memo keyed by (n_buckets,
+ngram_sizes, max_tokens), so a process hashes each text once however many
+folds, grid points and ensemble members use it. The memo costs about one
+CSR row (~1 KiB for a tweet) per distinct text and is never evicted.
+
 Three pretrained encoder slots are registered by name; their weights are
 fetched by the run environment (never vendored), so using them requires the
 ``pretrained`` extra plus network or cache access to the weights.
@@ -18,7 +26,6 @@ import hashlib
 import json
 import logging
 import math
-import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -183,41 +190,88 @@ def _truncate(text: str, max_tokens: int) -> str:
     return " ".join(tokens[:max_tokens])
 
 
+def _crc32_table() -> np.ndarray:
+    """The 256-entry table of the reflected CRC-32 (polynomial 0xEDB88320) zlib uses."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+
+
 def hashed_ngram_features(
     texts: Sequence[str],
     n_buckets: int = TOY_DEFAULT_BUCKETS,
     ngram_sizes: Sequence[int] = TOY_NGRAM_SIZES,
     max_tokens: int | None = None,
 ) -> sparse.csr_matrix:
-    """Hashed character n-gram counts per row.
+    """Hashed character n-gram counts per row, with sorted bucket ids per row.
 
-    Hashing uses CRC-32 of the UTF-8 n-gram bytes, so features are stable
-    across processes and platforms. Texts shorter than the smallest n-gram
-    yield an all-zero row (predictions then come from the bias alone).
+    An n-gram's bucket is ``zlib.crc32`` of its UTF-8 bytes modulo
+    ``n_buckets``, so features are stable across processes and platforms.
+    Texts shorter than the smallest n-gram yield an all-zero row (predictions
+    then come from the bias alone). One numpy pass hashes the whole batch: a
+    table-driven CRC-32 (Sarwate 1988) runs over every n-gram's bytes at once,
+    and each larger size extends the state of the next smaller one from the
+    same start character, so each size costs only its extra characters.
     """
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for text in texts:
-        if max_tokens is not None:
-            text = _truncate(text, max_tokens)
-        counts: dict[int, int] = {}
-        for n in ngram_sizes:
-            for i in range(len(text) - n + 1):
-                bucket = zlib.crc32(text[i : i + n].encode("utf-8")) % n_buckets
-                counts[bucket] = counts.get(bucket, 0) + 1
-        for bucket in sorted(counts):
-            indices.append(bucket)
-            data.append(float(counts[bucket]))
-        indptr.append(len(indices))
+    if max_tokens is not None:
+        texts = [_truncate(text, max_tokens) for text in texts]
+    lengths = np.fromiter((len(text) for text in texts), dtype=np.int64, count=len(texts))
+    data = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8)
+    # Byte offset of every character (UTF-8 lead bytes), plus the end.
+    char_bytes = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
+    # One candidate n-gram per start character; row_end bounds it to its row.
+    row = np.repeat(np.arange(len(texts)), lengths)
+    row_end = np.repeat(np.cumsum(lengths), lengths)
+    start = np.arange(row.size)
+    crc = np.full(row.size, 0xFFFFFFFF, dtype=np.uint32)
+    keys = [np.zeros(0, dtype=np.int64)]
+    done = 0  # characters already folded into crc
+    for n in sorted(ngram_sizes):
+        keep = start + n <= row_end
+        start, row, row_end, crc = start[keep], row[keep], row_end[keep], crc[keep]
+        first, stop = char_bytes[start + done], char_bytes[start + n]
+        for offset in range(int((stop - first).max(initial=0))):
+            at = first + offset
+            step = _CRC32_TABLE[(crc ^ data.take(at, mode="clip")) & 0xFF] ^ (crc >> 8)
+            crc = np.where(at < stop, step, crc)
+        done = n
+        keys.append(row * n_buckets + (crc ^ 0xFFFFFFFF).astype(np.int64) % n_buckets)
+    cells, counts = np.unique(np.concatenate(keys), return_counts=True)
+    rows = cells // n_buckets
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(texts)), out=indptr[1:])
     return sparse.csr_matrix(
-        (
-            np.asarray(data, dtype=float),
-            np.asarray(indices, dtype=np.int64),
-            np.asarray(indptr, dtype=np.int64),
-        ),
+        (counts.astype(float), cells - rows * n_buckets, indptr),
         shape=(len(texts), n_buckets),
     )
+
+
+# Per-process feature memo: (n_buckets, ngram_sizes, max_tokens) -> (row of each
+# text seen so far, hashed rows of those texts). Features are a pure function
+# of the text, so folds, grid points and ensemble members share one hashing of
+# each distinct text. The stored arrays are read-only; callers get copies.
+_FEATURE_MEMO: dict[tuple, tuple[dict[str, int], sparse.csr_matrix]] = {}
+
+
+def cached_features(
+    texts: Sequence[str], n_buckets: int, ngram_sizes: Sequence[int], max_tokens: int | None
+) -> sparse.csr_matrix:
+    """``hashed_ngram_features`` of ``texts``, hashing only texts this process has not seen."""
+    key = (n_buckets, tuple(ngram_sizes), max_tokens)
+    row_of, seen = _FEATURE_MEMO.get(key) or ({}, sparse.csr_matrix((0, n_buckets)))
+    new = [text for text in dict.fromkeys(texts) if text not in row_of]
+    if new:
+        block = hashed_ngram_features(new, n_buckets, ngram_sizes, max_tokens=max_tokens)
+        row_of.update(zip(new, range(len(row_of), len(row_of) + len(new))))
+        seen = sparse.vstack([seen, block], format="csr")
+        for array in (seen.data, seen.indices, seen.indptr):
+            array.flags.writeable = False
+        _FEATURE_MEMO[key] = (row_of, seen)
+    return seen[np.fromiter((row_of[text] for text in texts), dtype=np.int64, count=len(texts))]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -293,9 +347,7 @@ class ToyBackend:
     def fit(self, spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText]) -> TrainedModel:
         texts = [row.norm_text or "" for row in train]
         y = np.asarray([LABEL_INDEX[row.label] for row in train], dtype=int)
-        features = hashed_ngram_features(
-            texts, self.n_buckets, self.ngram_sizes, max_tokens=spec.max_sequence_tokens
-        )
+        features = cached_features(texts, self.n_buckets, self.ngram_sizes, spec.max_sequence_tokens)
         params = ToyParams(
             weights=np.zeros((N_CLASSES, self.n_buckets)),
             bias=np.zeros(N_CLASSES),
@@ -344,11 +396,8 @@ class ToyBackend:
             raise EncoderError("model was not trained by the toy backend")
         if not texts:
             return np.zeros((0, N_CLASSES))
-        features = hashed_ngram_features(
-            texts,
-            params.n_buckets,
-            params.ngram_sizes,
-            max_tokens=model.spec.max_sequence_tokens,
+        features = cached_features(
+            texts, params.n_buckets, params.ngram_sizes, model.spec.max_sequence_tokens
         )
         return _softmax(np.asarray(features @ params.weights.T + params.bias))
 

@@ -113,33 +113,41 @@ class NormalizationConfig:
         )
 
 
+class _CharTable(dict):
+    """A ``str.translate`` table that classifies each code point once, on first use."""
+
+    def __init__(self, classify) -> None:
+        super().__init__()
+        self._classify = classify
+
+    def __missing__(self, code_point: int) -> str | None:
+        value = self[code_point] = self._classify(chr(code_point))
+        return value
+
+
+def _feature_or_mark(ch: str) -> str | None:
+    """Steps 1-2 for one character: a space, nothing (deleted) or the character."""
+    category = unicodedata.category(ch)
+    if ch.isspace() or category[0] in "PSN":  # punctuation (incl. '#'), symbols/emoji, digits
+        return " "
+    # Controls and format chars (ZWJ, variation selectors), combining marks
+    # (harakat, shadda, sukun, ...) and tatweel.
+    if category[0] == "C" or category in ("Mn", "Mc", "Me") or ch == TATWEEL:
+        return None
+    return ch
+
+
+_FEATURE_TABLE = _CharTable(_feature_or_mark)
+_ARABIC_TABLE = _CharTable(lambda ch: ch if ch == " " or _is_arabic_letter(ch) else " ")
+
+
 def _strip_features(text: str) -> str:
-    """Step 1: mentions, URLs, RT, '#', punctuation, symbols/emoji, digits."""
+    """Steps 1-2: mentions, URLs, RT, then '#', punctuation, symbols/emoji,
+    digits, controls, combining marks and tatweel."""
     text = _URL_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
     text = _RT_RE.sub(" ", text)
-    out = []
-    for ch in text:
-        if ch.isspace():
-            out.append(" ")
-            continue
-        major = unicodedata.category(ch)[0]
-        if major in "PSN":  # punctuation (incl. '#'), symbols/emoji, digits
-            out.append(" ")
-        elif major == "C":  # controls and format chars (ZWJ, variation selectors)
-            continue
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _strip_marks(text: str) -> str:
-    """Step 2: combining marks (harakat, shadda, sukun, ...) and tatweel."""
-    return "".join(
-        ch
-        for ch in text
-        if ch != TATWEEL and unicodedata.category(ch) not in ("Mn", "Mc", "Me")
-    )
+    return text.translate(_FEATURE_TABLE)
 
 
 @lru_cache(maxsize=8)
@@ -159,15 +167,14 @@ def _normalize_chars(text: str, cfg: NormalizationConfig) -> str:
     """Steps 1-5 (character level); tokenization and stopwords happen on top."""
     text = unicodedata.normalize("NFC", text)
     text = _strip_features(text)
-    text = _strip_marks(text)
+    # Deleting a character can make two Hangul jamo adjacent, which NFC composes.
+    text = unicodedata.normalize("NFC", text)
     text = _collapse_repeats(text, cfg.repeat_collapse_len)
     text = text.translate(_LETTER_MAP)
     # Unification can merge formerly distinct characters into one run.
     text = _collapse_repeats(text, cfg.repeat_collapse_len)
     if cfg.strip_non_arabic:
-        text = "".join(
-            ch if ch == " " or _is_arabic_letter(ch) else " " for ch in text
-        )
+        text = text.translate(_ARABIC_TABLE)
     return text
 
 
@@ -205,16 +212,3 @@ def normalize_corpus(
             len(out),
         )
     return out
-
-
-def load_golden_cases(path: str | Path) -> list[tuple[str, str]]:
-    """Read a golden-test corpus: TSV lines of raw text -> expected output."""
-    cases = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise NormalizeError(f"{path} line {line_no}: expected exactly one tab")
-        cases.append((parts[0], parts[1]))
-    return cases

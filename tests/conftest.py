@@ -25,6 +25,18 @@ CLASS_LETTERS = {
 }
 
 
+def load_golden_cases(path: Path) -> list[tuple[str, str]]:
+    """Read a golden-test corpus: TSV lines of raw text -> expected output."""
+    cases = []
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        assert len(parts) == 2, f"{path} line {line_no}: expected exactly one tab"
+        cases.append((parts[0], parts[1]))
+    return cases
+
+
 def class_word(label: Label, rng: np.random.Generator) -> str:
     pool = list(CLASS_LETTERS[label])
     return "".join(rng.choice(pool, size=rng.integers(4, 7)))

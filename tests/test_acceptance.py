@@ -23,10 +23,10 @@ from arahate.encoder import EncoderSpec, HyperParams, ToyParams, toy_forward_bac
 from arahate.ensemble import average_vote, majority_vote
 from arahate.evaluate import ConfusionMatrix, aggregate, per_class_metrics, stratified_folds
 from arahate.labels import LABEL_INDEX, LABEL_ORDER, Label
-from arahate.normalize import NormalizationConfig, load_golden_cases, normalize_text
+from arahate.normalize import NormalizationConfig, normalize_text
 from arahate.tune import SearchGrid, coordinate_search, make_cv_protocol
 
-from conftest import class_text, make_separable_corpus
+from conftest import class_text, load_golden_cases, make_separable_corpus
 from test_ensemble import one_hotish, oracle_majority, pm
 from test_evaluate import oracle_metrics, random_instance
 from test_normalize import GOLDEN_FILE, GOLDEN_STOPWORDS, random_strings

@@ -461,6 +461,17 @@ class TestStageCommands:
         assert main(argv) == 1
         assert not list(tmp_path.glob("runs/run-*/stages"))
 
+    @pytest.mark.parametrize("command", ["train", "tune", "evaluate"])
+    def test_unknown_backend_key_rejected(self, tmp_path, corpus_file, command, capsys):
+        argv = [command, "--backend", "nope", "--data", str(corpus_file), "--out", str(tmp_path / "out")]
+        if command != "tune":
+            hp = tmp_path / "hp.yaml"
+            hp.write_text("epochs: 1\nbatch_size: 8\nlearning_rate: 0.1\n")
+            argv += ["--hp", str(hp)]
+        assert main(argv) == 1
+        assert "unknown backend key 'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["normalize", "augment"])
     def test_repeat_collapse_len_zero_rejected(self, tmp_path, corpus_file, command):
         out = str(tmp_path / "out.jsonl")

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from arahate import encoder
 from arahate.corpus import LabeledText
@@ -164,7 +168,98 @@ class TestToyForwardBackward:
             toy_forward_backward(params, np.zeros((1, 3)), [0])
 
 
+def per_ngram_features(texts, n_buckets, ngram_sizes, max_tokens=None):
+    """The per-n-gram loop featurizer, kept as the oracle for the vectorized one."""
+    indptr = [0]
+    indices: list[int] = []
+    data: list[float] = []
+    for text in texts:
+        if max_tokens is not None and len(text.split()) > max_tokens:
+            text = " ".join(text.split()[:max_tokens])
+        counts: dict[int, int] = {}
+        for n in ngram_sizes:
+            for i in range(len(text) - n + 1):
+                bucket = zlib.crc32(text[i : i + n].encode("utf-8")) % n_buckets
+                counts[bucket] = counts.get(bucket, 0) + 1
+        for bucket in sorted(counts):
+            indices.append(bucket)
+            data.append(float(counts[bucket]))
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.asarray(data, dtype=float), np.asarray(indices), np.asarray(indptr)),
+        shape=(len(texts), n_buckets),
+    )
+
+
+def assert_same_csr(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.indptr, expected.indptr)
+    assert np.array_equal(actual.indices, expected.indices)
+    assert np.array_equal(actual.data, expected.data)
+
+
+# Arbitrary Unicode plus spaces and multi-byte characters, so truncation and
+# UTF-8 character boundaries are exercised often.
+TEXTS = st.lists(
+    st.text(st.one_of(st.characters(codec="utf-8"), st.sampled_from(" اب😂"))), max_size=8
+)
+# Empty, sub-trigram, 4-byte emoji, joiner and boundary code points.
+EDGE_TEXTS = ["", "ab", "abc", "😂😍🔥", "a😂b\u200dc", "نص عربي", "\x00\x7f\x80\uffff"]
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    monkeypatch.setattr(encoder, "_FEATURE_MEMO", {})
+
+
+@pytest.fixture
+def hashed_texts(monkeypatch, fresh_memo):
+    """Every text handed to hashed_ngram_features, in call order."""
+    seen: list[str] = []
+
+    def spy(texts, *args, **kwargs):
+        seen.extend(texts)
+        return hashed_ngram_features(texts, *args, **kwargs)
+
+    monkeypatch.setattr(encoder, "hashed_ngram_features", spy)
+    return seen
+
+
 class TestFeaturization:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        texts=TEXTS,
+        n_buckets=st.integers(1, 2**16),
+        ngram_sizes=st.lists(st.integers(1, 6), max_size=4).map(tuple),
+        max_tokens=st.one_of(st.none(), st.integers(1, 5)),
+    )
+    @example(texts=EDGE_TEXTS, n_buckets=7, ngram_sizes=(1, 2), max_tokens=None)
+    @example(texts=EDGE_TEXTS, n_buckets=1000, ngram_sizes=(5, 3, 4), max_tokens=None)
+    @example(texts=EDGE_TEXTS, n_buckets=2**16, ngram_sizes=(3,), max_tokens=2)
+    def test_matches_per_ngram_loop(self, texts, n_buckets, ngram_sizes, max_tokens):
+        assert_same_csr(
+            hashed_ngram_features(texts, n_buckets, ngram_sizes, max_tokens),
+            per_ngram_features(texts, n_buckets, ngram_sizes, max_tokens),
+        )
+
+    def test_memo_rows_match_oracle(self, fresh_memo):
+        texts = ["نص عربي قصير", "اب", "نص عربي قصير", "كلمه " * 6, "اخر"]
+        assert encoder.cached_features([], 64, (3, 4), None).shape == (0, 64)
+        for max_tokens in (None, 2, None, 2):
+            features = encoder.cached_features(texts, 64, (3, 4), max_tokens)
+            assert_same_csr(features, per_ngram_features(texts, 64, (3, 4), max_tokens))
+        for key, (_, stored) in encoder._FEATURE_MEMO.items():
+            assert not (stored.data.flags.writeable or stored.indices.flags.writeable), key
+        assert features.data.flags.writeable
+
+    def test_each_distinct_text_hashed_once_across_fits(self, hashed_texts):
+        rows = corpus_with_short_rows()
+        rows = rows + rows[:5]
+        model = ToyBackend().fit(TOY, HP, rows)
+        ToyBackend().fit(TOY, HyperParams(2, 4, 0.1, seed=9), rows)
+        encoder.predict_proba(model, [row.norm_text for row in rows[:10]])
+        assert sorted(hashed_texts) == sorted({row.norm_text for row in rows})
+
     def test_deterministic_across_calls(self):
         texts = ["نص عربي قصير", "اخر"]
         a = hashed_ngram_features(texts).toarray()

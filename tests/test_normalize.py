@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from arahate import normalize
 from arahate.corpus import LabeledText
 from arahate.labels import Label
 from arahate.normalize import (
     NormalizationConfig,
     NormalizeError,
-    load_golden_cases,
     normalize_corpus,
     normalize_text,
 )
+
+from conftest import load_golden_cases
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_FILE = DATA_DIR / "normalize_golden.tsv"
@@ -49,6 +54,33 @@ def random_strings(n: int, seed: int, max_len: int = 60):
         if rng.random() < 0.3:
             chunk = rng.choice(["RT ", "@user ", "https://t.co/x ", "#tag "]) + chunk
         yield chunk
+
+
+def per_char_normalize(raw: str, cfg: NormalizationConfig) -> str:
+    """The former per-character rules (plus the NFC pass after deletion): the translate tables' oracle."""
+    text = unicodedata.normalize("NFC", raw)
+    text = normalize._URL_RE.sub(" ", text)
+    text = normalize._MENTION_RE.sub(" ", text)
+    text = normalize._RT_RE.sub(" ", text)
+    out = []
+    for ch in text:
+        if ch.isspace():
+            out.append(" ")
+            continue
+        major = unicodedata.category(ch)[0]
+        if major in "PSN":
+            out.append(" ")
+        elif major != "C":
+            out.append(ch)
+    marks = ("Mn", "Mc", "Me")
+    text = "".join(ch for ch in out if ch != normalize.TATWEEL and unicodedata.category(ch) not in marks)
+    text = unicodedata.normalize("NFC", text)
+    text = normalize._collapse_repeats(text, cfg.repeat_collapse_len)
+    text = text.translate(normalize._LETTER_MAP)
+    text = normalize._collapse_repeats(text, cfg.repeat_collapse_len)
+    if cfg.strip_non_arabic:
+        text = "".join(ch if ch == " " or normalize._is_arabic_letter(ch) else " " for ch in text)
+    return " ".join(t for t in text.split() if t != "RT" and t not in cfg.stopwords)
 
 
 class TestGoldenFile:
@@ -130,6 +162,16 @@ class TestInvariants:
             for a, b in zip(out, out[1:]):
                 run = run + 1 if a == b else 1
                 assert run <= cfg.repeat_collapse_len, f"run in {out!r}"
+
+    @pytest.mark.parametrize("strip", [True, False])
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(text=st.text(st.one_of(st.characters(), st.sampled_from(CHAR_POOL))))
+    @example(text="\u1100\u200b\u1161")  # jamo that meet once the ZWSP is deleted
+    def test_matches_per_char_oracle_over_arbitrary_unicode(self, strip, text):
+        cfg = NormalizationConfig.load(GOLDEN_STOPWORDS, strip_non_arabic=strip)
+        once = normalize_text(text, cfg)
+        assert once == per_char_normalize(text, cfg)
+        assert normalize_text(once, cfg) == once
 
     def test_determinism(self):
         cfg = golden_config()

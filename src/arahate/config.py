@@ -20,6 +20,7 @@ import yaml
 from . import encoder
 from .ensemble import ensemble_policy
 from .errors import ConfigError
+from .evaluate import FoldPlan, stratified_folds
 from .normalize import NormalizationConfig
 from .tune import SearchGrid
 
@@ -171,18 +172,40 @@ def read_yaml(path: str | Path, what: str, schema: dict | None = None):
     return data
 
 
-def normalization_config(cfg: Mapping, stopwords: str | None = None, **overrides) -> NormalizationConfig:
-    """Normalization options from a run config's ``normalize`` section and ``paths.stopwords``.
-
-    ``stopwords`` and ``overrides`` (section keys) replace config values unless None.
-    """
-    section = {**cfg.get("normalize", {}), **{k: v for k, v in overrides.items() if v is not None}}
+def normalization_config(cfg: Mapping) -> NormalizationConfig:
+    """Normalization options from a run config's ``normalize`` section and ``paths.stopwords``."""
+    section = cfg.get("normalize", {})
     _check_schema(section, CONFIG_SCHEMA["properties"]["normalize"], "normalize options")
     return NormalizationConfig.load(
-        stopwords or cfg.get("paths", {}).get("stopwords"),
+        cfg.get("paths", {}).get("stopwords"),
         repeat_collapse_len=section.get("repeat_collapse_len", 2),
         strip_non_arabic=section.get("strip_non_arabic", True),
     )
+
+
+def encoder_members(
+    cfg: Mapping, seed: int, require_hyperparams: bool = True
+) -> list[tuple[encoder.EncoderSpec, encoder.HyperParams]]:
+    """(spec, hyperparams) per backend of a run config's ``encoder`` section.
+
+    Unless ``require_hyperparams`` is False, every backend needs hyperparams
+    of its own or the section's shared ones.
+    """
+    encoder_cfg = cfg.get("encoder", {})
+    backends = encoder_cfg.get("backends")
+    if not backends:
+        raise ConfigError("no backend given (--backend or encoder.backends)")
+    for entry in backends:
+        if require_hyperparams and "hyperparams" not in entry and "hyperparams" not in encoder_cfg:
+            raise ConfigError(
+                f"backend {entry['key']!r} has no hyperparams and no default is set (--hp or encoder.hyperparams)"
+            )
+    return encoder.members_from_entries(backends, seed, encoder_cfg.get("hyperparams"))
+
+
+def fold_plan(cfg: Mapping, rows, seed: int) -> FoldPlan:
+    """The stratified fold plan of ``rows`` with a run config's ``evaluate.folds`` folds (10 by default)."""
+    return stratified_folds(rows, k=cfg.get("evaluate", {}).get("folds", 10), seed=seed)
 
 
 def _apply_env_overrides(cfg: dict) -> None:
@@ -198,17 +221,8 @@ def validate_config(cfg: dict, base_dir: Path) -> dict:
     _apply_env_overrides(cfg)
     _check_schema(cfg, CONFIG_SCHEMA, "config")
 
-    encoder_cfg = cfg["encoder"]
-    members = encoder.members_from_entries(encoder_cfg["backends"], 0, encoder_cfg.get("hyperparams"))
-    for entry in encoder_cfg["backends"]:
-        if "hyperparams" not in entry and "hyperparams" not in encoder_cfg:
-            raise ConfigError(
-                f"backend {entry['key']!r} has no hyperparams and no default is set"
-            )
-
-    ensemble_cfg = cfg.get("ensemble", {})
-    # An omitted mode means 'single' here, so several backends need an explicit vote mode.
-    ensemble_policy(len(members), ensemble_cfg.get("mode", "single"), ensemble_cfg.get("weights"))
+    members = encoder_members(cfg, 0)
+    ensemble_policy(len(members), **cfg.get("ensemble", {}))
     if cfg.get("tune", {}).get("enabled"):
         for _, hp in members:
             SearchGrid.from_mapping(cfg["tune"], hp)

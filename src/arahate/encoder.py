@@ -139,25 +139,24 @@ def members_from_entries(
     seed is the shared hyperparams' seed, else ``seed``; member i's seed is
     its entry's explicit seed, else base + i: distinct member seeds keep an
     ensemble of one backend from collapsing into identical models. An
-    unknown backend key raises ConfigError.
+    unknown backend key or a token limit below 1 raises ConfigError.
     """
-    for entry in entries:
-        if entry["key"] not in _REGISTRY:
-            raise ConfigError(
-                f"unknown backend key {entry['key']!r}; registered: {', '.join(backend_keys())}"
-            )
+    try:
+        specs = [
+            EncoderSpec(str(entry["key"]), int(entry.get("max_sequence_tokens", DEFAULT_MAX_TOKENS)))
+            for entry in entries
+        ]
+    except EncoderError as exc:
+        raise ConfigError(str(exc)) from None
     shared = HyperParams.from_mapping({} if hyperparams is None else hyperparams, seed)
     return [
         (
-            EncoderSpec(
-                backend_key=str(entry["key"]),
-                max_sequence_tokens=int(entry.get("max_sequence_tokens", DEFAULT_MAX_TOKENS)),
-            ),
+            spec,
             HyperParams.from_mapping(entry["hyperparams"], shared.seed + index)
             if entry.get("hyperparams")
             else replace(shared, seed=shared.seed + index),
         )
-        for index, entry in enumerate(entries)
+        for index, (spec, entry) in enumerate(zip(specs, entries))
     ]
 
 

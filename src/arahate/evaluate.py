@@ -55,9 +55,6 @@ class FoldPlan:
     seed: int
     assignments: dict[str, int]
 
-    def test_ids(self, fold: int) -> set[str]:
-        return {row_id for row_id, f in self.assignments.items() if f == fold}
-
     def to_dict(self) -> dict:
         return {"k": self.k, "seed": self.seed, "assignments": dict(self.assignments)}
 

@@ -23,11 +23,11 @@ import yaml
 
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
 from .classifiers import Classifier
-from .config import config_hash, normalization_config
-from .encoder import EncoderSpec, HyperParams, members_from_entries
+from .config import config_hash, encoder_members, fold_plan, normalization_config
+from .encoder import EncoderSpec, HyperParams
 from .ensemble import write_proba_csv
 from .errors import ArahateError
-from .evaluate import FoldPlan, cross_validate, stratified_folds
+from .evaluate import cross_validate
 from .normalize import normalize_corpus
 
 log = logging.getLogger(__name__)
@@ -94,12 +94,8 @@ class ExperimentRun:
             inputs.append(report_cfg["baselines"])
         return inputs
 
-    def _members(self) -> list[tuple[EncoderSpec, HyperParams]]:
-        encoder_cfg = self.cfg["encoder"]
-        return members_from_entries(encoder_cfg["backends"], self.seed, encoder_cfg.get("hyperparams"))
-
     def _tuned_members(self) -> list[tuple[EncoderSpec, HyperParams]]:
-        members = self._members()
+        members = encoder_members(self.cfg, self.seed)
         best_path = self.run_dir / "tune" / "best.json"
         if not best_path.exists():
             return members
@@ -108,9 +104,6 @@ class ExperimentRun:
             (spec, HyperParams.from_mapping(best[name], hp.seed) if best.get(name) else hp)
             for name, (spec, hp) in zip(self._member_names(), members)
         ]
-
-    def _fold_plan(self, data) -> FoldPlan:
-        return stratified_folds(data, k=self.cfg["evaluate"].get("folds", 10), seed=self.seed)
 
     def _member_names(self) -> list[str]:
         # Artifact directory names; duplicate backend keys (e.g. three toy
@@ -171,7 +164,7 @@ class ExperimentRun:
             datasets[descriptor.key] = (descriptor, rows)
         # The labeler has no mode: several members vote by majority, which
         # takes no weights, so the run's ensemble section does not apply.
-        labeler = augment_mod.LabelerPlan(members=tuple(self._members()))
+        labeler = augment_mod.LabelerPlan(members=tuple(encoder_members(self.cfg, self.seed)))
         plan = augment_mod.AugmentPlan.from_mapping(augment_cfg, labeler)
         merged, aug_report = augment_mod.build_augmented_corpus(base, plan, datasets)
         corpus_mod.write_jsonl(self.augmented_corpus, merged)
@@ -180,9 +173,9 @@ class ExperimentRun:
     def _stage_tune(self) -> None:
         tune_cfg = self.cfg["tune"]
         data = corpus_mod.read_jsonl(self._evaluation_corpus_path())
-        protocol = tune_mod.make_cv_protocol(self._fold_plan(data))
+        protocol = tune_mod.make_cv_protocol(fold_plan(self.cfg, data, self.seed))
         best_map = {}
-        for name, (spec, hp) in zip(self._member_names(), self._members()):
+        for name, (spec, hp) in zip(self._member_names(), encoder_members(self.cfg, self.seed)):
             grid = tune_mod.SearchGrid.from_mapping(tune_cfg, hp)
             best, trace = tune_mod.coordinate_search(spec, grid, data, protocol)
             tune_mod.write_trace_csv(self.run_dir / "tune" / f"{name}_trace.csv", trace)
@@ -202,16 +195,11 @@ class ExperimentRun:
 
     def _stage_evaluate(self) -> None:
         data = corpus_mod.read_jsonl(self._evaluation_corpus_path())
-        fold_plan = self._fold_plan(data)
-        ensemble_cfg = self.cfg.get("ensemble", {})
-        classifier = Classifier(
-            self._tuned_members(), ensemble_cfg.get("mode", "single"), ensemble_cfg.get("weights")
-        )
-        metrics = cross_validate(
-            data, classifier.fit, fold_plan, seed=self.seed, config_hash=self.run_id
-        )
+        folds = fold_plan(self.cfg, data, self.seed)
+        classifier = Classifier(self._tuned_members(), **self.cfg.get("ensemble", {}))
+        metrics = cross_validate(data, classifier.fit, folds, seed=self.seed, config_hash=self.run_id)
         metrics.write_json(self.metrics_path)
-        corpus_mod.write_json(self.run_dir / "folds.json", fold_plan.to_dict())
+        corpus_mod.write_json(self.run_dir / "folds.json", folds.to_dict())
 
     def _stage_report(self) -> None:
         report_cfg = self.cfg.get("report", {})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
@@ -12,9 +13,13 @@ from pathlib import Path
 import pytest
 import yaml
 
-from arahate.cli import main
+from arahate import tune as tune_mod
+from arahate.classifiers import Classifier
+from arahate.cli import FLAG_KEYS, build_parser, main
 from arahate.corpus import read_jsonl, write_jsonl
+from arahate.encoder import members_from_entries
 from arahate.ensemble import ProbabilityMatrix, write_proba_csv
+from arahate.evaluate import cross_validate, stratified_folds
 from arahate.labels import LABEL_ORDER
 
 from conftest import make_separable_corpus
@@ -42,6 +47,7 @@ def write_config(tmp_path: Path, corpus_rows, **overrides) -> Path:
         "evaluate": {"folds": 5},
     }
     cfg.update(overrides)
+    cfg = {key: value for key, value in cfg.items() if value is not None}  # None drops a section
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
     return path
@@ -270,6 +276,15 @@ class TestRunCommand:
         gold_labels = [row.label for row in corpus if row.origin == "gold"]
         assert gold_labels == [row.label for row in read_jsonl(tmp_path / "base.jsonl")]
 
+    def test_several_backends_vote_by_majority_without_an_ensemble_section(self, tmp_path, small_corpus, capsys):
+        metrics = []
+        for ensemble in (None, {"mode": "majority"}):
+            config = write_config(tmp_path, small_corpus, encoder=TWO_TOYS, ensemble=ensemble)
+            assert main(["run", "--config", str(config)]) == 0
+            metrics.append(json.loads((run_dir_of(capsys) / "metrics.json").read_text()))
+            metrics[-1].pop("config_hash")
+        assert metrics[0] == metrics[1]
+
     def test_missing_registry_dataset_is_stage_failure(self, tmp_path, small_corpus, capsys):
         registry = write_registry(tmp_path)
         (tmp_path / "ext.jsonl").unlink()
@@ -422,6 +437,17 @@ class TestStageCommands:
         ) == rc
         if rc == 0:
             assert "epochs=2\n" in (model_dir / "manifest.txt").read_text()
+
+    @pytest.mark.parametrize("tokens", ["0", "-3"])
+    def test_train_max_tokens_below_one_is_validation_error(self, tmp_path, corpus_file, tokens, capsys):
+        hp = tmp_path / "hp.yaml"
+        hp.write_text("epochs: 1\nbatch_size: 8\nlearning_rate: 0.1\n")
+        assert main(
+            ["train", "--data", str(corpus_file), "--backend", "toy", "--hp", str(hp),
+             "--max-tokens", tokens, "--out", str(tmp_path / "model")]
+        ) == 1
+        assert "max_sequence_tokens must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize(
         "command, content",
@@ -614,3 +640,107 @@ class TestStageCommands:
         with pytest.raises(SystemExit) as excinfo:
             main(["definitely-not-a-command"])
         assert excinfo.value.code == 1
+
+
+# A noisy corpus (every other row takes the next class's label), so members
+# seeded apart disagree and ensemble weights change the metrics.
+ROTATE = dict(zip(LABEL_ORDER, LABEL_ORDER[1:] + LABEL_ORDER[:1]))
+NOISY = [replace(row, label=ROTATE[row.label]) if i % 2 else row
+         for i, row in enumerate(make_separable_corpus(10, seed=11))]
+HP = {"epochs": 1, "batch_size": 8, "learning_rate": 0.1}
+STAGE_SECTIONS = {
+    "encoder": {"backends": [{"key": "toy"}, {"key": "toy"}], "hyperparams": HP},
+    "ensemble": {"mode": "average", "weights": [1, 3]},
+    "evaluate": {"folds": 3},
+    "tune": {"epochs_axis": [1, 2], "batch_axis": [4, 8], "lr_axis": [0.05, 0.1],
+             "initial": {"epochs": 1, "batch_size": 4, "learning_rate": 0.05}},
+}
+
+
+class TestConfigSettings:
+    """Stage subcommands read --config through the run's section readers; a flag wins over its key."""
+
+    def test_every_settings_flag_stands_for_a_config_key(self):
+        io_paths = {"--config", "--out", "--model", "--caches", "--runs", "--labels-out", "--report",
+                    "--plan", "--augment-plan"}
+        [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            flag
+            for parser in commands.choices.values()
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        assert flags - io_paths == set(FLAG_KEYS)
+
+    @pytest.mark.parametrize("flags, k", [([], 3), (["--folds", "5"], 5)])
+    def test_split_folds(self, tmp_path, flags, k):
+        config = write_config(tmp_path, NOISY, **STAGE_SECTIONS)
+        out = tmp_path / "folds.json"
+        assert main(["split", "--config", str(config), *flags, "--out", str(out)]) == 0
+        plan = json.loads(out.read_text())
+        assert (plan["k"], plan["seed"]) == (k, 7)
+        assert set(plan["assignments"].values()) == set(range(k))
+
+    @pytest.mark.parametrize(
+        "grid, first",
+        [(None, ("1", "4", "0.05")), ("epochs_axis: [1]\nbatch_axis: [8]\nlr_axis: [0.1]\n", ("1", "8", "0.1"))],
+        ids=["tune-initial", "encoder-hyperparams"],
+    )
+    def test_tune_starts_from_the_config(self, tmp_path, monkeypatch, grid, first):
+        folds = []
+        protocol = tune_mod.make_cv_protocol
+        monkeypatch.setattr(tune_mod, "make_cv_protocol", lambda plan: folds.append(plan.k) or protocol(plan))
+        config = write_config(tmp_path, NOISY, **STAGE_SECTIONS)
+        argv = ["tune", "--config", str(config), "--backend", "toy", "--out", str(tmp_path / "tuned")]
+        if grid is not None:
+            (tmp_path / "grid.yaml").write_text(grid)
+            argv += ["--grid", str(tmp_path / "grid.yaml")]
+        assert main(argv) == 0
+        with open(tmp_path / "tuned" / "trace.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert (rows[0]["epochs"], rows[0]["batch_size"], rows[0]["learning_rate"]) == first
+        assert folds == [3]
+
+    def test_tune_takes_one_backend(self, tmp_path):
+        config = write_config(tmp_path, NOISY, **STAGE_SECTIONS)
+        assert main(["tune", "--config", str(config), "--out", str(tmp_path / "tuned")]) == 1
+
+    def test_evaluate_uses_the_config_ensemble(self, tmp_path):
+        config = write_config(tmp_path, NOISY, **STAGE_SECTIONS)
+        assert main(["evaluate", "--config", str(config), "--out", str(tmp_path / "eval")]) == 0
+        got = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        members = members_from_entries([{"key": "toy"}, {"key": "toy"}], 7, HP)
+        plan = stratified_folds(NOISY, k=3, seed=7)
+
+        def metrics(mode, weights=None):
+            report = cross_validate(NOISY, Classifier(members, mode, weights).fit, plan, seed=7)
+            return json.loads(json.dumps(report.to_dict()))
+
+        assert got == metrics("average", [1, 3])
+        assert got["aggregates"] != metrics("average")["aggregates"]  # the weights matter here
+
+    @pytest.mark.parametrize("flags, rc", [([], 1), (["--mode", "single"], 0)])
+    def test_mode_flag_replaces_the_config_ensemble(self, tmp_path, flags, rc):
+        # One backend of an ensemble config: the config's average weights need
+        # two members, and --mode single replaces them along with the mode.
+        config = write_config(tmp_path, NOISY, **STAGE_SECTIONS)
+        out_dir = tmp_path / "eval"
+        argv = ["evaluate", "--config", str(config), "--backend", "toy", *flags, "--out", str(out_dir)]
+        assert main(argv) == rc
+        if rc == 0:
+            assert len(json.loads((out_dir / "metrics.json").read_text())["fold_detail"]) == 3
+
+    def test_vote_uses_the_config_ensemble(self, tmp_path):
+        config = write_config(tmp_path, NOISY, **STAGE_SECTIONS)
+        out = tmp_path / "combined.csv"
+        caches = write_caches(tmp_path, ["x", "y"])
+        assert main(["vote", "--config", str(config), "--caches", *caches, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "id,p_NH,p_GH,p_Re,p_Ra,p_Se"
+        assert main(["vote", "--config", str(config), "--mode", "majority", "--caches", *caches,
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "id,label"
+
+    def test_vote_without_a_mode_needs_two_caches(self, tmp_path):
+        caches = write_caches(tmp_path, ["x"], ("a",))
+        assert main(["vote", "--caches", *caches, "--out", str(tmp_path / "labels.csv")]) == 1

@@ -64,7 +64,7 @@ class TestStratifiedFolds:
         corpus = make_separable_corpus(n_per_class=10, seed=1)
         plan = stratified_folds(corpus, k=10, seed=0)
         for fold in range(10):
-            ids = plan.test_ids(fold)
+            ids = {row_id for row_id, f in plan.assignments.items() if f == fold}
             rows = [row for row in corpus if row.id in ids]
             counts = Counter(row.label for row in rows)
             assert all(counts[label] == 1 for label in LABEL_ORDER)
@@ -262,7 +262,7 @@ class TestCrossValidate:
 
         plan = stratified_folds(corpus + pseudo, k=5, seed=3)
         for fold in range(plan.k):
-            tested.extend(sorted(plan.test_ids(fold)))
+            tested.extend(sorted(row_id for row_id, f in plan.assignments.items() if f == fold))
         assert sorted(tested) == sorted(row.id for row in corpus)
         report = cross_validate(corpus + pseudo, recipe, plan)
         assert sum(report.supports.values()) == len(corpus)

@@ -128,8 +128,7 @@ def _augment_from_plan(cfg: dict, plan_path: str, base: list):
 
 
 def _write_labels_csv(path: str, ids: list[str], labels) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with corpus_mod.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "label"])
         writer.writerows((row_id, label.value) for row_id, label in zip(ids, labels))

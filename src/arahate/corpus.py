@@ -14,8 +14,10 @@ import csv
 import json
 import logging
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import IO, Iterator
 
 import yaml
 
@@ -263,10 +265,8 @@ def read_jsonl(path: str | Path, key: str | None = None) -> list[LabeledText]:
 
 
 def write_jsonl(path: str | Path, rows: list[LabeledText]) -> None:
-    """Write a corpus in the canonical JSONL format."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a corpus in the canonical JSONL format (atomically)."""
+    with atomic_open(path) as fh:
         for row in rows:
             record: dict[str, str] = {
                 "id": row.id,
@@ -281,13 +281,30 @@ def write_jsonl(path: str | Path, rows: list[LabeledText]) -> None:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def write_json(path: str | Path, data) -> None:
-    """Write indented, key-sorted JSON atomically: readers see the old file or the new one."""
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", newline: str | None = None) -> Iterator[IO]:
+    """Write ``path`` through a temporary sibling that replaces it when the block ends.
+
+    Readers see the old file or the complete new one, never a partial write:
+    if the block raises, the temporary file is removed and ``path`` is left
+    as it was. Text modes write UTF-8; parent directories are created.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write indented, key-sorted JSON atomically: readers see the old file or the new one."""
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def load_registry(path: str | Path) -> list[DatasetDescriptor]:

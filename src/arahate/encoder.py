@@ -33,7 +33,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy import sparse
 
-from .corpus import LabeledText
+from .corpus import LabeledText, atomic_open
 from .ensemble import ProbabilityMatrix
 from .errors import ArahateError, ConfigError
 from .labels import LABEL_INDEX, N_CLASSES
@@ -320,6 +320,29 @@ def train_fingerprint(spec: EncoderSpec, hp: HyperParams, train_ids: Sequence[st
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+# on_epoch(model) -> None: called after every epoch of a fit with the model
+# that epoch leaves (hyperparams.epochs is the epochs done so far).
+EpochHook = Callable[[TrainedModel], None]
+
+
+def _trained_model(
+    spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText], params, losses: list[float]
+) -> TrainedModel:
+    """The model ``len(losses)`` epochs of ``hp`` leave; ``params`` are the live parameters, not a copy.
+
+    A fit draws nothing that depends on ``hp.epochs``, so after e epochs it
+    holds bit for bit the model an e-epoch fit returns, fingerprint included.
+    """
+    done = replace(hp, epochs=len(losses))
+    return TrainedModel(
+        spec=spec,
+        hyperparams=done,
+        params=params,
+        train_fingerprint=train_fingerprint(spec, done, [row.id for row in train]),
+        epoch_losses=list(losses),
+    )
+
+
 def _validate_training_rows(train: Sequence[LabeledText]) -> None:
     if not train:
         raise EncoderError("empty training set")
@@ -343,7 +366,9 @@ class ToyBackend:
         self.n_buckets = n_buckets
         self.ngram_sizes = tuple(ngram_sizes)
 
-    def fit(self, spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText]) -> TrainedModel:
+    def fit(
+        self, spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText], on_epoch: EpochHook | None = None
+    ) -> TrainedModel:
         texts = [row.norm_text or "" for row in train]
         y = np.asarray([LABEL_INDEX[row.label] for row in train], dtype=int)
         features = cached_features(texts, self.n_buckets, self.ngram_sizes, spec.max_sequence_tokens)
@@ -381,13 +406,9 @@ class ToyBackend:
             if not (np.isfinite(params.weights).all() and np.isfinite(params.bias).all()):
                 raise EncoderError("non-finite model parameters after an epoch")
             losses.append(running / n)
-        return TrainedModel(
-            spec=spec,
-            hyperparams=hp,
-            params=params,
-            train_fingerprint=train_fingerprint(spec, hp, [row.id for row in train]),
-            epoch_losses=losses,
-        )
+            if on_epoch is not None:
+                on_epoch(_trained_model(spec, hp, train, params, losses))
+        return _trained_model(spec, hp, train, params, losses)
 
     def predict_proba_array(self, model: TrainedModel, texts: Sequence[str]) -> np.ndarray:
         params = model.params
@@ -402,9 +423,8 @@ class ToyBackend:
 
     def save(self, model: TrainedModel, directory: Path) -> None:
         params = model.params
-        np.savez(
-            directory / ARTIFACT_WEIGHTS, weights=params.weights, bias=params.bias
-        )
+        with atomic_open(directory / ARTIFACT_WEIGHTS, "wb") as fh:  # a file object: savez adds no ".npz"
+            np.savez(fh, weights=params.weights, bias=params.bias)
         _write_manifest(
             directory,
             model,
@@ -476,18 +496,20 @@ class PretrainedBackend:
                 f"(download failed or local cache missing): {exc}"
             ) from exc
 
-    def fit(self, spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText]) -> TrainedModel:
+    def fit(
+        self, spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText], on_epoch: EpochHook | None = None
+    ) -> TrainedModel:
         torch, transformers = self._runtime_importer()
         tokenizer, model = self._load_pretrained(transformers)
         torch.manual_seed(hp.seed)
         texts = [row.norm_text or "" for row in train]
         labels = torch.tensor([LABEL_INDEX[row.label] for row in train])
         optimizer = torch.optim.AdamW(model.parameters(), lr=hp.learning_rate)
-        model.train()
         order = np.random.default_rng(hp.seed)
         losses = []
         n = len(texts)
         for _ in range(hp.epochs):
+            model.train()  # an on_epoch hook that predicts leaves the model in eval mode
             perm = order.permutation(n)
             running = 0.0
             for start in range(0, n, hp.batch_size):
@@ -506,13 +528,9 @@ class PretrainedBackend:
                 optimizer.step()
                 running += float(out.loss) * len(idx)
             losses.append(running / n)
-        return TrainedModel(
-            spec=spec,
-            hyperparams=hp,
-            params=(tokenizer, model),
-            train_fingerprint=train_fingerprint(spec, hp, [row.id for row in train]),
-            epoch_losses=losses,
-        )
+            if on_epoch is not None:
+                on_epoch(_trained_model(spec, hp, train, (tokenizer, model), losses))
+        return _trained_model(spec, hp, train, (tokenizer, model), losses)
 
     def predict_proba_array(self, model: TrainedModel, texts: Sequence[str]) -> np.ndarray:
         torch, _ = self._runtime_importer()
@@ -578,11 +596,18 @@ for _key, _model_id in PRETRAINED_MODEL_IDS.items():
     register_backend(PretrainedBackend(_key, _model_id))
 
 
-def fit(spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText]) -> TrainedModel:
-    """Fine-tune the spec'd backend on normalized rows covering >= 2 classes."""
+def fit(
+    spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText], on_epoch: EpochHook | None = None
+) -> TrainedModel:
+    """Fine-tune the spec'd backend on normalized rows covering >= 2 classes.
+
+    ``on_epoch``, if given, sees the model after every epoch. That model
+    shares the live parameters, which the next epoch overwrites: use it
+    inside the call, do not keep it.
+    """
     backend = get_backend(spec.backend_key)
     _validate_training_rows(train)
-    return backend.fit(spec, hp, list(train))
+    return backend.fit(spec, hp, list(train), on_epoch=on_epoch)
 
 
 def predict_proba(
@@ -609,7 +634,8 @@ def _write_manifest(directory: Path, model: TrainedModel, extra: dict[str, str])
     }
     lines.update(extra)
     content = "".join(f"{k}={v}\n" for k, v in lines.items())
-    (directory / ARTIFACT_MANIFEST).write_text(content, encoding="utf-8")
+    with atomic_open(directory / ARTIFACT_MANIFEST) as fh:
+        fh.write(content)
 
 
 def _read_manifest(directory: Path) -> dict[str, str]:

@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import atomic_open
 from .errors import ArahateError, ConfigError
 from .labels import LABEL_ORDER, N_CLASSES, Label
 
@@ -141,10 +142,8 @@ def average_vote(
 
 
 def write_proba_csv(path: str | Path, matrix: ProbabilityMatrix) -> None:
-    """Persist a probability cache: header id,p_NH,p_GH,p_Re,p_Ra,p_Se."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Persist a probability cache (atomically): header id,p_NH,p_GH,p_Re,p_Ra,p_Se."""
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROBA_CSV_HEADER)
         for i, row_id in enumerate(matrix.ids):

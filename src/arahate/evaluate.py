@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -253,6 +253,11 @@ class MetricsReport:
         write_json(path, self.to_dict())
 
 
+# fold_recipe(train, test_texts, variants) -> {variant: predicted labels, or the
+# ArahateError that stopped that variant}, for every variant it is asked for.
+FoldRecipe = Callable[[list[LabeledText], list[str], list], Mapping[object, object]]
+
+
 def cross_validate(
     corpus: Sequence[LabeledText],
     model_recipe: Callable[[Sequence[LabeledText]], object],
@@ -266,6 +271,28 @@ def cross_validate(
     excluded from training but still scored when they fall in a test fold.
     Reported numbers are means over folds; pooled metrics ride along.
     """
+
+    def fold_recipe(train, texts, variants):
+        return {None: model_recipe(train).predict_labels(texts)}
+
+    report = cross_validate_variants(corpus, fold_recipe, fold_plan, [None])[None]
+    if isinstance(report, EvaluationError):
+        raise report
+    return replace(report, seed=seed, config_hash=config_hash)
+
+
+def cross_validate_variants(
+    corpus: Sequence[LabeledText], fold_recipe: FoldRecipe, fold_plan: FoldPlan, variants: Sequence
+) -> dict[object, MetricsReport | EvaluationError]:
+    """``cross_validate`` of several model variants whose folds can share work.
+
+    For each fold, ``fold_recipe`` trains on the fold's training rows and
+    returns every variant's predicted labels for the test texts, or the
+    ArahateError that stopped that variant; a recipe that raises one stops
+    every variant it was asked for. A variant stopped in any fold gets an
+    EvaluationError naming the fold, as ``cross_validate`` would raise, and
+    later folds no longer ask for it. Every other variant gets its report.
+    """
     gold = [row for row in corpus if row.origin == "gold"]
     extra = [row for row in corpus if row.origin != "gold"]
     missing = [row.id for row in gold if row.id not in fold_plan.assignments]
@@ -274,35 +301,55 @@ def cross_validate(
             f"fold plan does not cover {len(missing)} gold rows (e.g. {missing[0]!r})"
         )
     supports = Counter(row.label for row in gold)
-    pooled = ConfusionMatrix()
-    folds: list[FoldMetrics] = []
+    folds: dict[object, list[FoldMetrics]] = {variant: [] for variant in variants}
+    pooled = {variant: ConfusionMatrix() for variant in variants}
+    failed: dict[object, EvaluationError] = {}
     for fold in range(fold_plan.k):
+        alive = [variant for variant in variants if variant not in failed]
+        if not alive:
+            break
         test = [row for row in gold if fold_plan.assignments[row.id] == fold]
         train = [row for row in gold if fold_plan.assignments[row.id] != fold] + extra
         train = [row for row in train if row.norm_text]
         try:
-            classifier = model_recipe(train)
-            predictions = classifier.predict_labels([row.norm_text or "" for row in test])
+            predicted = fold_recipe(train, [row.norm_text or "" for row in test], alive)
         except ArahateError as exc:
-            raise EvaluationError(f"fold {fold}: training or prediction failed: {exc}") from exc
-        cm = ConfusionMatrix.from_pairs([row.label for row in test], predictions)
-        pooled.counts += cm.counts
-        fold_pc = per_class_metrics(cm)
-        fold_supports = Counter(row.label for row in test)
-        agg = aggregate(fold_pc, fold_supports)
-        folds.append(
-            FoldMetrics(
-                fold=fold,
-                per_class=_as_percent(fold_pc),
-                supports={label: fold_supports.get(label, 0) for label in LABEL_ORDER},
-                macro_f1=agg.macro_f1 * 100,
-                micro_f1=(agg.micro_f1 or 0.0) * 100,
-                weighted_f1=agg.weighted_f1 * 100,
+            predicted = dict.fromkeys(alive, exc)
+        for variant in alive:
+            labels = predicted[variant]
+            if isinstance(labels, ArahateError):
+                error = EvaluationError(f"fold {fold}: training or prediction failed: {labels}")
+                error.__cause__ = labels
+                failed[variant] = error
+                continue
+            cm = ConfusionMatrix.from_pairs([row.label for row in test], labels)
+            pooled[variant].counts += cm.counts
+            folds[variant].append(_fold_metrics(fold, cm, Counter(row.label for row in test)))
+            log.debug(
+                "fold %d: micro %.2f%%, macro %.2f%%", fold, folds[variant][-1].micro_f1, folds[variant][-1].macro_f1
             )
-        )
-        log.debug("fold %d: micro %.2f%%, macro %.2f%%", fold, folds[-1].micro_f1, folds[-1].macro_f1)
+    return {
+        variant: failed.get(variant) or _report(folds[variant], pooled[variant], supports)
+        for variant in variants
+    }
 
-    k = fold_plan.k
+
+def _fold_metrics(fold: int, cm: ConfusionMatrix, fold_supports: Counter) -> FoldMetrics:
+    fold_pc = per_class_metrics(cm)
+    agg = aggregate(fold_pc, fold_supports)
+    return FoldMetrics(
+        fold=fold,
+        per_class=_as_percent(fold_pc),
+        supports={label: fold_supports.get(label, 0) for label in LABEL_ORDER},
+        macro_f1=agg.macro_f1 * 100,
+        micro_f1=(agg.micro_f1 or 0.0) * 100,
+        weighted_f1=agg.weighted_f1 * 100,
+    )
+
+
+def _report(folds: list[FoldMetrics], pooled: ConfusionMatrix, supports: Counter) -> MetricsReport:
+    """Fold means of every metric, with the pooled confusion matrix's metrics alongside."""
+    k = len(folds)
     mean_per_class = {
         label: ClassMetrics(
             sum(fm.per_class[label].precision for fm in folds) / k,
@@ -324,6 +371,4 @@ def cross_validate(
         pooled_macro_f1=pooled_agg.macro_f1 * 100,
         pooled_micro_f1=(pooled_agg.micro_f1 or 0.0) * 100,
         pooled_weighted_f1=pooled_agg.weighted_f1 * 100,
-        seed=seed,
-        config_hash=config_hash,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -27,7 +27,7 @@ from .config import config_hash, encoder_members, fold_plan, normalization_confi
 from .encoder import EncoderSpec, HyperParams
 from .ensemble import write_proba_csv
 from .errors import ArahateError
-from .evaluate import cross_validate
+from .evaluate import MetricsReport, cross_validate
 from .normalize import normalize_corpus
 
 log = logging.getLogger(__name__)
@@ -75,6 +75,10 @@ class ExperimentRun:
         self.run_id = config_hash(cfg, self.seed, __version__, self.input_hashes)
         self.run_dir = self.out_root / f"run-{self.run_id}"
         self._stage_status: dict[str, str] = {}
+        # (spec, winner) -> the tune stage's CV report of that winner, when
+        # tune ran in this process: the evaluate stage of one tuned member
+        # reuses it instead of cross-validating the same model again.
+        self._tuned_cv: dict[tuple[EncoderSpec, HyperParams], MetricsReport] = {}
 
     # --- config helpers -------------------------------------------------
 
@@ -142,8 +146,8 @@ class ExperimentRun:
 
     def _stage_normalize(self) -> None:
         cfg = normalization_config(self.cfg)
-        base = corpus_mod.read_jsonl(self.cfg["paths"]["data"], key="base")
-        corpus_mod.write_jsonl(self.normalized_base, normalize_corpus(base, cfg))
+        base = normalize_corpus(corpus_mod.read_jsonl(self.cfg["paths"]["data"], key="base"), cfg)
+        corpus_mod.write_jsonl(self.normalized_base, base)
         augment_cfg = self.cfg.get("augment", {})
         if augment_cfg.get("enabled"):
             for descriptor in corpus_mod.load_registry(augment_cfg["registry"]):
@@ -151,6 +155,9 @@ class ExperimentRun:
                 corpus_mod.write_jsonl(
                     self.run_dir / "normalized" / "sources" / f"{descriptor.key}.jsonl", rows
                 )
+        # The base rows are exactly the gold rows that evaluation folds, so a
+        # class with fewer of them than folds fails here, before any fit.
+        fold_plan(self.cfg, base, self.seed)
 
     def _stage_augment(self) -> None:
         augment_cfg = self.cfg["augment"]
@@ -180,6 +187,7 @@ class ExperimentRun:
             best, trace = tune_mod.coordinate_search(spec, grid, data, protocol)
             tune_mod.write_trace_csv(self.run_dir / "tune" / f"{name}_trace.csv", trace)
             best_map[name] = best.fields()
+            self._tuned_cv[spec, best] = next(entry.detail for entry in trace if entry.hp == best)
         corpus_mod.write_json(self.run_dir / "tune" / "best.json", best_map)
 
     def _stage_train(self) -> None:
@@ -196,8 +204,13 @@ class ExperimentRun:
     def _stage_evaluate(self) -> None:
         data = corpus_mod.read_jsonl(self._evaluation_corpus_path())
         folds = fold_plan(self.cfg, data, self.seed)
-        classifier = Classifier(self._tuned_members(), **self.cfg.get("ensemble", {}))
-        metrics = cross_validate(data, classifier.fit, folds, seed=self.seed, config_hash=self.run_id)
+        members = self._tuned_members()
+        classifier = Classifier(members, **self.cfg.get("ensemble", {}))
+        if classifier.mode == "single" and members[0] in self._tuned_cv:
+            # Same member, corpus and fold plan as the tune stage's CV of its winner.
+            metrics = replace(self._tuned_cv[members[0]], seed=self.seed, config_hash=self.run_id)
+        else:
+            metrics = cross_validate(data, classifier.fit, folds, seed=self.seed, config_hash=self.run_id)
         metrics.write_json(self.metrics_path)
         corpus_mod.write_json(self.run_dir / "folds.json", folds.to_dict())
 
@@ -272,7 +285,8 @@ class ExperimentRun:
                 self._write_manifest()
                 raise StageFailure(stage.name, exc) from exc
             (self.run_dir / "stages" / f"{stage.name}.failed").unlink(missing_ok=True)
-            stage.marker(self.run_dir).write_text(self.run_id + "\n", encoding="utf-8")
+            with corpus_mod.atomic_open(stage.marker(self.run_dir)) as fh:
+                fh.write(self.run_id + "\n")
             self._stage_status[stage.name] = "complete"
         self._write_manifest()
         return self.run_dir

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .corpus import atomic_open
 from .errors import ArahateError
 from .evaluate import aggregate
 from .labels import LABEL_ORDER, Label
@@ -208,7 +209,7 @@ def write_report(
     baselines: BaselineTable | None = None,
     format: str = "markdown",
 ) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(render(run_dirs, baselines, format), encoding="utf-8")
-    return path
+    text = render(run_dirs, baselines, format)
+    with atomic_open(path) as fh:
+        fh.write(text)
+    return Path(path)

@@ -7,6 +7,13 @@ break toward fewer epochs, then smaller batches, then smaller learning rates.
 Each stage re-tests the incumbent coordinate, so the trace always holds one
 entry per grid point per axis, but an already-scored configuration is served
 from the cache instead of being retrained.
+
+A stage hands all of its uncached points to the evaluation protocol at once.
+The cross-validation protocol fits each fold once per group of points that
+differ only in epochs, to the largest of them, and scores the fold after
+every requested epoch: no backend's fit draws anything that depends on the
+epoch count, so its first e epochs are exactly an e-epoch fit. An epochs
+axis then costs max(axis) epochs per fold, not sum(axis).
 """
 
 from __future__ import annotations
@@ -17,11 +24,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .classifiers import Classifier
-from .corpus import LabeledText
+from . import encoder
+from .corpus import LabeledText, atomic_open
 from .encoder import DEFAULT_HYPERPARAMS, EncoderError, EncoderSpec, HyperParams
 from .errors import ArahateError, ConfigError
-from .evaluate import FoldPlan, cross_validate
+from .evaluate import FoldPlan, cross_validate_variants
 
 log = logging.getLogger(__name__)
 
@@ -29,8 +36,9 @@ DEFAULT_EPOCHS_AXIS = (2, 3, 4, 5, 10)
 DEFAULT_BATCH_AXIS = (8, 16, 32, 64)
 DEFAULT_LR_AXIS = (1e-5, 2e-5, 3e-5, 4e-5, 5e-5)
 
-# eval_protocol(spec, hp, data) -> micro-F1 percent, or (score, detail)
-EvalProtocol = Callable[[EncoderSpec, HyperParams, Sequence[LabeledText]], object]
+# eval_protocol(spec, points, data) -> one outcome per point, in order: its
+# micro-F1 percent, a (score, detail) pair, or the ArahateError that failed it.
+EvalProtocol = Callable[[EncoderSpec, Sequence[HyperParams], Sequence[LabeledText]], Sequence[object]]
 
 
 class SearchError(ArahateError):
@@ -100,6 +108,18 @@ class _CacheEntry:
     detail: object
     failed: bool
 
+    @classmethod
+    def of(cls, key: tuple, outcome) -> "_CacheEntry":
+        if isinstance(outcome, ArahateError):
+            log.warning("grid point %s failed: %s", key, outcome)
+            return cls(score=None, detail=str(outcome), failed=True)
+        score, detail = outcome if isinstance(outcome, tuple) else (outcome, None)
+        return cls(score=float(score), detail=detail, failed=False)
+
+
+def _key(hp: HyperParams) -> tuple:
+    return (hp.epochs, hp.batch_size, hp.learning_rate)
+
 
 def coordinate_search(
     spec: EncoderSpec,
@@ -109,36 +129,13 @@ def coordinate_search(
 ) -> tuple[HyperParams, list[SearchTrace]]:
     """Three-stage coordinate search; returns the winner and the full trace.
 
-    Grid points whose evaluation raises an ArahateError are recorded as
-    failed and excluded from the argmax; a stage in which every point fails
-    aborts the search.
+    Each stage passes its not yet visited points to ``eval_protocol`` in one
+    call. A point whose outcome is an ArahateError (or all of them, if the
+    call raises one) is recorded as failed and excluded from the argmax; a
+    stage in which every point fails aborts the search.
     """
     cache: dict[tuple, _CacheEntry] = {}
     trace: list[SearchTrace] = []
-
-    def visit(stage: str, hp: HyperParams) -> _CacheEntry:
-        key = (hp.epochs, hp.batch_size, hp.learning_rate)
-        cached = key in cache
-        if not cached:
-            try:
-                result = eval_protocol(spec, hp, data)
-                score, detail = result if isinstance(result, tuple) else (result, None)
-                cache[key] = _CacheEntry(score=float(score), detail=detail, failed=False)
-            except ArahateError as exc:
-                log.warning("grid point %s failed: %s", key, exc)
-                cache[key] = _CacheEntry(score=None, detail=str(exc), failed=True)
-        entry = cache[key]
-        trace.append(
-            SearchTrace(
-                stage=stage,
-                hp=hp,
-                score=entry.score,
-                failed=entry.failed,
-                cached=cached,
-                detail=entry.detail,
-            )
-        )
-        return entry
 
     incumbent = grid.initial
     stages: list[tuple[str, Sequence, str]] = [
@@ -147,10 +144,32 @@ def coordinate_search(
         ("lr", grid.lr_axis, "learning_rate"),
     ]
     for stage, axis, attr in stages:
+        points = [replace(incumbent, **{attr: value}) for value in axis]
+        fresh = list({_key(hp): hp for hp in points if _key(hp) not in cache}.values())
+        outcomes: Sequence[object] = []
+        if fresh:
+            try:
+                outcomes = eval_protocol(spec, fresh, data)
+            except ArahateError as exc:
+                outcomes = [exc] * len(fresh)
+        new = {_key(hp): outcome for hp, outcome in zip(fresh, outcomes, strict=True)}
         scored: list[tuple[float, HyperParams]] = []
-        for value in axis:
-            hp = replace(incumbent, **{attr: value})
-            entry = visit(stage, hp)
+        for hp in points:
+            key = _key(hp)
+            cached = key in cache
+            if not cached:
+                cache[key] = _CacheEntry.of(key, new[key])
+            entry = cache[key]
+            trace.append(
+                SearchTrace(
+                    stage=stage,
+                    hp=hp,
+                    score=entry.score,
+                    failed=entry.failed,
+                    cached=cached,
+                    detail=entry.detail,
+                )
+            )
             if not entry.failed:
                 scored.append((entry.score, hp))
         if not scored:
@@ -161,7 +180,7 @@ def coordinate_search(
         log.info(
             "stage %s: best %s with micro-F1 %.2f",
             stage,
-            (incumbent.epochs, incumbent.batch_size, incumbent.learning_rate),
+            _key(incumbent),
             scored[0][0],
         )
     return incumbent, trace
@@ -172,20 +191,54 @@ def make_cv_protocol(fold_plan: FoldPlan) -> EvalProtocol:
 
     Scores a configuration by fold-mean micro-F1 (percent) of a single model
     trained per fold; the full metrics report rides along as the detail.
+    Points that differ only in epochs share one fit per fold (see
+    ``_cv_over_epochs``).
     """
 
-    def protocol(spec: EncoderSpec, hp: HyperParams, data: Sequence[LabeledText]):
-        report = cross_validate(data, Classifier([(spec, hp)], mode="single").fit, fold_plan)
-        return report.micro_f1, report
+    def protocol(spec: EncoderSpec, points: Sequence[HyperParams], data: Sequence[LabeledText]):
+        epochs_by_rest: dict[HyperParams, list[int]] = {}
+        for hp in points:
+            epochs_by_rest.setdefault(replace(hp, epochs=1), []).append(hp.epochs)
+        outcomes: dict[HyperParams, object] = {}
+        for rest, epochs in epochs_by_rest.items():
+            for e, report in _cv_over_epochs(spec, rest, epochs, data, fold_plan).items():
+                outcomes[replace(rest, epochs=e)] = (
+                    report if isinstance(report, ArahateError) else (report.micro_f1, report)
+                )
+        return [outcomes[hp] for hp in points]
 
     return protocol
 
 
+def _cv_over_epochs(
+    spec: EncoderSpec, hp: HyperParams, epochs: Sequence[int], data: Sequence[LabeledText], fold_plan: FoldPlan
+) -> dict:
+    """Cross-validate ``hp`` at every epoch count in ``epochs`` with one fit per fold.
+
+    Each fold trains to the largest epoch count still alive and predicts its
+    test rows after every requested epoch. A fit that fails in epoch e fails
+    only the counts of e and more.
+    """
+
+    def fold_recipe(train, texts, alive):
+        labels: dict[int, object] = {}
+
+        def score(model: encoder.TrainedModel) -> None:
+            if model.hyperparams.epochs in alive:
+                labels[model.hyperparams.epochs] = encoder.predict_proba(model, texts).argmax_labels()
+
+        try:
+            encoder.fit(spec, replace(hp, epochs=max(alive)), train, on_epoch=score)
+        except ArahateError as exc:
+            labels.update((e, exc) for e in alive if e not in labels)
+        return labels
+
+    return cross_validate_variants(data, fold_recipe, fold_plan, epochs)
+
+
 def write_trace_csv(path: str | Path, trace: Sequence[SearchTrace]) -> None:
-    """Persist the search trace, one row per visited grid point per stage."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Persist the search trace (atomically), one row per visited grid point per stage."""
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "epochs", "batch_size", "learning_rate", "micro_f1", "status"])
         for entry in trace:

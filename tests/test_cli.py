@@ -13,11 +13,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from arahate import tune as tune_mod
+from arahate import encoder, pipeline, tune as tune_mod
 from arahate.classifiers import Classifier
 from arahate.cli import FLAG_KEYS, build_parser, main
 from arahate.corpus import read_jsonl, write_jsonl
-from arahate.encoder import members_from_entries
+from arahate.encoder import EncoderSpec, HyperParams, members_from_entries
 from arahate.ensemble import ProbabilityMatrix, write_proba_csv
 from arahate.evaluate import cross_validate, stratified_folds
 from arahate.labels import LABEL_ORDER
@@ -240,6 +240,82 @@ class TestRunCommand:
         best = json.loads((run_dir / "tune" / "best.json").read_text())
         assert "toy" in best
         assert (run_dir / "tune" / "toy_trace.csv").exists()
+
+    def test_single_tuned_member_evaluates_without_fits(self, tmp_path, small_corpus, capsys, monkeypatch):
+        fits = []
+        fit = encoder.fit
+        monkeypatch.setattr(encoder, "fit", lambda spec, hp, rows, **kw: fits.append(hp.epochs) or fit(spec, hp, rows, **kw))
+        config = write_config(
+            tmp_path,
+            small_corpus,
+            tune={
+                "enabled": True,
+                "epochs_axis": [1, 3, 2],
+                "batch_axis": [8, 16],
+                "lr_axis": [0.1],
+                "initial": {"epochs": 1, "batch_size": 8, "learning_rate": 0.1},
+            },
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        run_dir = run_dir_of(capsys)
+        best = json.loads((run_dir / "tune" / "best.json").read_text())["toy"]
+        # epochs stage: one 3-epoch fit per fold; batch stage: one fit per fold
+        # of the new batch size; lr stage: cached; train: one fit; evaluate: none.
+        assert fits == [3] * 5 + [best["epochs"]] * 5 + [best["epochs"]]
+        data = read_jsonl(run_dir / "normalized" / "base.jsonl")
+        member = (EncoderSpec("toy"), HyperParams(**best, seed=7))
+        expected = cross_validate(
+            data, Classifier([member]).fit, stratified_folds(data, k=5, seed=7), seed=7, config_hash=run_dir.name[4:]
+        )
+        assert json.loads((run_dir / "metrics.json").read_text()) == json.loads(json.dumps(expected.to_dict()))
+        # A resume without the tune stage in its process cross-validates again, to the same bytes.
+        metrics = (run_dir / "metrics.json").read_bytes()
+        (run_dir / "metrics.json").unlink()
+        fits.clear()
+        assert main(["run", "--config", str(config)]) == 0
+        assert fits == [best["epochs"]] * 5
+        assert (run_dir / "metrics.json").read_bytes() == metrics
+
+    def test_too_many_folds_fail_in_normalize_before_any_fit(self, tmp_path, capsys):
+        rows = make_separable_corpus(n_per_class=6, seed=54, normalized=False)
+        config = write_config(tmp_path, rows, evaluate={"folds": 10})
+        assert main(["run", "--config", str(config)]) == 2
+        (run_dir,) = (tmp_path / "runs").glob("run-*")
+        record = json.loads((run_dir / "stages" / "normalize.failed").read_text())
+        assert "class NH has 6 gold rows, fewer than k=10" in record["error"]
+        assert not (run_dir / "models").exists()
+        assert not (run_dir / "stages" / "normalize.ok").exists()
+
+    def test_interrupted_write_leaves_nothing_a_resume_accepts(self, tmp_path, small_corpus, capsys, monkeypatch):
+        config = write_config(tmp_path, small_corpus)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
+        clean = run_dir_of(capsys)
+
+        class DiskFull(list):
+            """Row ids whose iteration fails after three rows, as a full disk would."""
+
+            def __iter__(self):
+                for index, item in enumerate(super().__iter__()):
+                    if index == 3:
+                        raise OSError("no space left on device")
+                    yield item
+
+        write = pipeline.write_proba_csv
+        monkeypatch.setattr(
+            pipeline, "write_proba_csv", lambda path, matrix: write(path, replace(matrix, ids=DiskFull(matrix.ids)))
+        )
+        out = tmp_path / "broken"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        (run_dir,) = out.glob("run-*")
+        assert not (run_dir / "predictions" / "toy.csv").exists()
+        assert not list(run_dir.rglob("*.tmp"))
+        assert not (run_dir / "stages" / "train.ok").exists()
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        files = sorted(p.relative_to(clean) for p in clean.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file())
+        assert all((clean / f).read_bytes() == (run_dir / f).read_bytes() for f in files)
 
     @pytest.mark.parametrize("edited", ["data", "stopwords", "dataset", "baselines"])
     def test_input_edited_in_place_starts_a_fresh_run(self, tmp_path, small_corpus, capsys, edited):

@@ -2,21 +2,32 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arahate import corpus as corpus_mod, encoder
+from arahate.cli import _write_labels_csv
 from arahate.corpus import (
     CorpusError,
     DatasetDescriptor,
     LabeledText,
+    atomic_open,
     compute_stats,
     load_dataset,
     load_registry,
     merge,
     read_jsonl,
+    write_json,
     write_jsonl,
 )
+from arahate.encoder import EncoderSpec, HyperParams, save_model
+from arahate.ensemble import write_proba_csv
+from arahate.report import write_report
+from arahate.tune import SearchTrace, write_trace_csv
 from arahate.labels import LABEL_ORDER, Label
 
 from conftest import make_separable_corpus
@@ -204,6 +215,10 @@ class TestMerge:
             merge([a, b], dedup=False)
 
 
+# Characters that need quoting or escaping in CSV and JSON lines.
+AWKWARD_CHARS = [",", '"', "'", "\n", "\r", "\t", " ", "\\", "{", "a", "ن", "\u2028"]
+
+
 class TestJsonlRoundTrip:
     def test_round_trip_preserves_rows(self, tmp_path, separable_corpus):
         path = tmp_path / "corpus.jsonl"
@@ -213,6 +228,20 @@ class TestJsonlRoundTrip:
             (r.id, r.raw_text, r.label, r.source, r.norm_text, r.origin)
             for r in separable_corpus
         ]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.text(st.sampled_from(AWKWARD_CHARS), min_size=1, max_size=8), min_size=1, max_size=6, unique=True),
+        st.text(st.sampled_from(AWKWARD_CHARS), min_size=1, max_size=12),
+    )
+    def test_awkward_ids_and_texts_round_trip(self, tmp_path_factory, ids, text):
+        rows = [
+            LabeledText(id=row_id, raw_text=text, label=label, source=row_id, norm_text=text[::-1])
+            for row_id, label in zip(ids, itertools.cycle(LABEL_ORDER))
+        ]
+        path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
+        write_jsonl(path, rows)
+        assert read_jsonl(path) == rows
 
     def test_origin_survives_round_trip(self, tmp_path):
         rows = [
@@ -271,3 +300,75 @@ class TestRegistry:
         )
         with pytest.raises(CorpusError, match="duplicate"):
             load_registry(registry)
+
+
+def _full_disk_open(real_open, healthy_opens=0):
+    """An ``open`` after whose first ``healthy_opens`` calls each file writes half of its
+    first chunk, then fails as a full disk does."""
+    opened = []
+
+    def fake_open(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        opened.append(fh)
+        if len(opened) <= healthy_opens:
+            return fh
+
+        class HalfWritten:
+            def __getattr__(self, name):
+                return getattr(fh, name)
+
+            def write(self, data):
+                fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+        return HalfWritten()
+
+    return fake_open
+
+
+def _writers():
+    """name -> (artifact path, writer, healthy opens before the failing one)."""
+    rows = make_separable_corpus(n_per_class=2, seed=14)
+    model = encoder.fit(EncoderSpec("toy"), HyperParams(1, 4, 0.1), rows)
+    matrix = encoder.predict_proba(model, [row.norm_text for row in rows], [row.id for row in rows])
+    trace = [SearchTrace("epochs", model.hyperparams, 50.0)]
+    return {
+        "jsonl": ("c.jsonl", lambda path: write_jsonl(path, rows), 0),
+        "json": ("c.json", lambda path: write_json(path, {"a": 1}), 0),
+        "proba csv": ("p.csv", lambda path: write_proba_csv(path, matrix), 0),
+        "trace csv": ("t.csv", lambda path: write_trace_csv(path, trace), 0),
+        "report": ("tables.md", lambda path: write_report(path, []), 0),
+        "label csv": ("l.csv", lambda path: _write_labels_csv(path, matrix.ids, matrix.argmax_labels()), 0),
+        "weights": ("model/weights.npz", lambda path: save_model(model, path.parent), 0),
+        "model manifest": ("model/manifest.txt", lambda path: save_model(model, path.parent), 1),
+    }
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "writer", ["jsonl", "json", "proba csv", "trace csv", "report", "label csv", "weights", "model manifest"]
+    )
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch, writer):
+        name, write, healthy_opens = _writers()[writer]
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"old\n")
+        monkeypatch.setattr(corpus_mod, "open", _full_disk_open(open, healthy_opens), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(path)
+        assert path.read_bytes() == b"old\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_successful_write_replaces(self, tmp_path):
+        path = tmp_path / "sub" / "x.txt"
+        for text in ("first\n", "second\n"):
+            with atomic_open(path) as fh:
+                fh.write(text)
+        assert path.read_text(encoding="utf-8") == "second\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["x.txt"]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 import zlib
 
 import numpy as np
@@ -479,3 +481,217 @@ class TestPretrainedErrorTaxonomy:
         rows = make_separable_corpus(n_per_class=2, seed=10)
         with pytest.raises(BackendWeightsError, match="download failed or local cache"):
             backend.fit(EncoderSpec("toy"), HP, rows)
+
+
+class TestEpochHook:
+    def test_toy_hook_sees_every_shorter_fit(self):
+        rows = make_separable_corpus(n_per_class=6, seed=12)
+        seen = []
+
+        def on_epoch(model):
+            seen.append((model.hyperparams, model.train_fingerprint, model.epoch_losses, model.params.weights.copy()))
+
+        final = encoder.fit(TOY, HyperParams(3, 8, 0.1, seed=2), rows, on_epoch=on_epoch)
+        assert [hp.epochs for hp, *_ in seen] == [1, 2, 3]
+        for hp, fingerprint, losses, weights in seen:
+            alone = encoder.fit(TOY, hp, rows)
+            assert (fingerprint, losses) == (alone.train_fingerprint, alone.epoch_losses)
+            assert np.array_equal(weights, alone.params.weights)
+        assert final.epoch_losses == seen[-1][2]
+
+
+class FakeTensor(np.ndarray):
+    """A numpy array with the two torch tensor methods prediction calls."""
+
+    def cpu(self):
+        return self
+
+    def numpy(self):
+        return np.asarray(self)
+
+
+def _softmax_rows(logits):
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+class FakeLoss:
+    def __init__(self, value, backward):
+        self.value, self.backward = value, backward
+
+    def __float__(self):
+        return self.value
+
+
+class FakeNet:
+    """A class-prior 'transformer': its logits are one learned bias vector."""
+
+    def __init__(self, bias=None):
+        self.bias = np.zeros(5) if bias is None else bias
+        self.grad = None
+        self.mode = None
+
+    def parameters(self):
+        return [self]
+
+    def train(self):
+        self.mode = "train"
+
+    def eval(self):
+        self.mode = "eval"
+
+    def __call__(self, input_ids, labels=None):
+        if labels is not None and self.mode != "train":
+            raise AssertionError("a training step outside train mode")
+        logits = np.tile(self.bias, (len(input_ids), 1))
+        out = type("Output", (), {"logits": logits.view(FakeTensor)})()
+        if labels is not None:
+            probs = _softmax_rows(logits)
+            grad = probs.copy()
+            grad[np.arange(len(labels)), labels] -= 1.0
+            out.loss = FakeLoss(
+                float(-np.log(probs[np.arange(len(labels)), labels]).mean()),
+                lambda: setattr(self, "grad", grad.mean(axis=0)),
+            )
+        return out
+
+    def save_pretrained(self, directory):
+        directory.mkdir(parents=True, exist_ok=True)
+        np.save(directory / "bias.npy", self.bias)
+
+
+class FakeTokenizer:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, texts, padding, truncation, max_length, return_tensors):
+        self.calls.append((len(texts), max_length))
+        return {"input_ids": np.asarray([[len(text)] for text in texts])}
+
+    def save_pretrained(self, directory):
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / "vocab.txt").write_text("fake\n", encoding="utf-8")
+
+
+class FakeAdamW:
+    def __init__(self, params, lr):
+        self.params, self.lr = list(params), lr
+
+    def zero_grad(self):
+        for param in self.params:
+            param.grad = None
+
+    def step(self):
+        for param in self.params:
+            param.bias = param.bias - self.lr * param.grad
+
+
+class FakeTorch:
+    optim = type("optim", (), {"AdamW": FakeAdamW})
+    seeds: list[int] = []
+
+    @classmethod
+    def manual_seed(cls, seed):
+        cls.seeds.append(seed)
+
+    @staticmethod
+    def tensor(data):
+        return np.asarray(data)
+
+    @staticmethod
+    def no_grad():
+        return contextlib.nullcontext()
+
+    @staticmethod
+    def softmax(logits, dim):
+        assert dim == -1
+        return _softmax_rows(np.asarray(logits)).view(FakeTensor)
+
+
+class FakeTransformers:
+    class AutoTokenizer:
+        @staticmethod
+        def from_pretrained(path):
+            if not (path / "vocab.txt").exists():
+                raise OSError(f"no tokenizer files in {path}")
+            return FakeTokenizer()
+
+    class AutoModelForSequenceClassification:
+        @staticmethod
+        def from_pretrained(path):
+            return FakeNet(np.load(path / "bias.npy"))
+
+
+class TestPretrainedWithFakeRuntime:
+    """PretrainedBackend driven through its injectable loaders; no torch needed."""
+
+    @pytest.fixture
+    def marbert(self, monkeypatch):
+        backend = PretrainedBackend(
+            "MARBERT",
+            "UBC-NLP/MARBERT",
+            runtime_importer=lambda: (FakeTorch, FakeTransformers),
+            weight_loader=lambda: (FakeTokenizer(), FakeNet()),
+        )
+        monkeypatch.setitem(encoder._REGISTRY, "MARBERT", backend)
+        return backend
+
+    # Skewed class shares give the class-prior model something to learn.
+    ROWS = [row for row in make_separable_corpus(n_per_class=8, seed=13) if row.label == Label.NH or int(row.id) % 4 == 0]
+    SPEC = EncoderSpec("MARBERT", max_sequence_tokens=64)
+
+    def test_fit_calls_the_epoch_hook_in_order(self, marbert):
+        seen = []
+
+        def on_epoch(m):
+            seen.append((m.hyperparams.epochs, list(m.epoch_losses), m.params[1].bias.copy()))
+            encoder.predict_proba(m, ["نص"])  # puts the net in eval mode; the next epoch trains again
+
+        model = encoder.fit(self.SPEC, HyperParams(3, 4, 0.5, seed=5), self.ROWS, on_epoch=on_epoch)
+        assert [epochs for epochs, _, _ in seen] == [1, 2, 3]
+        assert [len(losses) for _, losses, _ in seen] == [1, 2, 3]
+        assert model.epoch_losses == seen[-1][1]
+        assert model.epoch_losses[-1] < model.epoch_losses[0]
+        assert FakeTorch.seeds[-1] == 5
+        tokenizer, _ = model.params
+        assert {max_length for _, max_length in tokenizer.calls} == {64}
+        assert max(size for size, _ in tokenizer.calls) == 4
+        two = encoder.fit(self.SPEC, HyperParams(2, 4, 0.5, seed=5), self.ROWS)
+        assert two.epoch_losses == seen[1][1]
+        assert np.array_equal(two.params[1].bias, seen[1][2])
+
+    def test_predict_save_and_load(self, marbert, tmp_path):
+        model = encoder.fit(self.SPEC, HyperParams(2, 4, 0.5, seed=5), self.ROWS)
+        texts = [row.norm_text for row in self.ROWS[:7]]
+        probs = encoder.predict_proba(model, texts).probs
+        assert probs.shape == (7, 5)
+        assert np.allclose(probs.sum(axis=1), 1.0)
+        assert model.params[1].mode == "eval"
+        assert [size for size, _ in model.params[0].calls[-2:]] == [4, 3]  # batched by batch_size
+        assert encoder.predict_proba(model, []).probs.shape == (0, 5)
+        save_model(model, tmp_path / "model")
+        manifest = (tmp_path / "model" / "manifest.txt").read_text(encoding="utf-8")
+        assert "model_id=UBC-NLP/MARBERT\n" in manifest
+        loaded = load_model(tmp_path / "model")
+        assert (loaded.hyperparams, loaded.train_fingerprint) == (model.hyperparams, model.train_fingerprint)
+        assert np.array_equal(encoder.predict_proba(loaded, texts).probs, probs)
+
+    def test_load_without_weights_is_a_weights_error(self, marbert, tmp_path):
+        model = encoder.fit(self.SPEC, HyperParams(1, 4, 0.5), self.ROWS)
+        save_model(model, tmp_path / "model")
+        (tmp_path / "model" / "hf" / "vocab.txt").unlink()
+        with pytest.raises(BackendWeightsError, match="cannot load weights"):
+            load_model(tmp_path / "model")
+
+    def test_weight_loader_failure_is_a_weights_error(self, marbert):
+        def offline():
+            raise OSError("connection refused")
+
+        marbert._weight_loader = offline
+        with pytest.raises(BackendWeightsError, match="could not fetch weights for 'UBC-NLP/MARBERT'"):
+            encoder.fit(self.SPEC, HyperParams(1, 4, 0.5), self.ROWS)
+
+    def test_missing_torch_is_not_installed_error(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "torch", None)  # makes `import torch` raise ImportError
+        with pytest.raises(BackendNotInstalledError, match="'pretrained' extra"):
+            encoder.fit(self.SPEC, HyperParams(1, 4, 0.5), self.ROWS)

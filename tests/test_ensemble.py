@@ -248,6 +248,10 @@ class TestVotingDispatch:
             Classifier(self.MEMBERS, mode="average", weights=(1.0, 2.0))
 
 
+# Characters that need quoting or escaping in CSV and JSON lines.
+AWKWARD_ID_CHARS = [",", '"', "'", "\n", "\r", "\t", " ", "\\", "a", "7", "ن", "\u2028"]
+
+
 class TestCacheRoundTrip:
     def test_write_read_exact(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -258,6 +262,19 @@ class TestCacheRoundTrip:
         assert header == "id,p_NH,p_GH,p_Re,p_Ra,p_Se"
         back = read_proba_csv(path)
         assert back.ids == matrix.ids
+        assert np.array_equal(back.probs, matrix.probs)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.text(st.sampled_from(AWKWARD_ID_CHARS), min_size=1, max_size=8), min_size=1, max_size=6, unique=True),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_awkward_ids_round_trip(self, tmp_path_factory, ids, seed):
+        matrix = pm(np.random.default_rng(seed).dirichlet(np.ones(5), size=len(ids)), ids=ids)
+        path = tmp_path_factory.mktemp("cache") / "cache.csv"
+        write_proba_csv(path, matrix)
+        back = read_proba_csv(path)
+        assert back.ids == ids
         assert np.array_equal(back.probs, matrix.probs)
 
     def test_bad_header_rejected(self, tmp_path):

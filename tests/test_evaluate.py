@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from collections import Counter
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arahate.classifiers import Classifier
 from arahate.corpus import LabeledText
@@ -200,6 +204,32 @@ class TestAggregate:
             f1s = [m.f1 for m in per.values()]
             assert min(f1s) - 1e-12 <= agg.macro_f1 <= max(f1s) + 1e-12
             assert min(f1s) - 1e-12 <= agg.weighted_f1 <= max(f1s) + 1e-12
+
+
+# A 5x5 confusion matrix in which every gold class has at least one row.
+CONFUSION = st.lists(
+    st.lists(st.integers(0, 40), min_size=5, max_size=5).filter(any), min_size=5, max_size=5
+)
+
+
+class TestAggregateProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(CONFUSION)
+    def test_macro_and_weighted_rebuild_from_per_class_f1_and_supports(self, counts):
+        cm = ConfusionMatrix(np.asarray(counts))
+        per = per_class_metrics(cm)
+        supports = {label: int(cm.counts[i].sum()) for i, label in enumerate(LABEL_ORDER)}
+        f1 = {label: per[label].f1 for label in LABEL_ORDER}
+        total = sum(supports.values())
+        full = aggregate(per, supports)
+        bare = aggregate(f1, supports)
+        assert full.macro_f1 == pytest.approx(math.fsum(f1.values()) / 5, abs=1e-12)
+        assert full.weighted_f1 == pytest.approx(
+            math.fsum(f1[label] * supports[label] for label in LABEL_ORDER) / total, abs=1e-12
+        )
+        assert (bare.macro_f1, bare.weighted_f1, bare.micro_f1) == (full.macro_f1, full.weighted_f1, None)
+        assert full.micro_f1 == pytest.approx(np.trace(cm.counts) / total, abs=1e-12)
+        assert min(f1.values()) - 1e-12 <= full.weighted_f1 <= max(f1.values()) + 1e-12
 
 
 class _ConstantModel:

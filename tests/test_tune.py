@@ -6,9 +6,11 @@ import csv
 
 import pytest
 
-from arahate.encoder import EncoderSpec, HyperParams
+from arahate import encoder
+from arahate.classifiers import Classifier
+from arahate.encoder import EncoderError, EncoderSpec, HyperParams
 from arahate.errors import ArahateError
-from arahate.evaluate import stratified_folds
+from arahate.evaluate import cross_validate, stratified_folds
 from arahate.tune import (
     SearchError,
     SearchGrid,
@@ -21,6 +23,24 @@ from conftest import make_separable_corpus
 
 SPEC = EncoderSpec("toy")
 DATA = []  # lookup-table protocols ignore the corpus
+
+
+def pointwise(score):
+    """A protocol that scores each point of a stage on its own call of ``score``.
+
+    A point whose ``score`` raises an ArahateError fails alone.
+    """
+
+    def protocol(spec, points, data):
+        outcomes = []
+        for hp in points:
+            try:
+                outcomes.append(score(spec, hp, data))
+            except ArahateError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    return protocol
 
 
 def table_protocol(epochs_scores, batch_scores, lr_scores, calls=None):
@@ -40,7 +60,7 @@ def table_protocol(epochs_scores, batch_scores, lr_scores, calls=None):
             return batch_scores[hp.batch_size]
         return epochs_scores[hp.epochs]
 
-    return protocol
+    return pointwise(protocol)
 
 
 # Published sweep scores per model: epochs axis (batch 8, lr 1e-5), then batch
@@ -100,7 +120,7 @@ class TestSearchMechanics:
         epochs_scores, batch_scores, lr_scores, _ = PUBLISHED_SWEEPS["MARBERT"]
         protocol = table_protocol(epochs_scores, batch_scores, lr_scores)
         best, trace = coordinate_search(SPEC, SearchGrid(), DATA, protocol)
-        best_score = protocol(SPEC, best, DATA)
+        best_score = protocol(SPEC, [best], DATA)[0]
         assert best_score >= max(entry.score for entry in trace if entry.score is not None)
 
     def test_single_point_grid(self):
@@ -108,7 +128,7 @@ class TestSearchMechanics:
             epochs_axis=(2,), batch_axis=(8,), lr_axis=(1e-5,),
             initial=HyperParams(2, 8, 1e-5),
         )
-        best, trace = coordinate_search(SPEC, grid, DATA, lambda s, hp, d: 50.0)
+        best, trace = coordinate_search(SPEC, grid, DATA, pointwise(lambda s, hp, d: 50.0))
         assert (best.epochs, best.batch_size, best.learning_rate) == (2, 8, 1e-5)
         # One entry per axis: the same point is revisited (cached) per stage.
         assert len(trace) == 3
@@ -119,7 +139,7 @@ class TestSearchMechanics:
             epochs_axis=(2, 3, 4), batch_axis=(8, 16), lr_axis=(1e-5, 2e-5),
             initial=HyperParams(3, 16, 2e-5),
         )
-        best, _ = coordinate_search(SPEC, grid, DATA, lambda s, hp, d: 42.0)
+        best, _ = coordinate_search(SPEC, grid, DATA, pointwise(lambda s, hp, d: 42.0))
         assert (best.epochs, best.batch_size, best.learning_rate) == (2, 8, 1e-5)
 
     def test_failed_points_excluded(self):
@@ -128,7 +148,7 @@ class TestSearchMechanics:
                 raise ArahateError("diverged")
             return float(hp.epochs)
 
-        best, trace = coordinate_search(SPEC, SearchGrid(), DATA, protocol)
+        best, trace = coordinate_search(SPEC, SearchGrid(), DATA, pointwise(protocol))
         assert best.epochs == 10  # the highest-scoring non-failed point
         failed = [entry for entry in trace if entry.failed]
         assert len(failed) == 1 and failed[0].hp.epochs == 4
@@ -157,7 +177,7 @@ class TestSearchMechanics:
         def protocol(spec, hp, data):
             return 1.0, {"hp": hp}
 
-        _, trace = coordinate_search(SPEC, SearchGrid(), DATA, protocol)
+        _, trace = coordinate_search(SPEC, SearchGrid(), DATA, pointwise(protocol))
         assert trace[0].detail == {"hp": trace[0].hp}
 
 
@@ -186,6 +206,80 @@ class TestToyEndToEnd:
         second = coordinate_search(EncoderSpec("toy"), grid, corpus, make_cv_protocol(plan))
         assert [e.score for e in first[1]] == [e.score for e in second[1]]
         assert first[0] == second[0]
+
+
+def separately(plan):
+    """The protocol that cross-validates each point on its own, one fit per point and fold."""
+
+    def score(spec, hp, data):
+        report = cross_validate(data, Classifier([(spec, hp)]).fit, plan)
+        return report.micro_f1, report
+
+    return pointwise(score)
+
+
+def fail_fits_at_step(monkeypatch, step):
+    """Make the ``step``-th mini-batch step (0-based) of every toy fit raise."""
+    real = encoder.toy_forward_backward
+    done = [0]
+
+    def patched(params, features, labels):
+        if not params.bias.any():  # a fit's first step: the bias starts at zero
+            done[0] = 0
+        done[0] += 1
+        if done[0] == step + 1:
+            raise EncoderError("injected failure")
+        return real(params, features, labels)
+
+    monkeypatch.setattr(encoder, "toy_forward_backward", patched)
+
+
+class TestSharedEpochFits:
+    # 11 rows per class in 5 folds: fold 0 trains on 40 rows (5 steps of 8 per
+    # epoch), folds 1-4 on 45 (6 steps). A failure in step 10 then falls in
+    # epoch 3 of fold 0 and in epoch 2 of every other fold.
+    CORPUS = make_separable_corpus(n_per_class=11, seed=22)
+    PLAN = stratified_folds(CORPUS, k=5, seed=3)
+    GRID = SearchGrid(
+        epochs_axis=(1, 2, 3), batch_axis=(8, 16), lr_axis=(0.1, 0.2),
+        initial=HyperParams(1, 8, 0.1, seed=4),
+    )
+
+    @staticmethod
+    def rows(trace):
+        return [(e.stage, e.hp, e.score, e.failed, e.cached, e.detail) for e in trace]
+
+    def search(self, protocol, monkeypatch, fail_step):
+        fits = []
+        fit = encoder.fit
+        with monkeypatch.context() as patch:
+            patch.setattr(encoder, "fit", lambda spec, hp, rows, **kw: fits.append(hp) or fit(spec, hp, rows, **kw))
+            if fail_step is not None:
+                fail_fits_at_step(patch, fail_step)
+            best, trace = coordinate_search(SPEC, self.GRID, self.CORPUS, protocol)
+        return best, trace, fits
+
+    def test_one_fit_per_fold_covers_the_epochs_axis(self, monkeypatch):
+        best, trace, fits = self.search(make_cv_protocol(self.PLAN), monkeypatch, None)
+        expected_best, expected_trace, separate_fits = self.search(separately(self.PLAN), monkeypatch, None)
+        assert best == expected_best
+        assert self.rows(trace) == self.rows(expected_trace)
+        epochs_fits = [hp.epochs for hp in fits if hp.batch_size == 8 and hp.learning_rate == 0.1]
+        assert epochs_fits == [3] * 5
+        assert len(separate_fits) - len(fits) == 10  # the 1- and 2-epoch fits of every fold
+
+    def test_failure_at_one_epoch_fails_only_that_epoch_and_above(self, monkeypatch):
+        best, trace, fits = self.search(make_cv_protocol(self.PLAN), monkeypatch, 10)
+        expected_best, expected_trace, _ = self.search(separately(self.PLAN), monkeypatch, 10)
+        assert best == expected_best
+        assert self.rows(trace) == self.rows(expected_trace)
+        epochs = [(e.hp.epochs, e.failed) for e in trace if e.stage == "epochs"]
+        assert epochs == [(1, False), (2, True), (3, True)]
+        assert trace[1].detail == "fold 1: training or prediction failed: injected failure"
+        assert trace[2].detail == "fold 0: training or prediction failed: injected failure"
+        # Fold 0 trains to 3 epochs and fails in epoch 3; fold 1, still owing
+        # epochs 1 and 2, fails in epoch 2; folds 2-4 train to epoch 1 only.
+        assert [hp.epochs for hp in fits[:5]] == [3, 2, 1, 1, 1]
 
 
 class TestTraceCsv:

@@ -18,10 +18,7 @@ from typing import Mapping, Sequence
 
 from . import corpus as corpus_mod
 from .classifiers import Classifier
-from .config import PLAN_SCHEMA, read_yaml
 from .corpus import DatasetDescriptor, LabeledText
-from .encoder import EncoderSpec, HyperParams, members_from_entries
-from .ensemble import ensemble_policy
 from .errors import ArahateError, ConfigError
 from .labels import HATE_LABELS, Label
 
@@ -37,32 +34,17 @@ class AugmentPlanError(AugmentError, ConfigError):
 
 
 @dataclass(frozen=True)
-class LabelerPlan:
-    """Declarative description of the labelling classifier.
-
-    One member gives a single fine-tuned model; several members form a voting
-    ensemble (majority by default, the artifact's strongest classifier).
-    """
-
-    members: tuple[tuple[EncoderSpec, HyperParams], ...]
-    mode: str | None = None  # None: single for one member, majority otherwise
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        ensemble_policy(len(self.members), self.mode, self.weights)
-
-    def build(self) -> Classifier:
-        return Classifier(self.members, self.mode, self.weights)
-
-
-@dataclass(frozen=True)
 class AugmentPlan:
-    """Which sources to merge directly, which to pseudo-label, and how."""
+    """Which sources to merge directly, which to pseudo-label, and how.
+
+    The labeler is trained on the base corpus by ``build_augmented_corpus``:
+    one member gives a single fine-tuned model, several a voting ensemble.
+    """
 
     direct_sources: tuple[str, ...] = ()
     pseudo_sources: tuple[str, ...] = ()
     confidence_threshold: float = 0.0
-    labeler: LabelerPlan | None = None
+    labeler: Classifier | None = None
     registry: str | None = None  # dataset registry the source keys resolve in
 
     def __post_init__(self) -> None:
@@ -73,7 +55,7 @@ class AugmentPlan:
             raise AugmentPlanError("confidence_threshold must lie in [0, 1]")
 
     @classmethod
-    def from_mapping(cls, section: Mapping, labeler: LabelerPlan | None) -> "AugmentPlan":
+    def from_mapping(cls, section: Mapping, labeler: Classifier | None) -> "AugmentPlan":
         """Plan from a schema-checked ``augment`` section or `augment --plan` file."""
         return cls(
             direct_sources=tuple(section.get("direct_sources", ())),
@@ -162,7 +144,7 @@ def direct_merge(
 
 
 def pseudo_label(
-    labeler,
+    labeler: Classifier,
     sources: Sequence[tuple[str, Sequence[LabeledText]]],
     plan: AugmentPlan,
     known_norm_texts: set[str] | None = None,
@@ -220,31 +202,26 @@ def build_augmented_corpus(
     base: Sequence[LabeledText],
     plan: AugmentPlan,
     datasets: Mapping[str, tuple[DatasetDescriptor, Sequence[LabeledText]]],
-    labeler=None,
 ) -> tuple[list[LabeledText], AugmentReport]:
     """Full augmentation pipeline over an already-normalized base corpus.
 
-    Merges the direct sources, trains the plan's labeler on the base corpus
-    (unless a fitted labeler is supplied), pseudo-labels the rest, and returns
-    base + additions with source-qualified ids. Gold rows are carried over
-    verbatim; deduplication happens inside the merge/pseudo stages so the
-    per-source report reconciles exactly.
+    Merges the direct sources, trains the plan's labeler on the base corpus,
+    pseudo-labels the rest, and returns base + additions with source-qualified
+    ids. Gold rows are carried over verbatim; deduplication on normalized text
+    happens inside ``direct_merge`` and ``pseudo_label``, so the per-source
+    report counts every dropped row.
     """
     for key in (*plan.direct_sources, *plan.pseudo_sources):
         if key not in datasets:
             raise AugmentError(f"plan references unknown dataset key {key!r}")
     merged, direct_counts = direct_merge(base, [datasets[key] for key in plan.direct_sources])
 
-    if labeler is None:
-        if plan.labeler is None:
-            raise AugmentError("plan declares no labeler and none was supplied")
-        labeler = plan.labeler.build()
-    if not getattr(labeler, "fitted", False):
-        trainable = [row for row in base if row.norm_text]
-        labeler.fit(trainable)
+    if plan.labeler is None:
+        raise AugmentError("plan declares no labeler")
+    plan.labeler.fit([row for row in base if row.norm_text])
 
     pseudo_rows, report = pseudo_label(
-        labeler,
+        plan.labeler,
         [(key, datasets[key][1]) for key in plan.pseudo_sources],
         plan,
         known_norm_texts={row.norm_text for row in merged},
@@ -254,26 +231,4 @@ def build_augmented_corpus(
         counts["discarded_duplicates"] for counts in direct_counts.values()
     )
     report.per_source.update(direct_counts)
-
-    # The additions were already deduplicated against the base and each other,
-    # so the final merge only concatenates and source-qualifies ids; gold rows
-    # are never dropped even if the base itself holds internal duplicates.
-    return corpus_mod.merge([merged, pseudo_rows], dedup=False), report
-
-
-def load_plan(path: str | Path, default_seed: int = 0) -> AugmentPlan:
-    """Read an `augment --plan` file: an ``augment`` section plus the labeler.
-
-    Labeler backend i's seed is its explicit seed, else ``default_seed`` + i.
-    """
-    data = read_yaml(path, "augmentation plan", PLAN_SCHEMA)
-    labeler = data.get("labeler")
-    if labeler is not None:
-        labeler = LabelerPlan(
-            members=tuple(members_from_entries(labeler["backends"], default_seed)),
-            mode=labeler.get("mode"),
-            weights=tuple(labeler["weights"]) if labeler.get("weights") else None,
-        )
-    if "registry" in data:
-        data["registry"] = str(Path(path).parent / data["registry"])
-    return AugmentPlan.from_mapping(data, labeler)
+    return corpus_mod.merge([merged, pseudo_rows]), report

@@ -39,10 +39,6 @@ class Classifier:
         self.mode, self.weights = ensemble_policy(len(self.members), mode, weights)
         self.models: list[encoder.TrainedModel] | None = None
 
-    @property
-    def fitted(self) -> bool:
-        return self.models is not None
-
     def fit(self, rows: Sequence[LabeledText]) -> "Classifier":
         self.models = [encoder.fit(spec, hp, rows) for spec, hp in self.members]
         return self

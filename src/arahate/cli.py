@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
 from .classifiers import Classifier
-from .config import GRID_SCHEMA, encoder_members, fold_plan, load_config, normalization_config, read_yaml
+from .config import GRID_SCHEMA, encoder_members, fold_plan, load_config, load_plan, normalization_config, read_yaml
 from .ensemble import average_vote, ensemble_policy, majority_vote, read_proba_csv, write_proba_csv
 from .errors import ArahateError, ConfigError
 from .evaluate import cross_validate
@@ -111,7 +111,7 @@ def _one_member(cfg: dict, command: str, require_hyperparams: bool = True):
 
 def _augment_from_plan(cfg: dict, plan_path: str, base: list):
     """Normalize the base and every registry dataset of the plan if needed, then augment."""
-    plan = augment_mod.load_plan(plan_path, default_seed=cfg.get("seed", 0))
+    plan = load_plan(plan_path, default_seed=cfg.get("seed", 0))
     if plan.registry is None:
         raise ConfigError("augmentation plan must name a dataset registry")
     norm_cfg = normalization_config(cfg)

@@ -18,6 +18,8 @@ import jsonschema
 import yaml
 
 from . import encoder
+from .augment import AugmentPlan
+from .classifiers import Classifier
 from .ensemble import ensemble_policy
 from .errors import ConfigError
 from .evaluate import FoldPlan, stratified_folds
@@ -208,6 +210,21 @@ def fold_plan(cfg: Mapping, rows, seed: int) -> FoldPlan:
     return stratified_folds(rows, k=cfg.get("evaluate", {}).get("folds", 10), seed=seed)
 
 
+def load_plan(path: str | Path, default_seed: int = 0) -> AugmentPlan:
+    """Read an `augment --plan` file: an ``augment`` section plus the labeler.
+
+    Labeler backend i's seed is its explicit seed, else ``default_seed`` + i.
+    """
+    data = read_yaml(path, "augmentation plan", PLAN_SCHEMA)
+    labeler = data.get("labeler")
+    if labeler is not None:
+        members = encoder.members_from_entries(labeler["backends"], default_seed)
+        labeler = Classifier(members, labeler.get("mode"), labeler.get("weights") or None)
+    if "registry" in data:
+        data["registry"] = str(Path(path).parent / data["registry"])
+    return AugmentPlan.from_mapping(data, labeler)
+
+
 def _apply_env_overrides(cfg: dict) -> None:
     for name, value in os.environ.items():
         if name.startswith(ENV_PATH_PREFIX) and value:
@@ -248,8 +265,6 @@ def validate_config(cfg: dict, base_dir: Path) -> dict:
             raise ConfigError(f"augment.registry file not found: {augment_cfg['registry']}")
         if not (augment_cfg.get("direct_sources") or augment_cfg.get("pseudo_sources")):
             raise ConfigError("augment.enabled requires at least one source list")
-        from .augment import AugmentPlan  # augment imports this module
-
         AugmentPlan.from_mapping(augment_cfg, None)  # overlapping sources raise here
     report_cfg = cfg.get("report", {})
     if report_cfg.get("baselines"):

@@ -138,6 +138,17 @@ def _iter_delimited(path: Path, delimiter: str):
             yield reader.line_num, record
 
 
+def _iter_records(path: Path, format: str):
+    """(line number, record) per row of a JSONL, CSV or TSV file."""
+    try:
+        if format == "jsonl":
+            yield from _iter_jsonl(path)
+        else:
+            yield from _iter_delimited(path, "\t" if format == "tsv" else ",")
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}: not UTF-8 text") from None
+
+
 def load_dataset(descriptor: DatasetDescriptor) -> list[LabeledText]:
     """Load one dataset file, mapping labels and dropping declared discards.
 
@@ -147,16 +158,11 @@ def load_dataset(descriptor: DatasetDescriptor) -> list[LabeledText]:
     path = Path(descriptor.path)
     if not path.exists():
         raise CorpusError(f"dataset {descriptor.key!r}: file not found: {path}")
-    if descriptor.format == "jsonl":
-        records = _iter_jsonl(path)
-    else:
-        records = _iter_delimited(path, "\t" if descriptor.format == "tsv" else ",")
-
     rows: list[LabeledText] = []
     seen_ids: set[str] = set()
     discarded = 0
     dropped_non_hate = 0
-    for line_no, record in records:
+    for line_no, record in _iter_records(path, descriptor.format):
         for key in ("id", "text", "label"):
             if record.get(key) in (None, ""):
                 raise CorpusError(f"{path} line {line_no}: missing or empty field {key!r}")
@@ -224,28 +230,14 @@ def _qualify_id(row: LabeledText) -> str:
     return row.id if row.id.startswith(prefix) else prefix + row.id
 
 
-def merge(corpora: list[list[LabeledText]], dedup: bool) -> list[LabeledText]:
-    """Concatenate corpora, optionally deduplicating on exact normalized text.
+def merge(corpora: list[list[LabeledText]]) -> list[LabeledText]:
+    """Concatenate corpora, re-qualifying ids as ``source:id``.
 
-    With ``dedup`` the first occurrence (in source order) of each norm_text
-    wins; every row must have been normalized first. Ids are re-qualified as
-    ``source:id`` and a collision after qualification is an error.
+    A collision after qualification is an error. Nothing is deduplicated
+    here: ``augment.direct_merge`` and ``augment.pseudo_label`` drop
+    normalized-text duplicates and count each one in their report.
     """
     rows = [row for corpus in corpora for row in corpus]
-    if dedup:
-        for row in rows:
-            if row.norm_text is None:
-                raise CorpusError(
-                    f"row {row.id!r}: deduplication requires normalized text; run normalize first"
-                )
-        seen_texts: set[str] = set()
-        unique = []
-        for row in rows:
-            if row.norm_text in seen_texts:
-                continue
-            seen_texts.add(row.norm_text)
-            unique.append(row)
-        rows = unique
     out: list[LabeledText] = []
     seen_ids: set[str] = set()
     for row in rows:
@@ -317,7 +309,10 @@ def load_registry(path: str | Path) -> list[DatasetDescriptor]:
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"registry file not found: {path}")
-    data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    try:
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except yaml.YAMLError as exc:
+        raise CorpusError(f"registry {path} is not valid YAML/JSON: {exc}") from None
     entries = data.get("datasets") if isinstance(data, dict) else data
     if not isinstance(entries, list):
         raise CorpusError(f"{path}: expected a list of dataset entries")

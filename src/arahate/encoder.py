@@ -179,7 +179,6 @@ class TrainedModel:
     params: object
     train_fingerprint: str
     epoch_losses: list[float] = field(default_factory=list)
-    artifact_dir: str | None = None
 
 
 def _truncate(text: str, max_tokens: int) -> str:
@@ -362,22 +361,13 @@ class ToyBackend:
     key = TOY_BACKEND_KEY
     token_limit = DEFAULT_MAX_TOKENS
 
-    def __init__(self, n_buckets: int = TOY_DEFAULT_BUCKETS, ngram_sizes=TOY_NGRAM_SIZES):
-        self.n_buckets = n_buckets
-        self.ngram_sizes = tuple(ngram_sizes)
-
     def fit(
         self, spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText], on_epoch: EpochHook | None = None
     ) -> TrainedModel:
         texts = [row.norm_text or "" for row in train]
         y = np.asarray([LABEL_INDEX[row.label] for row in train], dtype=int)
-        features = cached_features(texts, self.n_buckets, self.ngram_sizes, spec.max_sequence_tokens)
-        params = ToyParams(
-            weights=np.zeros((N_CLASSES, self.n_buckets)),
-            bias=np.zeros(N_CLASSES),
-            n_buckets=self.n_buckets,
-            ngram_sizes=self.ngram_sizes,
-        )
+        params = ToyParams(weights=np.zeros((N_CLASSES, TOY_DEFAULT_BUCKETS)), bias=np.zeros(N_CLASSES))
+        features = cached_features(texts, params.n_buckets, params.ngram_sizes, spec.max_sequence_tokens)
         rng = np.random.default_rng(hp.seed)
         n = features.shape[0]
         losses = []
@@ -442,7 +432,7 @@ class ToyBackend:
             n_buckets=int(manifest["n_buckets"]),
             ngram_sizes=tuple(int(n) for n in manifest["ngram_sizes"].split(",")),
         )
-        return _model_from_manifest(manifest, params, directory)
+        return _model_from_manifest(manifest, params)
 
 
 class PretrainedBackend:
@@ -568,7 +558,7 @@ class PretrainedBackend:
             )
         except Exception as exc:
             raise BackendWeightsError(f"cannot load weights from {directory}: {exc}") from exc
-        return _model_from_manifest(manifest, (tokenizer, net), directory)
+        return _model_from_manifest(manifest, (tokenizer, net))
 
 
 _REGISTRY: dict[str, object] = {}
@@ -650,7 +640,7 @@ def _read_manifest(directory: Path) -> dict[str, str]:
     return manifest
 
 
-def _model_from_manifest(manifest: dict[str, str], params, directory: Path) -> TrainedModel:
+def _model_from_manifest(manifest: dict[str, str], params) -> TrainedModel:
     spec = EncoderSpec(
         backend_key=manifest["backend"],
         max_sequence_tokens=int(manifest["max_sequence_tokens"]),
@@ -660,7 +650,6 @@ def _model_from_manifest(manifest: dict[str, str], params, directory: Path) -> T
         hyperparams=HyperParams.from_mapping(manifest),
         params=params,
         train_fingerprint=manifest["fingerprint"],
-        artifact_dir=str(directory),
     )
 
 
@@ -670,7 +659,6 @@ def save_model(model: TrainedModel, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     backend = get_backend(model.spec.backend_key)
     backend.save(model, directory)
-    model.artifact_dir = str(directory)
     return directory
 
 

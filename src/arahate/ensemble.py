@@ -165,6 +165,11 @@ def read_proba_csv(path: str | Path) -> ProbabilityMatrix:
             if len(record) != len(PROBA_CSV_HEADER):
                 raise VoteError(f"{path}: malformed row {record!r}")
             ids.append(record[0])
-            rows.append([float(v) for v in record[1:]])
+            try:
+                rows.append([float(v) for v in record[1:]])
+            except ValueError:
+                raise VoteError(
+                    f"{path} line {reader.line_num}: probabilities must be numbers, got {record[1:]!r}"
+                ) from None
     probs = np.asarray(rows, dtype=float) if rows else np.zeros((0, N_CLASSES))
     return ProbabilityMatrix(ids=ids, probs=probs)

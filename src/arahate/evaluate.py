@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import LabeledText, write_json
-from .errors import ArahateError
+from .errors import ArahateError, ConfigError
 from .labels import LABEL_INDEX, LABEL_ORDER, N_CLASSES, Label
 
 log = logging.getLogger(__name__)
@@ -32,6 +32,10 @@ log = logging.getLogger(__name__)
 
 class EvaluationError(ArahateError):
     pass
+
+
+class FoldPlanError(EvaluationError, ConfigError):
+    """Fewer than two folds, or a class with fewer gold rows than folds: a validation error (exit 1)."""
 
 
 class ClassMetrics(NamedTuple):
@@ -66,7 +70,7 @@ def stratified_folds(corpus: Sequence[LabeledText], k: int = 10, seed: int = 0) 
     fold's per-class count lands within one row of perfect proportionality.
     """
     if k < 2:
-        raise EvaluationError("k must be at least 2; k=1 leaves no held-out fold")
+        raise FoldPlanError("k must be at least 2; k=1 leaves no held-out fold")
     gold = [row for row in corpus if row.origin == "gold"]
     ids_by_class: dict[Label, list[str]] = {label: [] for label in LABEL_ORDER}
     seen: set[str] = set()
@@ -77,7 +81,7 @@ def stratified_folds(corpus: Sequence[LabeledText], k: int = 10, seed: int = 0) 
         ids_by_class[row.label].append(row.id)
     for label in LABEL_ORDER:
         if len(ids_by_class[label]) < k:
-            raise EvaluationError(
+            raise FoldPlanError(
                 f"class {label.value} has {len(ids_by_class[label])} gold rows, fewer than k={k}"
             )
     rng = np.random.default_rng(seed)
@@ -112,10 +116,6 @@ class ConfusionMatrix:
         for g, p in zip(gold, predicted):
             counts[LABEL_INDEX[g], LABEL_INDEX[p]] += 1
         return cls(counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def per_class_metrics(cm: ConfusionMatrix) -> dict[Label, ClassMetrics]:
@@ -165,85 +165,89 @@ def aggregate(
     return Aggregates(macro_f1=macro, micro_f1=micro, weighted_f1=weighted)
 
 
-def _as_percent(metrics: Mapping[Label, ClassMetrics]) -> dict[Label, ClassMetrics]:
-    return {
-        label: ClassMetrics(m.precision * 100, m.recall * 100, m.f1 * 100)
-        for label, m in metrics.items()
-    }
-
-
-@dataclass
-class FoldMetrics:
-    fold: int
-    per_class: dict[Label, ClassMetrics]  # percentages
-    supports: dict[Label, int]
-    macro_f1: float
-    micro_f1: float
-    weighted_f1: float
-
-
-@dataclass
-class MetricsReport:
-    """Cross-validation result: fold-mean metrics plus pooled counterparts.
-
-    All values are percentages; JSON serialization rounds to two decimals.
-    """
+@dataclass(frozen=True)
+class Scores:
+    """Per-class precision/recall/F1 and the macro/micro/weighted F1, all percentages."""
 
     per_class: dict[Label, ClassMetrics]
-    supports: dict[Label, int]
     macro_f1: float
     micro_f1: float
     weighted_f1: float
-    fold_detail: list[FoldMetrics] = field(default_factory=list)
-    pooled_per_class: dict[Label, ClassMetrics] = field(default_factory=dict)
-    pooled_macro_f1: float | None = None
-    pooled_micro_f1: float | None = None
-    pooled_weighted_f1: float | None = None
-    seed: int | None = None
-    config_hash: str | None = None
+
+    @classmethod
+    def of(cls, cm: ConfusionMatrix, supports: Mapping[Label, int]) -> "Scores":
+        """The scores of one confusion matrix; ``supports`` are its gold row counts."""
+        per_class = per_class_metrics(cm)
+        agg = aggregate(per_class, supports)
+        return cls(
+            per_class={label: ClassMetrics(*(v * 100 for v in m)) for label, m in per_class.items()},
+            macro_f1=agg.macro_f1 * 100,
+            micro_f1=(agg.micro_f1 or 0.0) * 100,
+            weighted_f1=agg.weighted_f1 * 100,
+        )
+
+    @classmethod
+    def mean(cls, scores: Sequence["Scores"]) -> "Scores":
+        """The arithmetic mean of every value over ``scores``."""
+        k = len(scores)
+        return cls(
+            per_class={
+                label: ClassMetrics(*(sum(column) / k for column in zip(*(s.per_class[label] for s in scores))))
+                for label in LABEL_ORDER
+            },
+            macro_f1=sum(s.macro_f1 for s in scores) / k,
+            micro_f1=sum(s.micro_f1 for s in scores) / k,
+            weighted_f1=sum(s.weighted_f1 for s in scores) / k,
+        )
 
     def to_dict(self, decimals: int = 2) -> dict:
-        def round_pc(metrics: Mapping[Label, ClassMetrics]) -> dict:
-            return {
-                label.value: {
-                    "precision": round(m.precision, decimals),
-                    "recall": round(m.recall, decimals),
-                    "f1": round(m.f1, decimals),
-                }
-                for label, m in metrics.items()
-            }
-
-        def opt(value: float | None):
-            return None if value is None else round(value, decimals)
-
         return {
-            "per_class": round_pc(self.per_class),
-            "supports": {label.value: self.supports.get(label, 0) for label in LABEL_ORDER},
+            "per_class": {
+                label.value: {name: round(value, decimals) for name, value in m._asdict().items()}
+                for label, m in self.per_class.items()
+            },
             "aggregates": {
                 "macro_f1": round(self.macro_f1, decimals),
                 "micro_f1": round(self.micro_f1, decimals),
                 "weighted_f1": round(self.weighted_f1, decimals),
             },
-            "pooled": {
-                "per_class": round_pc(self.pooled_per_class),
-                "aggregates": {
-                    "macro_f1": opt(self.pooled_macro_f1),
-                    "micro_f1": opt(self.pooled_micro_f1),
-                    "weighted_f1": opt(self.pooled_weighted_f1),
-                },
-            },
+        }
+
+
+def _supports_dict(supports: Mapping[Label, int]) -> dict[str, int]:
+    return {label.value: supports.get(label, 0) for label in LABEL_ORDER}
+
+
+@dataclass
+class MetricsReport:
+    """Cross-validation result: fold-mean scores plus the pooled confusion matrix's.
+
+    All values are percentages; JSON serialization rounds to two decimals.
+    """
+
+    mean: Scores
+    pooled: Scores
+    supports: dict[Label, int]
+    fold_detail: list[tuple[dict[Label, int], Scores]]  # per fold in order: its gold supports and scores
+    seed: int | None = None
+    config_hash: str | None = None
+
+    @property
+    def macro_f1(self) -> float:
+        return self.mean.macro_f1
+
+    @property
+    def micro_f1(self) -> float:
+        return self.mean.micro_f1
+
+    def to_dict(self, decimals: int = 2) -> dict:
+        return {
+            **self.mean.to_dict(decimals),
+            "supports": _supports_dict(self.supports),
+            "pooled": self.pooled.to_dict(decimals),
             "fold_detail": [
-                {
-                    "fold": fm.fold,
-                    "per_class": round_pc(fm.per_class),
-                    "supports": {label.value: fm.supports.get(label, 0) for label in LABEL_ORDER},
-                    "aggregates": {
-                        "macro_f1": round(fm.macro_f1, decimals),
-                        "micro_f1": round(fm.micro_f1, decimals),
-                        "weighted_f1": round(fm.weighted_f1, decimals),
-                    },
-                }
-                for fm in self.fold_detail
+                {"fold": fold, "supports": _supports_dict(supports), **scores.to_dict(decimals)}
+                for fold, (supports, scores) in enumerate(self.fold_detail)
             ],
             "seed": self.seed,
             "config_hash": self.config_hash,
@@ -301,7 +305,7 @@ def cross_validate_variants(
             f"fold plan does not cover {len(missing)} gold rows (e.g. {missing[0]!r})"
         )
     supports = Counter(row.label for row in gold)
-    folds: dict[object, list[FoldMetrics]] = {variant: [] for variant in variants}
+    folds: dict[object, list[tuple[Counter, Scores]]] = {variant: [] for variant in variants}
     pooled = {variant: ConfusionMatrix() for variant in variants}
     failed: dict[object, EvaluationError] = {}
     for fold in range(fold_plan.k):
@@ -324,51 +328,17 @@ def cross_validate_variants(
                 continue
             cm = ConfusionMatrix.from_pairs([row.label for row in test], labels)
             pooled[variant].counts += cm.counts
-            folds[variant].append(_fold_metrics(fold, cm, Counter(row.label for row in test)))
-            log.debug(
-                "fold %d: micro %.2f%%, macro %.2f%%", fold, folds[variant][-1].micro_f1, folds[variant][-1].macro_f1
-            )
+            fold_supports = Counter(row.label for row in test)
+            scores = Scores.of(cm, fold_supports)
+            folds[variant].append((fold_supports, scores))
+            log.debug("fold %d: micro %.2f%%, macro %.2f%%", fold, scores.micro_f1, scores.macro_f1)
     return {
-        variant: failed.get(variant) or _report(folds[variant], pooled[variant], supports)
+        variant: failed.get(variant)
+        or MetricsReport(
+            mean=Scores.mean([scores for _, scores in folds[variant]]),
+            pooled=Scores.of(pooled[variant], supports),
+            supports=supports,
+            fold_detail=folds[variant],
+        )
         for variant in variants
     }
-
-
-def _fold_metrics(fold: int, cm: ConfusionMatrix, fold_supports: Counter) -> FoldMetrics:
-    fold_pc = per_class_metrics(cm)
-    agg = aggregate(fold_pc, fold_supports)
-    return FoldMetrics(
-        fold=fold,
-        per_class=_as_percent(fold_pc),
-        supports={label: fold_supports.get(label, 0) for label in LABEL_ORDER},
-        macro_f1=agg.macro_f1 * 100,
-        micro_f1=(agg.micro_f1 or 0.0) * 100,
-        weighted_f1=agg.weighted_f1 * 100,
-    )
-
-
-def _report(folds: list[FoldMetrics], pooled: ConfusionMatrix, supports: Counter) -> MetricsReport:
-    """Fold means of every metric, with the pooled confusion matrix's metrics alongside."""
-    k = len(folds)
-    mean_per_class = {
-        label: ClassMetrics(
-            sum(fm.per_class[label].precision for fm in folds) / k,
-            sum(fm.per_class[label].recall for fm in folds) / k,
-            sum(fm.per_class[label].f1 for fm in folds) / k,
-        )
-        for label in LABEL_ORDER
-    }
-    pooled_pc = per_class_metrics(pooled)
-    pooled_agg = aggregate(pooled_pc, supports)
-    return MetricsReport(
-        per_class=mean_per_class,
-        supports={label: supports.get(label, 0) for label in LABEL_ORDER},
-        macro_f1=sum(fm.macro_f1 for fm in folds) / k,
-        micro_f1=sum(fm.micro_f1 for fm in folds) / k,
-        weighted_f1=sum(fm.weighted_f1 for fm in folds) / k,
-        fold_detail=folds,
-        pooled_per_class=_as_percent(pooled_pc),
-        pooled_macro_f1=pooled_agg.macro_f1 * 100,
-        pooled_micro_f1=(pooled_agg.micro_f1 or 0.0) * 100,
-        pooled_weighted_f1=pooled_agg.weighted_f1 * 100,
-    )

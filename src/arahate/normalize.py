@@ -25,7 +25,6 @@ and normalizing twice equals normalizing once.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import re
 import unicodedata
@@ -39,10 +38,6 @@ from .errors import ArahateError
 log = logging.getLogger(__name__)
 
 TATWEEL = "ـ"
-# The eight Arabic harakat combining marks: fathatan, dammatan, kasratan,
-# fatha, damma, kasra, shadda, sukun. Step 2 removes these along with every
-# other Unicode combining mark (superscript alef, Quranic annotation marks...).
-HARAKAT = frozenset(chr(cp) for cp in range(0x064B, 0x0653))
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\S+")
@@ -65,17 +60,15 @@ class NormalizeError(ArahateError):
 
 @dataclass(frozen=True)
 class NormalizationConfig:
-    """Normalization knobs plus the pinned stopword list.
+    """Normalization knobs plus the stopword list.
 
-    The stopword list is always an external file, never hardcoded; its SHA-256
-    is kept so run manifests can pin the exact list used.
+    The stopword list is always an external file, never hardcoded; a run's
+    manifest pins it through the file's SHA-256 among its input hashes.
     """
 
     stopwords: frozenset[str] = frozenset()
     repeat_collapse_len: int = 2
     strip_non_arabic: bool = True
-    stopword_path: str | None = None
-    stopword_sha256: str | None = None
 
     def __post_init__(self) -> None:
         if self.repeat_collapse_len < 1:
@@ -98,9 +91,8 @@ class NormalizationConfig:
         path = Path(stopword_path)
         if not path.exists():
             raise NormalizeError(f"stopword file not found: {path}")
-        raw = path.read_bytes()
         words: set[str] = set()
-        for line in raw.decode("utf-8").splitlines():
+        for line in path.read_text(encoding="utf-8").splitlines():
             # Same character pipeline as the texts so stopwords written with
             # alef variants or diacritics still match after unification.
             words.update(_normalize_chars(line, base).split())
@@ -108,8 +100,6 @@ class NormalizationConfig:
             stopwords=frozenset(words),
             repeat_collapse_len=repeat_collapse_len,
             strip_non_arabic=strip_non_arabic,
-            stopword_path=str(path),
-            stopword_sha256=hashlib.sha256(raw).hexdigest(),
         )
 
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
-import yaml
-
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
 from .classifiers import Classifier
 from .config import config_hash, encoder_members, fold_plan, normalization_config
@@ -91,7 +89,7 @@ class ExperimentRun:
             inputs.append(augment_cfg["registry"])
             try:
                 inputs += [d.path for d in corpus_mod.load_registry(augment_cfg["registry"])]
-            except (ArahateError, yaml.YAMLError):
+            except ArahateError:
                 pass  # the normalize stage reads the registry again and records the failure
         report_cfg = self.cfg.get("report", {})
         if report_cfg.get("enabled") and report_cfg.get("baselines"):
@@ -171,7 +169,7 @@ class ExperimentRun:
             datasets[descriptor.key] = (descriptor, rows)
         # The labeler has no mode: several members vote by majority, which
         # takes no weights, so the run's ensemble section does not apply.
-        labeler = augment_mod.LabelerPlan(members=tuple(encoder_members(self.cfg, self.seed)))
+        labeler = Classifier(encoder_members(self.cfg, self.seed))
         plan = augment_mod.AugmentPlan.from_mapping(augment_cfg, labeler)
         merged, aug_report = augment_mod.build_augmented_corpus(base, plan, datasets)
         corpus_mod.write_jsonl(self.augmented_corpus, merged)

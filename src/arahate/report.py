@@ -29,69 +29,18 @@ class ReportError(ArahateError):
 
 
 @dataclass(frozen=True)
-class BaselineRow:
+class TableRow:
+    """One row of the comparison table: a run's or a reference system's F1 scores."""
+
     system: str
     group: str
     f1: dict[Label, float]  # percent
     macro: float | None
     micro: float | None
     weighted: float | None
+    supports: dict[Label, int]  # what the macro/weighted aggregates are recomputed with
     ref: str | None = None
     converted_from_unit_scale: bool = False
-
-
-@dataclass(frozen=True)
-class BaselineTable:
-    supports: dict[Label, int]
-    rows: tuple[BaselineRow, ...]
-
-
-def load_baselines(path: str | Path | None = None) -> BaselineTable:
-    """Load reference rows, defaulting to the packaged data file."""
-    if path is None:
-        text = resources.files("arahate").joinpath("data/baselines.json").read_text("utf-8")
-    else:
-        path = Path(path)
-        if not path.exists():
-            raise ReportError(f"baseline file not found: {path}")
-        text = path.read_text(encoding="utf-8")
-    data = json.loads(text)
-    supports = {Label(name): int(n) for name, n in data["supports"].items()}
-    rows = []
-    for group in data["groups"]:
-        unit_scale = group.get("scale") == "unit"
-        factor = 100.0 if unit_scale else 1.0
-
-        def convert(value):
-            return None if value is None else round(float(value) * factor, 6)
-
-        for entry in group["rows"]:
-            rows.append(
-                BaselineRow(
-                    system=entry["system"],
-                    group=group["name"],
-                    f1={Label(name): convert(v) for name, v in entry["f1"].items()},
-                    macro=convert(entry.get("macro")),
-                    micro=convert(entry.get("micro")),
-                    weighted=convert(entry.get("weighted")),
-                    ref=entry.get("ref"),
-                    converted_from_unit_scale=unit_scale,
-                )
-            )
-    return BaselineTable(supports=supports, rows=tuple(rows))
-
-
-@dataclass
-class _TableRow:
-    system: str
-    group: str
-    f1: dict[Label, float]
-    macro: float | None
-    micro: float | None
-    weighted: float | None
-    supports: dict[Label, int]
-    converted: bool = False
-    ref: str | None = None
 
     def flags(self) -> list[str]:
         recomputed = aggregate(self.f1, self.supports)
@@ -104,26 +53,80 @@ class _TableRow:
         return out
 
 
+@dataclass(frozen=True)
+class BaselineTable:
+    supports: dict[Label, int]
+    rows: tuple[TableRow, ...]
+
+
+def load_baselines(path: str | Path | None = None) -> BaselineTable:
+    """Load reference rows, defaulting to the packaged data file."""
+    if path is None:
+        text = resources.files("arahate").joinpath("data/baselines.json").read_text("utf-8")
+    else:
+        path = Path(path)
+        if not path.exists():
+            raise ReportError(f"baseline file not found: {path}")
+        text = path.read_text(encoding="utf-8")
+    try:
+        return _baseline_table(json.loads(text))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or label
+        raise ReportError(f"baseline file {path or 'data/baselines.json'} is malformed: {exc!r}") from None
+
+
+def _baseline_table(data: dict) -> BaselineTable:
+    supports = {Label(name): int(n) for name, n in data["supports"].items()}
+    rows = []
+    for group in data["groups"]:
+        unit_scale = group.get("scale") == "unit"
+        factor = 100.0 if unit_scale else 1.0
+
+        def convert(value):
+            return None if value is None else round(float(value) * factor, 6)
+
+        for entry in group["rows"]:
+            rows.append(
+                TableRow(
+                    system=entry["system"],
+                    group=group["name"],
+                    f1={Label(name): convert(v) for name, v in entry["f1"].items()},
+                    macro=convert(entry.get("macro")),
+                    micro=convert(entry.get("micro")),
+                    weighted=convert(entry.get("weighted")),
+                    supports=supports,
+                    ref=entry.get("ref"),
+                    converted_from_unit_scale=unit_scale,
+                )
+            )
+    return BaselineTable(supports=supports, rows=tuple(rows))
+
+
 def load_run_metrics(run_dir: str | Path) -> dict:
     path = Path(run_dir) / "metrics.json"
     if not path.exists():
         raise ReportError(f"run {run_dir} has no metrics.json")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ReportError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _row_from_run(run_dir: str | Path) -> _TableRow:
+def _row_from_run(run_dir: str | Path) -> TableRow:
     metrics = load_run_metrics(run_dir)
-    per_class = metrics["per_class"]
-    aggregates = metrics["aggregates"]
-    return _TableRow(
-        system=Path(run_dir).name,
-        group="runs",
-        f1={label: float(per_class[label.value]["f1"]) for label in LABEL_ORDER},
-        macro=aggregates.get("macro_f1"),
-        micro=aggregates.get("micro_f1"),
-        weighted=aggregates.get("weighted_f1"),
-        supports={label: int(metrics["supports"][label.value]) for label in LABEL_ORDER},
-    )
+    try:
+        per_class = metrics["per_class"]
+        aggregates = metrics["aggregates"]
+        return TableRow(
+            system=Path(run_dir).name,
+            group="runs",
+            f1={label: float(per_class[label.value]["f1"]) for label in LABEL_ORDER},
+            macro=aggregates.get("macro_f1"),
+            micro=aggregates.get("micro_f1"),
+            weighted=aggregates.get("weighted_f1"),
+            supports={label: int(metrics["supports"][label.value]) for label in LABEL_ORDER},
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ReportError(f"{Path(run_dir) / 'metrics.json'} is malformed: {exc!r}") from None
 
 
 def _fmt(value: float | None) -> str:
@@ -140,21 +143,7 @@ def render(
         raise ReportError(f"unsupported format {format!r}")
     if baselines is None:
         baselines = load_baselines()
-    table: list[_TableRow] = [_row_from_run(run_dir) for run_dir in run_dirs]
-    for row in baselines.rows:
-        table.append(
-            _TableRow(
-                system=row.system,
-                group=row.group,
-                f1=dict(row.f1),
-                macro=row.macro,
-                micro=row.micro,
-                weighted=row.weighted,
-                supports=dict(baselines.supports),
-                converted=row.converted_from_unit_scale,
-                ref=row.ref,
-            )
-        )
+    table = [_row_from_run(run_dir) for run_dir in run_dirs] + list(baselines.rows)
 
     header = (
         ["group", "system"]
@@ -164,7 +153,7 @@ def render(
     lines = []
     any_converted = False
     for row in table:
-        any_converted = any_converted or row.converted
+        any_converted = any_converted or row.converted_from_unit_scale
         system = f"{row.system} [{row.ref}]" if row.ref else row.system
         cells = (
             [row.group, system]
@@ -173,7 +162,7 @@ def render(
                 _fmt(row.macro),
                 _fmt(row.micro),
                 _fmt(row.weighted),
-                "percent(converted)" if row.converted else "percent",
+                "percent(converted)" if row.converted_from_unit_scale else "percent",
                 ";".join(row.flags()),
             ]
         )

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from arahate.augment import AugmentPlan, LabelerPlan, build_augmented_corpus
+from arahate.augment import AugmentPlan, build_augmented_corpus
+from arahate.classifiers import Classifier
 from arahate.cli import main
 from arahate.corpus import DatasetDescriptor, LabeledText, write_jsonl
 from arahate.encoder import EncoderSpec, HyperParams, ToyParams, toy_forward_backward
@@ -271,9 +272,7 @@ class TestAcceptance:
         plan = AugmentPlan(
             direct_sources=("rel",),
             pseudo_sources=("ext",),
-            labeler=LabelerPlan(
-                members=((EncoderSpec("toy"), HyperParams(5, 8, 0.1, seed=7)),), mode="single"
-            ),
+            labeler=Classifier([(EncoderSpec("toy"), HyperParams(5, 8, 0.1, seed=7))], mode="single"),
         )
         merged, aug_report = build_augmented_corpus(base, plan, datasets)
 

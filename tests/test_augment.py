@@ -8,13 +8,12 @@ import pytest
 from arahate.augment import (
     AugmentError,
     AugmentPlan,
-    LabelerPlan,
     build_augmented_corpus,
     direct_merge,
-    load_plan,
     pseudo_label,
 )
 from arahate.classifiers import Classifier, NotFittedError
+from arahate.config import load_plan
 from arahate.corpus import DatasetDescriptor, LabeledText
 from arahate.encoder import EncoderSpec, HyperParams
 from arahate.labels import HATE_LABELS, Label
@@ -201,11 +200,11 @@ class TestBuildAugmentedCorpus:
         return AugmentPlan(
             direct_sources=("rel",),
             pseudo_sources=("ext",),
-            labeler=LabelerPlan(members=((SPEC, HP),), mode="single"),
+            labeler=Classifier([(SPEC, HP)], mode="single"),
         )
 
     def test_empty_plan_returns_base(self, base):
-        plan = AugmentPlan(labeler=LabelerPlan(members=((SPEC, HP),), mode="single"))
+        plan = AugmentPlan(labeler=Classifier([(SPEC, HP)], mode="single"))
         merged, report = build_augmented_corpus(base, plan, {})
         assert len(merged) == len(base)
         assert report.added_direct == 0
@@ -250,7 +249,7 @@ class TestBuildAugmentedCorpus:
     def test_unknown_source_key_rejected(self, base):
         plan = AugmentPlan(
             direct_sources=("ghost",),
-            labeler=LabelerPlan(members=((SPEC, HP),), mode="single"),
+            labeler=Classifier([(SPEC, HP)], mode="single"),
         )
         with pytest.raises(AugmentError, match="ghost"):
             build_augmented_corpus(base, plan, {})
@@ -317,4 +316,4 @@ class TestPlanValidation:
             HyperParams(2, 8, 1e-5, seed=8),
             HyperParams(2, 8, 1e-5, seed=40),
         ]
-        assert plan.labeler.build().mode == "majority"
+        assert plan.labeler.mode == "majority"

@@ -123,7 +123,9 @@ class TestRunCommand:
         assert manifest["stages"] == {
             "normalize": "complete", "train": "complete", "evaluate": "complete",
         }
-        assert manifest["stopword_sha256"]
+        stopwords = manifest["config"]["paths"]["stopwords"]
+        digest = hashlib.sha256(Path(stopwords).read_bytes()).hexdigest()
+        assert manifest["stopword_sha256"] == manifest["input_hashes"][stopwords] == digest
 
     def test_rerun_skips_completed_stages(self, tmp_path, small_corpus, capsys):
         config = write_config(tmp_path, small_corpus)
@@ -716,6 +718,69 @@ class TestStageCommands:
         with pytest.raises(SystemExit) as excinfo:
             main(["definitely-not-a-command"])
         assert excinfo.value.code == 1
+
+
+class TestMalformedInputs:
+    """A bad input file ends in one `error:` line, with the exit code of its error class."""
+
+    def _error(self, capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err[err.rindex("error: "):]
+
+    @pytest.mark.parametrize("folds, message", [("20", "fewer than k=20"), ("1", "k must be at least 2")])
+    def test_split_with_too_few_rows_per_fold_is_validation_error(self, tmp_path, corpus_file, folds, message, capsys):
+        out = tmp_path / "folds.json"
+        assert main(["split", "--data", str(corpus_file), "--folds", folds, "--out", str(out)]) == 1
+        assert message in self._error(capsys)
+        assert not out.exists()
+
+    def test_vote_cache_cell_not_a_number(self, tmp_path, capsys):
+        caches = write_caches(tmp_path, ["x", "y"])
+        text = Path(caches[1]).read_text(encoding="utf-8")
+        Path(caches[1]).write_text(text.replace("0.6", "abc", 1), encoding="utf-8")
+        assert main(["vote", "--caches", *caches, "--out", str(tmp_path / "labels.csv")]) == 2
+        error = self._error(capsys)
+        assert caches[1] in error and "line 2" in error
+
+    @pytest.mark.parametrize("command", ["augment", "evaluate"])
+    def test_registry_not_yaml(self, tmp_path, corpus_file, command, capsys):
+        (tmp_path / "registry.yaml").write_text("datasets: [unclosed\n", encoding="utf-8")
+        plan = tmp_path / "plan.yaml"
+        plan.write_text("registry: registry.yaml\npseudo_sources: [ext]\n" + LABELER, encoding="utf-8")
+        argv = {
+            "augment": ["augment", "--base", str(corpus_file), "--plan", str(plan)],
+            "evaluate": ["evaluate", "--data", str(corpus_file), "--backend", "toy", "--augment-plan", str(plan),
+                         "--hp", str(self._hp(tmp_path))],
+        }[command]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "registry.yaml is not valid YAML" in self._error(capsys)
+
+    def _hp(self, tmp_path: Path) -> Path:
+        hp = tmp_path / "hp.yaml"
+        hp.write_text("epochs: 1\nbatch_size: 8\nlearning_rate: 0.1\n")
+        return hp
+
+    def test_normalize_input_not_utf8(self, tmp_path, capsys):
+        source = tmp_path / "latin1.jsonl"
+        source.write_bytes('{"id": "1", "text": "caf\u00e9", "label": "NH"}\n'.encode("latin-1"))
+        assert main(["normalize", "--in", str(source), "--out", str(tmp_path / "norm.jsonl")]) == 2
+        assert f"{source}: not UTF-8 text" in self._error(capsys)
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [("--baselines", "{not json"), ("--baselines", '{"groups": []}'), ("--runs", "{not json"),
+         ("--runs", '{"per_class": {}}')],
+        ids=["baselines-json", "baselines-keys", "runs-json", "runs-keys"],
+    )
+    def test_report_input_malformed(self, tmp_path, flag, content, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        path = run_dir / "metrics.json" if flag == "--runs" else tmp_path / "baselines.json"
+        path.write_text(content, encoding="utf-8")
+        value = run_dir if flag == "--runs" else path
+        assert main(["report", flag, str(value), "--out", str(tmp_path / "tables.md")]) == 2
+        assert str(path) in self._error(capsys)
 
 
 # A noisy corpus (every other row takes the next class's label), so members

@@ -178,41 +178,22 @@ class TestComputeStats:
 
 class TestMerge:
     def test_merge_with_empty_is_identity_modulo_id_prefix(self, separable_corpus):
-        out = merge([separable_corpus, []], dedup=False)
+        out = merge([separable_corpus, []])
         assert len(out) == len(separable_corpus)
         assert [row.raw_text for row in out] == [row.raw_text for row in separable_corpus]
         assert all(row.id.startswith(row.source + ":") for row in out)
-
-    def test_dedup_drops_exact_normalized_duplicate(self):
-        a = make_separable_corpus(n_per_class=2, seed=5, source="a")
-        b = make_separable_corpus(n_per_class=2, seed=6, source="b")
-        b[0].norm_text = a[0].norm_text
-        merged = merge([a, b], dedup=True)
-        assert len(merged) == len(a) + len(b) - 1
 
     def test_no_dedup_keeps_everything(self):
         a = make_separable_corpus(n_per_class=2, seed=5, source="a")
         b = make_separable_corpus(n_per_class=2, seed=6, source="b")
         b[0].norm_text = a[0].norm_text
-        assert len(merge([a, b], dedup=False)) == len(a) + len(b)
-
-    def test_dedup_requires_normalized_rows(self):
-        rows = make_separable_corpus(n_per_class=1, seed=7, normalized=False)
-        with pytest.raises(CorpusError, match="normalize"):
-            merge([rows], dedup=True)
-
-    def test_dedup_idempotent(self):
-        x = make_separable_corpus(n_per_class=3, seed=8, source="x")
-        once = merge([x, x], dedup=True)
-        twice = merge([once, x], dedup=True)
-        assert {row.norm_text for row in twice} == {row.norm_text for row in x}
-        assert len(twice) == len(x)
+        assert len(merge([a, b])) == len(a) + len(b)
 
     def test_id_collision_detected(self):
         a = make_separable_corpus(n_per_class=1, seed=9, source="same")
         b = make_separable_corpus(n_per_class=1, seed=10, source="same")
         with pytest.raises(CorpusError, match="collision"):
-            merge([a, b], dedup=False)
+            merge([a, b])
 
 
 # Characters that need quoting or escaping in CSV and JSON lines.

@@ -130,10 +130,6 @@ class TestSingleRules:
         with pytest.raises(NormalizeError):
             NormalizationConfig.load(tmp_path / "absent.txt")
 
-    def test_stopword_hash_recorded(self, stopword_file):
-        cfg = NormalizationConfig.load(stopword_file)
-        assert cfg.stopword_sha256 is not None and len(cfg.stopword_sha256) == 64
-
 
 class TestInvariants:
     @pytest.mark.parametrize("strip", [True, False])

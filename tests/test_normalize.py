@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import unicodedata
 from pathlib import Path
@@ -19,6 +20,7 @@ from arahate.normalize import (
     normalize_corpus,
     normalize_text,
 )
+from arahate.pipeline import ExperimentRun
 
 from conftest import load_golden_cases
 
@@ -129,6 +131,14 @@ class TestSingleRules:
     def test_missing_stopword_file(self, tmp_path):
         with pytest.raises(NormalizeError):
             NormalizationConfig.load(tmp_path / "absent.txt")
+
+    def test_stopword_hash_recorded(self, stopword_file, tmp_path):
+        # The config keeps only the words; a run pins the exact list through
+        # the file's SHA-256 among its input hashes.
+        cfg = {"paths": {"data": str(tmp_path / "data.jsonl"), "stopwords": str(stopword_file)}}
+        run = ExperimentRun(cfg, tmp_path / "runs")
+        digest = hashlib.sha256(stopword_file.read_bytes()).hexdigest()
+        assert run.input_hashes[str(stopword_file)] == digest
 
 
 class TestInvariants:

@@ -166,6 +166,8 @@ def read_yaml(path: str | Path, what: str, schema: dict | None = None):
         raise ConfigError(f"{what} not found: {path}")
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{what} {path}: not UTF-8 text") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{what} is not valid YAML/JSON: {exc}") from None
     data = {} if data is None else data

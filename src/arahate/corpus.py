@@ -29,6 +29,9 @@ log = logging.getLogger(__name__)
 DISCARD = "discard"
 ORIGINS = ("gold", "direct_merge", "pseudo")
 
+# One encoder for every JSONL row: json.dumps with options builds a new one per call.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
 # Canonical label strings map onto themselves when a descriptor omits label_map.
 IDENTITY_LABEL_MAP: dict[str, str] = {label.value: label.value for label in LABEL_ORDER}
 
@@ -270,7 +273,7 @@ def write_jsonl(path: str | Path, rows: list[LabeledText]) -> None:
                 record["norm_text"] = row.norm_text
             if row.origin != "gold":
                 record["origin"] = row.origin
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(_ROW_ENCODER.encode(record) + "\n")
 
 
 @contextmanager

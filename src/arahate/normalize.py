@@ -8,11 +8,14 @@ byte-equal outputs:
    pictographic symbols, and digits;
 2. diacritics (the harakat combining marks including shadda and sukun, plus
    every other combining mark) and the tatweel elongation character;
-3. runs of one repeated character longer than ``repeat_collapse_len`` are
-   collapsed down to ``repeat_collapse_len``;
-4. letter unification: hamza/madda alef variants to bare alef, ta-marbuta to
-   ha, alef-maqsura to ya (followed by a second collapse pass, since
-   unification can fuse previously distinct characters into one run);
+3. letter unification: hamza/madda alef variants to bare alef, ta-marbuta to
+   ha, alef-maqsura to ya;
+4. runs of one repeated character longer than ``repeat_collapse_len`` are
+   collapsed down to ``repeat_collapse_len``. One pass after unification is
+   enough: unification maps each character to one character, so a run of
+   the unified text is a series of adjacent runs of the input, and
+   collapsing it once gives the same ``min(length, limit)`` that collapsing
+   before and again after unification gave;
 5. non-Arabic letters are dropped when ``strip_non_arabic`` is set;
 6. stopwords are dropped by exact token match (the stopword file is passed
    through the same character pipeline at load time so surface variants of a
@@ -91,8 +94,12 @@ class NormalizationConfig:
         path = Path(stopword_path)
         if not path.exists():
             raise NormalizeError(f"stopword file not found: {path}")
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError:
+            raise NormalizeError(f"stopword file {path}: not UTF-8 text") from None
         words: set[str] = set()
-        for line in path.read_text(encoding="utf-8").splitlines():
+        for line in lines:
             # Same character pipeline as the texts so stopwords written with
             # alef variants or diacritics still match after unification.
             words.update(_normalize_chars(line, base).split())
@@ -142,11 +149,14 @@ def _strip_features(text: str) -> str:
 
 @lru_cache(maxsize=8)
 def _repeat_re(limit: int) -> re.Pattern[str]:
-    return re.compile(r"(.)\1{%d,}" % limit)
+    # Matches one character that ``limit`` copies of itself follow; deleting
+    # each match leaves ``limit`` of every longer run. The replacement is a
+    # literal, so ``re`` makes no Python call per match.
+    return re.compile(r"(?=(.)\1{%d})." % limit)
 
 
 def _collapse_repeats(text: str, limit: int) -> str:
-    return _repeat_re(limit).sub(r"\1" * limit, text)
+    return _repeat_re(limit).sub("", text)
 
 
 def _is_arabic_letter(ch: str) -> bool:
@@ -159,9 +169,7 @@ def _normalize_chars(text: str, cfg: NormalizationConfig) -> str:
     text = _strip_features(text)
     # Deleting a character can make two Hangul jamo adjacent, which NFC composes.
     text = unicodedata.normalize("NFC", text)
-    text = _collapse_repeats(text, cfg.repeat_collapse_len)
     text = text.translate(_LETTER_MAP)
-    # Unification can merge formerly distinct characters into one run.
     text = _collapse_repeats(text, cfg.repeat_collapse_len)
     if cfg.strip_non_arabic:
         text = text.translate(_ARABIC_TABLE)

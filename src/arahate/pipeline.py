@@ -6,6 +6,8 @@ inputs resumes (completed stages are skipped via their completion markers)
 while any config change or edited input lands in a fresh directory.
 A stage counts as complete when its marker and all of its declared outputs
 exist; deleting an output re-executes that stage and everything downstream.
+Within one process a stage hands the corpora it writes to the stages after
+it, so a corpus file is read back only by a stage whose upstream was skipped.
 No artifact embeds wall-clock state, so identical configs, seeds and inputs
 reproduce byte-identical outputs with the toy backend.
 """
@@ -22,6 +24,7 @@ from typing import Callable
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
 from .classifiers import Classifier
 from .config import config_hash, encoder_members, fold_plan, normalization_config
+from .corpus import DatasetDescriptor, LabeledText
 from .encoder import EncoderSpec, HyperParams
 from .ensemble import write_proba_csv
 from .errors import ArahateError
@@ -77,6 +80,9 @@ class ExperimentRun:
         # tune ran in this process: the evaluate stage of one tuned member
         # reuses it instead of cross-validating the same model again.
         self._tuned_cv: dict[tuple[EncoderSpec, HyperParams], MetricsReport] = {}
+        # Artifact path -> the rows this process wrote there. Rows are never
+        # mutated, so the stages that read them can share them.
+        self._written_rows: dict[Path, list[LabeledText]] = {}
 
     # --- config helpers -------------------------------------------------
 
@@ -84,17 +90,24 @@ class ExperimentRun:
         """Every file a stage reads; a missing one is hashed as None and fails its stage."""
         paths = self.cfg["paths"]
         inputs = [paths["data"]] + ([paths["stopwords"]] if paths.get("stopwords") else [])
-        augment_cfg = self.cfg.get("augment", {})
-        if augment_cfg.get("enabled"):
-            inputs.append(augment_cfg["registry"])
-            try:
-                inputs += [d.path for d in corpus_mod.load_registry(augment_cfg["registry"])]
-            except ArahateError:
-                pass  # the normalize stage reads the registry again and records the failure
+        if self.cfg.get("augment", {}).get("enabled"):
+            inputs.append(self.cfg["augment"]["registry"])
+            inputs += [d.path for d in self._registry()]
         report_cfg = self.cfg.get("report", {})
         if report_cfg.get("enabled") and report_cfg.get("baselines"):
             inputs.append(report_cfg["baselines"])
         return inputs
+
+    def _registry(self) -> list[DatasetDescriptor]:
+        """The augment registry's datasets: none when augment is off or the registry
+        is unreadable (the normalize stage reads it again and records the failure)."""
+        augment_cfg = self.cfg.get("augment", {})
+        if not augment_cfg.get("enabled"):
+            return []
+        try:
+            return corpus_mod.load_registry(augment_cfg["registry"])
+        except ArahateError:
+            return []
 
     def _tuned_members(self) -> list[tuple[EncoderSpec, HyperParams]]:
         members = encoder_members(self.cfg, self.seed)
@@ -122,6 +135,9 @@ class ExperimentRun:
     def normalized_base(self) -> Path:
         return self.run_dir / "normalized" / "base.jsonl"
 
+    def normalized_source(self, key: str) -> Path:
+        return self.run_dir / "normalized" / "sources" / f"{key}.jsonl"
+
     @property
     def augmented_corpus(self) -> Path:
         return self.run_dir / "augmented" / "corpus.jsonl"
@@ -140,44 +156,50 @@ class ExperimentRun:
             return self.augmented_corpus
         return self.normalized_base
 
+    # --- corpus hand-off between stages ----------------------------------
+
+    def _write_rows(self, path: Path, rows: list[LabeledText]) -> None:
+        corpus_mod.write_jsonl(path, rows)
+        self._written_rows[path] = rows
+
+    def _read_rows(self, path: Path) -> list[LabeledText]:
+        """The rows this process wrote to ``path``, else the file's rows."""
+        rows = self._written_rows.get(path)
+        return rows if rows is not None else corpus_mod.read_jsonl(path)
+
     # --- stages -----------------------------------------------------------
 
     def _stage_normalize(self) -> None:
         cfg = normalization_config(self.cfg)
         base = normalize_corpus(corpus_mod.read_jsonl(self.cfg["paths"]["data"], key="base"), cfg)
-        corpus_mod.write_jsonl(self.normalized_base, base)
+        self._write_rows(self.normalized_base, base)
         augment_cfg = self.cfg.get("augment", {})
         if augment_cfg.get("enabled"):
             for descriptor in corpus_mod.load_registry(augment_cfg["registry"]):
                 rows = normalize_corpus(corpus_mod.load_dataset(descriptor), cfg)
-                corpus_mod.write_jsonl(
-                    self.run_dir / "normalized" / "sources" / f"{descriptor.key}.jsonl", rows
-                )
+                self._write_rows(self.normalized_source(descriptor.key), rows)
         # The base rows are exactly the gold rows that evaluation folds, so a
         # class with fewer of them than folds fails here, before any fit.
         fold_plan(self.cfg, base, self.seed)
 
     def _stage_augment(self) -> None:
         augment_cfg = self.cfg["augment"]
-        base = corpus_mod.read_jsonl(self.normalized_base, key="base")
-        datasets = {}
-        for descriptor in corpus_mod.load_registry(augment_cfg["registry"]):
-            rows = corpus_mod.read_jsonl(
-                self.run_dir / "normalized" / "sources" / f"{descriptor.key}.jsonl",
-                key=descriptor.key,
-            )
-            datasets[descriptor.key] = (descriptor, rows)
+        base = self._read_rows(self.normalized_base)
+        datasets = {
+            descriptor.key: (descriptor, self._read_rows(self.normalized_source(descriptor.key)))
+            for descriptor in corpus_mod.load_registry(augment_cfg["registry"])
+        }
         # The labeler has no mode: several members vote by majority, which
         # takes no weights, so the run's ensemble section does not apply.
         labeler = Classifier(encoder_members(self.cfg, self.seed))
         plan = augment_mod.AugmentPlan.from_mapping(augment_cfg, labeler)
         merged, aug_report = augment_mod.build_augmented_corpus(base, plan, datasets)
-        corpus_mod.write_jsonl(self.augmented_corpus, merged)
+        self._write_rows(self.augmented_corpus, merged)
         aug_report.write_json(self.run_dir / "augmented" / "report.json")
 
     def _stage_tune(self) -> None:
         tune_cfg = self.cfg["tune"]
-        data = corpus_mod.read_jsonl(self._evaluation_corpus_path())
+        data = self._read_rows(self._evaluation_corpus_path())
         protocol = tune_mod.make_cv_protocol(fold_plan(self.cfg, data, self.seed))
         best_map = {}
         for name, (spec, hp) in zip(self._member_names(), encoder_members(self.cfg, self.seed)):
@@ -189,7 +211,7 @@ class ExperimentRun:
         corpus_mod.write_json(self.run_dir / "tune" / "best.json", best_map)
 
     def _stage_train(self) -> None:
-        data = corpus_mod.read_jsonl(self._evaluation_corpus_path())
+        data = self._read_rows(self._evaluation_corpus_path())
         trainable = [row for row in data if row.norm_text]
         for name, (spec, hp) in zip(self._member_names(), self._tuned_members()):
             model = encoder.fit(spec, hp, trainable)
@@ -200,7 +222,7 @@ class ExperimentRun:
             write_proba_csv(self.run_dir / "predictions" / f"{name}.csv", matrix)
 
     def _stage_evaluate(self) -> None:
-        data = corpus_mod.read_jsonl(self._evaluation_corpus_path())
+        data = self._read_rows(self._evaluation_corpus_path())
         folds = fold_plan(self.cfg, data, self.seed)
         members = self._tuned_members()
         classifier = Classifier(members, **self.cfg.get("ensemble", {}))
@@ -220,7 +242,8 @@ class ExperimentRun:
         )
 
     def _stages(self) -> list[Stage]:
-        stages = [Stage("normalize", [self.normalized_base], self._stage_normalize)]
+        normalized = [self.normalized_base] + [self.normalized_source(d.key) for d in self._registry()]
+        stages = [Stage("normalize", normalized, self._stage_normalize)]
         if self.cfg.get("augment", {}).get("enabled"):
             stages.append(
                 Stage(

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from arahate import encoder, pipeline, tune as tune_mod
+from arahate import corpus as corpus_mod, encoder, pipeline, tune as tune_mod
 from arahate.classifiers import Classifier
 from arahate.cli import FLAG_KEYS, build_parser, main
 from arahate.corpus import read_jsonl, write_jsonl
@@ -101,6 +101,13 @@ def write_caches(tmp_path: Path, ids: list[str], names=("a", "b")) -> list[str]:
 
 def run_dir_of(capsys) -> Path:
     return Path(capsys.readouterr().out.strip().split("-> ")[-1])
+
+
+def assert_same_files(expected: Path, actual: Path) -> None:
+    """Both directories hold the same files with the same bytes."""
+    files = sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(actual) for p in actual.rglob("*") if p.is_file())
+    assert all((expected / f).read_bytes() == (actual / f).read_bytes() for f in files)
 
 
 @pytest.fixture
@@ -315,9 +322,52 @@ class TestRunCommand:
         monkeypatch.undo()
         capsys.readouterr()
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
-        files = sorted(p.relative_to(clean) for p in clean.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file())
-        assert all((clean / f).read_bytes() == (run_dir / f).read_bytes() for f in files)
+        assert_same_files(clean, run_dir)
+
+    def _augmented_config(self, tmp_path, small_corpus) -> Path:
+        return write_config(
+            tmp_path,
+            small_corpus,
+            augment=augment_section(write_registry(tmp_path)),
+            tune={"enabled": True, "epochs_axis": [3, 5], "batch_axis": [8], "lr_axis": [0.1]},
+        )
+
+    def _spy_reads(self, monkeypatch) -> list[Path]:
+        reads = []
+        read = corpus_mod.read_jsonl
+        monkeypatch.setattr(corpus_mod, "read_jsonl", lambda path, **kw: reads.append(Path(path)) or read(path, **kw))
+        return reads
+
+    def test_fresh_run_reads_no_corpus_it_wrote(self, tmp_path, small_corpus, capsys, monkeypatch):
+        reads = self._spy_reads(monkeypatch)
+        config = self._augmented_config(tmp_path, small_corpus)
+        assert main(["run", "--config", str(config)]) == 0
+        run_dir_of(capsys)
+        assert reads == [tmp_path / "base.jsonl"]  # the raw input, read by normalize
+
+    @pytest.mark.parametrize(
+        "deleted, reread",
+        [
+            ("augmented/corpus.jsonl", ["normalized/base.jsonl", "normalized/sources/rel.jsonl",
+                                        "normalized/sources/ext.jsonl"]),
+            ("normalized/sources/ext.jsonl", []),
+        ],
+    )
+    def test_resume_rebuilds_a_deleted_corpus_byte_identical(
+        self, tmp_path, small_corpus, capsys, monkeypatch, deleted, reread
+    ):
+        config = self._augmented_config(tmp_path, small_corpus)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
+        clean = run_dir_of(capsys)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "resumed")]) == 0
+        run_dir = run_dir_of(capsys)
+        (run_dir / deleted).unlink()
+        reads = self._spy_reads(monkeypatch)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "resumed")]) == 0
+        # A stage whose upstream was skipped reads the upstream's files; the
+        # stages after it take the corpus it wrote.
+        assert [p.relative_to(run_dir) for p in reads if run_dir in p.parents] == [Path(p) for p in reread]
+        assert_same_files(clean, run_dir)
 
     @pytest.mark.parametrize("edited", ["data", "stopwords", "dataset", "baselines"])
     def test_input_edited_in_place_starts_a_fresh_run(self, tmp_path, small_corpus, capsys, edited):
@@ -766,6 +816,26 @@ class TestMalformedInputs:
         source.write_bytes('{"id": "1", "text": "caf\u00e9", "label": "NH"}\n'.encode("latin-1"))
         assert main(["normalize", "--in", str(source), "--out", str(tmp_path / "norm.jsonl")]) == 2
         assert f"{source}: not UTF-8 text" in self._error(capsys)
+
+    def test_stopword_file_not_utf8(self, tmp_path, corpus_file, capsys):
+        stopwords = tmp_path / "latin1.txt"
+        stopwords.write_bytes("caf\u00e9\n".encode("latin-1"))
+        argv = ["normalize", "--in", str(corpus_file), "--stopwords", str(stopwords)]
+        assert main([*argv, "--out", str(tmp_path / "norm.jsonl")]) == 2
+        assert f"stopword file {stopwords}: not UTF-8 text" in self._error(capsys)
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("run", "--config"), ("tune", "--config"), ("tune", "--grid"), ("train", "--hp"), ("evaluate", "--hp"),
+         ("augment", "--plan")],
+    )
+    def test_settings_file_not_utf8(self, tmp_path, corpus_file, command, flag, capsys):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("run_name: caf\u00e9\n".encode("latin-1"))
+        data = str(corpus_file)
+        inputs = {"run": [], "augment": ["--base", data]}.get(command, ["--backend", "toy", "--data", data])
+        assert main([command, flag, str(path), *inputs, "--out", str(tmp_path / "out")]) == 1
+        assert f"{path}: not UTF-8 text" in self._error(capsys)
 
     @pytest.mark.parametrize(
         "flag, content",

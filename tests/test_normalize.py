@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import unicodedata
 from pathlib import Path
 
@@ -58,6 +59,11 @@ def random_strings(n: int, seed: int, max_len: int = 60):
         yield chunk
 
 
+def two_pass_collapse(text: str, limit: int) -> str:
+    """The former collapse rule: a run longer than ``limit`` becomes ``limit`` copies."""
+    return re.sub(r"(.)\1{%d,}" % limit, r"\1" * limit, text)
+
+
 def per_char_normalize(raw: str, cfg: NormalizationConfig) -> str:
     """The former per-character rules (plus the NFC pass after deletion): the translate tables' oracle."""
     text = unicodedata.normalize("NFC", raw)
@@ -77,9 +83,10 @@ def per_char_normalize(raw: str, cfg: NormalizationConfig) -> str:
     marks = ("Mn", "Mc", "Me")
     text = "".join(ch for ch in out if ch != normalize.TATWEEL and unicodedata.category(ch) not in marks)
     text = unicodedata.normalize("NFC", text)
-    text = normalize._collapse_repeats(text, cfg.repeat_collapse_len)
+    # Collapse, unify, collapse again: the former two-pass order.
+    text = two_pass_collapse(text, cfg.repeat_collapse_len)
     text = text.translate(normalize._LETTER_MAP)
-    text = normalize._collapse_repeats(text, cfg.repeat_collapse_len)
+    text = two_pass_collapse(text, cfg.repeat_collapse_len)
     if cfg.strip_non_arabic:
         text = "".join(ch if ch == " " or normalize._is_arabic_letter(ch) else " " for ch in text)
     return " ".join(t for t in text.split() if t != "RT" and t not in cfg.stopwords)
@@ -132,6 +139,12 @@ class TestSingleRules:
         with pytest.raises(NormalizeError):
             NormalizationConfig.load(tmp_path / "absent.txt")
 
+    def test_stopword_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("caf\u00e9\n".encode("latin-1"))
+        with pytest.raises(NormalizeError, match="not UTF-8"):
+            NormalizationConfig.load(path)
+
     def test_stopword_hash_recorded(self, stopword_file, tmp_path):
         # The config keeps only the words; a run pins the exact list through
         # the file's SHA-256 among its input hashes.
@@ -178,6 +191,14 @@ class TestInvariants:
         once = normalize_text(text, cfg)
         assert once == per_char_normalize(text, cfg)
         assert normalize_text(once, cfg) == once
+
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(limit=st.integers(1, 4), text=st.text(st.sampled_from("ااأإآةهىيب \n")))
+    def test_one_collapse_after_unification_matches_the_two_pass_rule(self, limit, text):
+        assert normalize._collapse_repeats(text, limit) == two_pass_collapse(text, limit)
+        unified = text.translate(normalize._LETTER_MAP)
+        expected = two_pass_collapse(two_pass_collapse(text, limit).translate(normalize._LETTER_MAP), limit)
+        assert normalize._collapse_repeats(unified, limit) == expected
 
     def test_determinism(self):
         cfg = golden_config()

@@ -1,12 +1,14 @@
 """The classifier the CV driver, tuning and pseudo-labelling train and query.
 
 A Classifier is a list of (encoder spec, hyperparameters) members plus the
-rule that combines them (see ensemble.ensemble_policy). Its bound ``fit`` is
-the recipe cross-validation consumes: rows -> the same classifier, retrained.
+rule that combines them (see ensemble.ensemble_policy). Its bound
+``fit_many`` is the recipe cross-validation consumes: one row set per fold ->
+one retrained copy per fold, every member of every fold trained in lockstep.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +42,30 @@ class Classifier:
         self.models: list[encoder.TrainedModel] | None = None
 
     def fit(self, rows: Sequence[LabeledText]) -> "Classifier":
-        self.models = [encoder.fit(spec, hp, rows) for spec, hp in self.members]
+        (fitted,) = self.fit_many([rows])
+        if isinstance(fitted, ArahateError):
+            raise fitted
+        self.models = fitted.models
         return self
+
+    def fit_many(self, row_sets: Sequence[Sequence[LabeledText]]) -> list["Classifier | ArahateError"]:
+        """A fitted copy of this classifier per row set, or the ArahateError that stopped it.
+
+        Every member of every copy trains in one ``encoder.fit_many`` call.
+        """
+        size = len(self.members)
+        outcomes = encoder.fit_many([(spec, hp, rows) for rows in row_sets for spec, hp in self.members])
+        fitted: list[Classifier | ArahateError] = []
+        for start in range(0, len(outcomes), size):
+            models = outcomes[start : start + size]
+            errors = [model for model in models if isinstance(model, ArahateError)]
+            if errors:
+                fitted.append(errors[0])
+                continue
+            clone = copy.copy(self)
+            clone.models = models
+            fitted.append(clone)
+        return fitted
 
     def predict_labels(self, texts: Sequence[str]) -> list[Label]:
         return self.predict_with_confidence(texts)[0]

@@ -238,7 +238,7 @@ def _cmd_evaluate(args) -> int:
     if args.augment_plan:
         rows, _ = _augment_from_plan(cfg, args.augment_plan, rows)
     folds = fold_plan(cfg, rows, seed)
-    metrics = cross_validate(rows, Classifier(members, **cfg.get("ensemble", {})).fit, folds, seed=seed)
+    metrics = cross_validate(rows, Classifier(members, **cfg.get("ensemble", {})).fit_many, folds, seed=seed)
     metrics.write_json(out_dir / "metrics.json")
     print(
         f"cross-validated {'+'.join(spec.backend_key for spec, _ in members)} over {folds.k} folds: "

@@ -64,6 +64,14 @@ class LabeledText:
         if self.origin == "pseudo" and self.label == Label.NH:
             raise CorpusError(f"row {self.id!r}: pseudo-labelled rows may not carry NH")
 
+    def with_norm_text(self, norm_text: str) -> "LabeledText":
+        """This row with ``norm_text`` set; no field it checks changes, so it is not checked again."""
+        row = object.__new__(LabeledText)
+        # Every field, in __init__'s order, so rows keep sharing one key table.
+        row.id, row.raw_text, row.label, row.source = self.id, self.raw_text, self.label, self.source
+        row.norm_text, row.origin = norm_text, self.origin
+        return row
+
 
 @dataclass
 class DatasetDescriptor:

@@ -15,6 +15,18 @@ ngram_sizes, max_tokens), so a process hashes each text once however many
 folds, grid points and ensemble members use it. The memo costs about one
 CSR row (~1 KiB for a tweet) per distinct text and is never evicted.
 
+``fit_many`` trains many models in one call, and ``fit`` is its one-entry
+case. The toy backend trains the entries of equal token limit, epochs, batch
+size and learning rate as one lockstep group: one step loop whose every step
+is one ``toy_forward_backward`` call over all the group's batches of that
+step, gathered from the memo's rows without a copy per model. The group's
+models share one column space, the buckets any of its rows touch, and each
+owns a block of one float64 weight matrix: about 6 MiB for the ten folds of
+a 500-row cross-validation. A trained model keeps only its block (weights
+for its sorted bucket ids ``cols``) and expands to every bucket only when
+saved. Each model gets bit for bit the weights, bias and losses its own fit
+gets, and one that turns non-finite fails alone.
+
 Three pretrained encoder slots are registered by name; their weights are
 fetched by the run environment (never vendored), so using them requires the
 ``pretrained`` extra plus network or cache access to the weights.
@@ -162,12 +174,27 @@ def members_from_entries(
 
 @dataclass
 class ToyParams:
-    """Linear softmax parameters over hashed n-gram buckets."""
+    """Linear softmax parameters over the hashed n-gram buckets a fit touched.
 
-    weights: np.ndarray  # (K, D)
+    ``weights[:, j]`` belongs to bucket ``cols[j]``; every other bucket's
+    weights are zero. ``cols`` defaults to 0..D-1 for (K, D) ``weights``.
+    """
+
+    weights: np.ndarray  # (K, len(cols))
     bias: np.ndarray  # (K,)
     n_buckets: int = TOY_DEFAULT_BUCKETS
     ngram_sizes: tuple[int, ...] = TOY_NGRAM_SIZES
+    cols: np.ndarray | None = None  # sorted bucket ids
+
+    def __post_init__(self) -> None:
+        if self.cols is None:
+            self.cols = np.arange(self.weights.shape[1])
+
+    def dense_weights(self) -> np.ndarray:
+        """The (K, n_buckets) weights of every bucket."""
+        dense = np.zeros((N_CLASSES, self.n_buckets))
+        dense[:, self.cols] = self.weights
+        return dense
 
 
 @dataclass
@@ -251,7 +278,8 @@ def hashed_ngram_features(
 # Per-process feature memo: (n_buckets, ngram_sizes, max_tokens) -> (row of each
 # text seen so far, hashed rows of those texts). Features are a pure function
 # of the text, so folds, grid points and ensemble members share one hashing of
-# each distinct text. The stored arrays are read-only; callers get copies.
+# each distinct text. The stored arrays are read-only: ``cached_features``
+# hands out copies, and lockstep fits read the rows in place.
 _FEATURE_MEMO: dict[tuple, tuple[dict[str, int], sparse.csr_matrix]] = {}
 
 
@@ -259,6 +287,14 @@ def cached_features(
     texts: Sequence[str], n_buckets: int, ngram_sizes: Sequence[int], max_tokens: int | None
 ) -> sparse.csr_matrix:
     """``hashed_ngram_features`` of ``texts``, hashing only texts this process has not seen."""
+    seen, rows = _memo_rows(texts, n_buckets, ngram_sizes, max_tokens)
+    return seen[rows]
+
+
+def _memo_rows(
+    texts: Sequence[str], n_buckets: int, ngram_sizes: Sequence[int], max_tokens: int | None
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """The memo's read-only CSR and each text's row in it, after hashing the texts it lacks."""
     key = (n_buckets, tuple(ngram_sizes), max_tokens)
     row_of, seen = _FEATURE_MEMO.get(key) or ({}, sparse.csr_matrix((0, n_buckets)))
     new = [text for text in dict.fromkeys(texts) if text not in row_of]
@@ -269,7 +305,16 @@ def cached_features(
         for array in (seen.data, seen.indices, seen.indptr):
             array.flags.writeable = False
         _FEATURE_MEMO[key] = (row_of, seen)
-    return seen[np.fromiter((row_of[text] for text in texts), dtype=np.int64, count=len(texts))]
+    return seen, np.fromiter((row_of[text] for text in texts), dtype=np.int64, count=len(texts))
+
+
+def _gather_rows(indptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where rows ``ids`` of a CSR store their entries, in order, and the indptr of those rows stacked."""
+    start = indptr[ids]
+    counts = indptr[ids + 1] - start
+    stacked = np.zeros(len(ids) + 1, dtype=np.int32)  # int32 indices, which scipy would otherwise copy
+    np.cumsum(counts, out=stacked[1:])
+    return np.arange(stacked[-1]) + np.repeat(start - stacked[:-1], counts), stacked
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -279,27 +324,48 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def toy_forward_backward(
-    params: ToyParams, features, labels: Sequence[int]
-) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    params: ToyParams, features, labels: Sequence[int], owner: np.ndarray | None = None
+) -> tuple[float | np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Mean softmax cross-entropy over a batch plus its analytic gradient.
 
     ``features`` is an (N, D) matrix (dense or CSR) of hashed n-gram counts;
     ``labels`` are class indices. Returns (loss, (grad_weights, grad_bias)).
+
+    Several models step at once when ``owner`` gives each row's model index:
+    ``params.bias`` is then one (K,) row per model, each model's rows are
+    contiguous and in model order, and models own disjoint weight columns.
+    Every model's batch is its own rows: the loss is one mean per model and
+    grad_bias one row per model, each summed over that model's rows alone,
+    so each model gets bit for bit the gradient a batch of its rows alone
+    gets. A stacked call leaves the non-finite check to its caller, which
+    fails only the model that turned non-finite.
     """
-    if not (np.isfinite(params.weights).all() and np.isfinite(params.bias).all()):
-        raise EncoderError("non-finite model parameters")
     y = np.asarray(labels, dtype=int)
     n = features.shape[0]
+    if owner is None:
+        if not (np.isfinite(params.weights).all() and np.isfinite(params.bias).all()):
+            raise EncoderError("non-finite model parameters")
+        owner = np.zeros(n, dtype=int)
     if n == 0:
         raise EncoderError("empty batch")
-    logits = features @ params.weights.T + params.bias
+    bias = params.bias.reshape(-1, N_CLASSES)
+    sizes = np.bincount(owner, minlength=len(bias))
+    logits = features @ params.weights.T + bias[owner]
     probs = _softmax(np.asarray(logits))
-    loss = float(-np.log(probs[np.arange(n), y]).mean())
+    nll = -np.log(probs[np.arange(n), y])
     grad_out = probs
     grad_out[np.arange(n), y] -= 1.0
-    grad_out /= n
+    grad_out /= sizes[owner, None]
     grad_weights = np.asarray((features.T @ grad_out).T)
-    grad_bias = grad_out.sum(axis=0)
+    grad_bias = np.zeros_like(bias)
+    np.add.at(grad_bias, owner, grad_out)  # row by row in order, as a sum over one model's rows
+    loss = np.zeros(len(bias))
+    stop = 0
+    for model in np.flatnonzero(sizes):
+        start, stop = stop, stop + sizes[model]
+        loss[model] = nll[start:stop].sum() / sizes[model]
+    if params.bias.ndim == 1:
+        return float(loss[0]), (grad_weights, grad_bias[0])
     return loss, (grad_weights, grad_bias)
 
 
@@ -322,6 +388,10 @@ def train_fingerprint(spec: EncoderSpec, hp: HyperParams, train_ids: Sequence[st
 # on_epoch(model) -> None: called after every epoch of a fit with the model
 # that epoch leaves (hyperparams.epochs is the epochs done so far).
 EpochHook = Callable[[TrainedModel], None]
+# A fit request: the backend and token limit, the hyperparameters, the rows.
+FitEntry = tuple[EncoderSpec, HyperParams, Sequence[LabeledText]]
+# on_epoch(index, model) -> None: EpochHook of the fit of entry ``index``.
+EntryEpochHook = Callable[[int, TrainedModel], None]
 
 
 def _trained_model(
@@ -364,41 +434,114 @@ class ToyBackend:
     def fit(
         self, spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText], on_epoch: EpochHook | None = None
     ) -> TrainedModel:
-        texts = [row.norm_text or "" for row in train]
-        y = np.asarray([LABEL_INDEX[row.label] for row in train], dtype=int)
-        params = ToyParams(weights=np.zeros((N_CLASSES, TOY_DEFAULT_BUCKETS)), bias=np.zeros(N_CLASSES))
-        features = cached_features(texts, params.n_buckets, params.ngram_sizes, spec.max_sequence_tokens)
-        rng = np.random.default_rng(hp.seed)
-        n = features.shape[0]
-        losses = []
+        return _fit_one(self.fit_many, spec, hp, train, on_epoch)
+
+    def fit_many(
+        self, entries: Sequence[FitEntry], on_epoch: EntryEpochHook | None = None
+    ) -> list[TrainedModel | ArahateError]:
+        """Train entries of equal token limit, epochs, batch size and learning rate in lockstep."""
+        groups: dict[tuple, list[int]] = {}
+        for index, (spec, hp, _) in enumerate(entries):
+            groups.setdefault((spec.max_sequence_tokens, hp.epochs, hp.batch_size, hp.learning_rate), []).append(index)
+        outcomes: list = [None] * len(entries)
+        for indices in groups.values():
+            group = self._fit_lockstep([entries[i] for i in indices], _subset_hook(on_epoch, indices))
+            for index, outcome in zip(indices, group):
+                outcomes[index] = outcome
+        return outcomes
+
+    def _fit_lockstep(
+        self, entries: Sequence[FitEntry], on_epoch: EntryEpochHook | None
+    ) -> list[TrainedModel | EncoderError]:
+        """One step loop over same-shape fits; bit for bit the models separate fits return.
+
+        Model i owns block i of one weight matrix: one column per bucket any
+        entry's rows touch. Each stacked step takes every model's batch of
+        that step, in model order, from the feature memo's rows (one per
+        distinct text), and reads and writes only the columns those batches
+        touch. The matrix is
+        stored transposed, one row of K weights per column, so a step
+        gathers and scatters whole rows.
+        """
+        spec, hp, _ = entries[0]
+        trains = [train for _, _, train in entries]
+        features, text_rows = _memo_rows(
+            [row.norm_text for train in trains for row in train],
+            TOY_DEFAULT_BUCKETS,
+            TOY_NGRAM_SIZES,
+            spec.max_sequence_tokens,
+        )
+        rows = np.split(text_rows, np.cumsum([len(train) for train in trains])[:-1])
+        in_group = np.zeros(features.shape[0], dtype=bool)
+        in_group[text_rows] = True
+        touched = np.zeros(TOY_DEFAULT_BUCKETS, dtype=bool)
+        touched[features.indices[np.repeat(in_group, np.diff(features.indptr))]] = True
+        cols = np.flatnonzero(touched)
+        width = len(cols)
+        column = np.cumsum(touched, dtype=np.int32) - 1  # bucket -> its column in every block
+        labels = [
+            np.fromiter((LABEL_INDEX[row.label] for row in train), dtype=int, count=len(train)) for train in trains
+        ]
+        rngs = [np.random.default_rng(entry_hp.seed) for _, entry_hp, _ in entries]
+        weights_t = np.zeros((len(entries) * width, N_CLASSES))
+        bias = np.zeros((len(entries), N_CLASSES))
+        # Each column's K weights as one item: a step scatters whole items.
+        weight_rows = weights_t.view(np.dtype((np.void, weights_t.itemsize * N_CLASSES))).reshape(-1)
+        entry_of = np.empty(len(entries) * width, dtype=np.int32)  # scratch: one count of each column in a step
+        losses: list[list[float]] = [[] for _ in entries]
+        failed: dict[int, EncoderError] = {}
+
+        def model(i: int) -> TrainedModel:
+            params = ToyParams(weights=weights_t[i * width : (i + 1) * width].T, bias=bias[i], cols=cols)
+            return _trained_model(entries[i][0], entries[i][1], trains[i], params, losses[i])
+
         for _ in range(hp.epochs):
-            order = rng.permutation(n)
-            # Shuffle once per epoch, so each batch is a contiguous run of CSR rows.
-            shuffled, y_shuffled = features[order], y[order]
-            running = 0.0
-            for start in range(0, n, hp.batch_size):
-                stop = min(start + hp.batch_size, n)
-                lo, hi = shuffled.indptr[start], shuffled.indptr[stop]
-                # A step reads and writes only the buckets its batch touches;
-                # with no regularizer every other column's update is zero.
-                # np.unique keeps bucket order, so each row and column sums in
-                # the same order as a dense step and the result is bit-identical.
-                cols, local = np.unique(shuffled.indices[lo:hi], return_inverse=True)
-                batch = sparse.csr_matrix(
-                    (shuffled.data[lo:hi], local, shuffled.indptr[start : stop + 1] - lo),
-                    shape=(stop - start, len(cols)),
-                )
-                touched = replace(params, weights=params.weights[:, cols])
-                loss, (grad_w, grad_b) = toy_forward_backward(touched, batch, y_shuffled[start:stop])
-                params.weights[:, cols] = touched.weights - hp.learning_rate * grad_w
-                params.bias -= hp.learning_rate * grad_b
-                running += loss * (stop - start)
-            if not (np.isfinite(params.weights).all() and np.isfinite(params.bias).all()):
-                raise EncoderError("non-finite model parameters after an epoch")
-            losses.append(running / n)
-            if on_epoch is not None:
-                on_epoch(_trained_model(spec, hp, train, params, losses))
-        return _trained_model(spec, hp, train, params, losses)
+            alive = [i for i in range(len(entries)) if i not in failed]
+            if not alive:
+                break
+            # Shuffle every model once per epoch, then order the epoch's rows
+            # by (step, model), so each stacked step is one contiguous slice.
+            orders = [rngs[i].permutation(len(rows[i])) for i in alive]
+            step = np.concatenate([np.arange(len(order)) // hp.batch_size for order in orders])
+            by_step = np.argsort(step, kind="stable")
+            epoch_rows = np.concatenate([rows[i][order] for i, order in zip(alive, orders)])[by_step]
+            epoch_labels = np.concatenate([labels[i][order] for i, order in zip(alive, orders)])[by_step]
+            owner = np.repeat(alive, [len(order) for order in orders])[by_step]
+            bounds = np.concatenate([[0], np.cumsum(np.bincount(step))])
+            running = np.zeros(len(entries))
+            # A model that turns non-finite keeps stepping on its own columns
+            # until the epoch ends; its NaNs reach no other model.
+            with np.errstate(invalid="ignore"):
+                for start, stop in zip(bounds[:-1], bounds[1:]):
+                    ids, own = epoch_rows[start:stop], owner[start:stop]
+                    at, indptr = _gather_rows(features.indptr, ids)
+                    # Number the step's distinct columns without sorting. Their
+                    # order does not matter: each row still sums its counts in
+                    # stored (bucket) order and each column its rows in row
+                    # order, as in that model's own step.
+                    keys = column[features.indices[at]] + np.repeat(own * width, np.diff(indptr))
+                    entry_of[keys] = np.arange(len(keys))
+                    entry = entry_of[keys]
+                    is_first = entry == np.arange(len(keys))
+                    batch_cols = keys[is_first]
+                    local = (np.cumsum(is_first, dtype=np.int32) - 1)[entry]
+                    batch = sparse.csr_matrix((features.data[at], local, indptr), shape=(len(ids), len(batch_cols)))
+                    step_weights = np.take(weights_t, batch_cols, axis=0)
+                    step_params = ToyParams(weights=step_weights.T, bias=bias)
+                    loss, (grad_w, grad_b) = toy_forward_backward(step_params, batch, epoch_labels[start:stop], own)
+                    grad_w *= hp.learning_rate  # in place: the same products, no temporaries
+                    step_weights -= grad_w.T
+                    weight_rows[batch_cols] = step_weights.view(weight_rows.dtype).reshape(-1)
+                    bias -= hp.learning_rate * grad_b
+                    running += loss * np.bincount(own, minlength=len(entries))
+            for i in alive:
+                if not (np.isfinite(weights_t[i * width : (i + 1) * width]).all() and np.isfinite(bias[i]).all()):
+                    failed[i] = EncoderError("non-finite model parameters after an epoch")
+                    continue
+                losses[i].append(float(running[i] / len(rows[i])))
+                if on_epoch is not None:
+                    on_epoch(i, model(i))
+        return [failed.get(i) or model(i) for i in range(len(entries))]
 
     def predict_proba_array(self, model: TrainedModel, texts: Sequence[str]) -> np.ndarray:
         params = model.params
@@ -409,12 +552,21 @@ class ToyBackend:
         features = cached_features(
             texts, params.n_buckets, params.ngram_sizes, model.spec.max_sequence_tokens
         )
-        return _softmax(np.asarray(features @ params.weights.T + params.bias))
+        # Buckets without a column read a trailing zero column: every count
+        # still adds its (zero) term, so the sums are the dense model's.
+        width = len(params.cols)
+        column = np.full(params.n_buckets, width, dtype=np.int32)
+        column[params.cols] = np.arange(width, dtype=np.int32)
+        remapped = sparse.csr_matrix(
+            (features.data, column[features.indices], features.indptr), shape=(len(texts), width + 1)
+        )
+        weights_t = np.vstack([params.weights.T, np.zeros(N_CLASSES)])
+        return _softmax(np.asarray(remapped @ weights_t + params.bias))
 
     def save(self, model: TrainedModel, directory: Path) -> None:
         params = model.params
         with atomic_open(directory / ARTIFACT_WEIGHTS, "wb") as fh:  # a file object: savez adds no ".npz"
-            np.savez(fh, weights=params.weights, bias=params.bias)
+            np.savez(fh, weights=params.dense_weights(), bias=params.bias)
         _write_manifest(
             directory,
             model,
@@ -522,6 +674,19 @@ class PretrainedBackend:
                 on_epoch(_trained_model(spec, hp, train, (tokenizer, model), losses))
         return _trained_model(spec, hp, train, (tokenizer, model), losses)
 
+    def fit_many(
+        self, entries: Sequence[FitEntry], on_epoch: EntryEpochHook | None = None
+    ) -> list[TrainedModel | ArahateError]:
+        """One ``fit`` per entry, in order."""
+        outcomes: list[TrainedModel | ArahateError] = []
+        for index, (spec, hp, train) in enumerate(entries):
+            hook = None if on_epoch is None else lambda model, index=index: on_epoch(index, model)
+            try:
+                outcomes.append(self.fit(spec, hp, train, hook))
+            except ArahateError as exc:
+                outcomes.append(exc)
+        return outcomes
+
     def predict_proba_array(self, model: TrainedModel, texts: Sequence[str]) -> np.ndarray:
         torch, _ = self._runtime_importer()
         tokenizer, net = model.params
@@ -586,6 +751,31 @@ for _key, _model_id in PRETRAINED_MODEL_IDS.items():
     register_backend(PretrainedBackend(_key, _model_id))
 
 
+def fit_many(entries: Sequence[FitEntry], on_epoch: EntryEpochHook | None = None) -> list[TrainedModel | ArahateError]:
+    """Fine-tune one model per (spec, hyperparams, rows) entry; see ``fit``.
+
+    Returns, per entry in order, its model or the ArahateError that stopped
+    it; one entry's failure stops no other. The toy backend trains entries
+    of equal token limit, epochs, batch size and learning rate in one
+    lockstep loop. ``on_epoch(index, model)`` sees entry ``index``'s model
+    after each of its epochs, on the terms ``fit`` gives.
+    """
+    outcomes: list = [None] * len(entries)
+    by_backend: dict[str, list[int]] = {}
+    for index, (spec, _, train) in enumerate(entries):
+        try:
+            _validate_training_rows(train)
+        except EncoderError as exc:
+            outcomes[index] = exc
+            continue
+        by_backend.setdefault(spec.backend_key, []).append(index)
+    for key, indices in by_backend.items():
+        batch = [(spec, hp, list(train)) for spec, hp, train in (entries[i] for i in indices)]
+        for index, outcome in zip(indices, get_backend(key).fit_many(batch, _subset_hook(on_epoch, indices))):
+            outcomes[index] = outcome
+    return outcomes
+
+
 def fit(
     spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText], on_epoch: EpochHook | None = None
 ) -> TrainedModel:
@@ -595,9 +785,21 @@ def fit(
     shares the live parameters, which the next epoch overwrites: use it
     inside the call, do not keep it.
     """
-    backend = get_backend(spec.backend_key)
-    _validate_training_rows(train)
-    return backend.fit(spec, hp, list(train), on_epoch=on_epoch)
+    return _fit_one(fit_many, spec, hp, train, on_epoch)
+
+
+def _subset_hook(on_epoch: EntryEpochHook | None, indices: Sequence[int]) -> EntryEpochHook | None:
+    """``on_epoch`` for the entries ``indices`` picks: entry i of the subset is entry ``indices[i]``."""
+    return None if on_epoch is None else lambda i, model: on_epoch(indices[i], model)
+
+
+def _fit_one(fit_many, spec: EncoderSpec, hp: HyperParams, train, on_epoch: EpochHook | None) -> TrainedModel:
+    """The one-entry case of a ``fit_many``: its model, or its error raised."""
+    hook = None if on_epoch is None else lambda _, model: on_epoch(model)
+    (outcome,) = fit_many([(spec, hp, train)], hook)
+    if isinstance(outcome, ArahateError):
+        raise outcome
+    return outcome
 
 
 def predict_proba(

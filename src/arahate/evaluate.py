@@ -257,27 +257,43 @@ class MetricsReport:
         write_json(path, self.to_dict())
 
 
-# fold_recipe(train, test_texts, variants) -> {variant: predicted labels, or the
-# ArahateError that stopped that variant}, for every variant it is asked for.
-FoldRecipe = Callable[[list[LabeledText], list[str], list], Mapping[object, object]]
+# fold_recipe(folds, variants) -> for each fold in order, {variant: predicted
+# labels, or the ArahateError that stopped that variant in that fold}, for
+# every variant it is asked for; ``folds`` holds every fold's (training rows,
+# test texts).
+FoldRecipe = Callable[[list[tuple[list[LabeledText], list[str]]], list], Sequence[Mapping[object, object]]]
+# model_recipe(training row sets) -> per set in order, a model with
+# predict_labels(texts), or the ArahateError that stopped its training.
+ModelRecipe = Callable[[list[list[LabeledText]]], Sequence[object]]
 
 
 def cross_validate(
     corpus: Sequence[LabeledText],
-    model_recipe: Callable[[Sequence[LabeledText]], object],
+    model_recipe: ModelRecipe,
     fold_plan: FoldPlan,
     seed: int | None = None,
     config_hash: str | None = None,
 ) -> MetricsReport:
     """Train on k-1 folds (plus any non-gold rows), score the held-out gold fold.
 
-    Every gold row is tested exactly once; rows whose norm_text is empty are
-    excluded from training but still scored when they fall in a test fold.
-    Reported numbers are means over folds; pooled metrics ride along.
+    ``model_recipe`` gets every fold's training rows in one call, so it can
+    train the k models together. Every gold row is tested exactly once; rows
+    whose norm_text is empty are excluded from training but still scored
+    when they fall in a test fold. Reported numbers are means over folds;
+    pooled metrics ride along.
     """
 
-    def fold_recipe(train, texts, variants):
-        return {None: model_recipe(train).predict_labels(texts)}
+    def predict(model, texts):
+        if isinstance(model, ArahateError):
+            return model
+        try:
+            return model.predict_labels(texts)
+        except ArahateError as exc:
+            return exc
+
+    def fold_recipe(folds, variants):
+        models = model_recipe([train for train, _ in folds])
+        return [{None: predict(model, texts)} for model, (_, texts) in zip(models, folds, strict=True)]
 
     report = cross_validate_variants(corpus, fold_recipe, fold_plan, [None])[None]
     if isinstance(report, EvaluationError):
@@ -290,55 +306,55 @@ def cross_validate_variants(
 ) -> dict[object, MetricsReport | EvaluationError]:
     """``cross_validate`` of several model variants whose folds can share work.
 
-    For each fold, ``fold_recipe`` trains on the fold's training rows and
-    returns every variant's predicted labels for the test texts, or the
-    ArahateError that stopped that variant; a recipe that raises one stops
-    every variant it was asked for. A variant stopped in any fold gets an
-    EvaluationError naming the fold, as ``cross_validate`` would raise, and
-    later folds no longer ask for it. Every other variant gets its report.
+    ``fold_recipe`` trains on every fold's training rows in one call and
+    returns every variant's predicted labels for each fold's test texts, or
+    the ArahateError that stopped that variant in that fold; a recipe that
+    raises one stops every variant in fold 0. A variant stopped in any fold
+    gets an EvaluationError naming the first such fold, as
+    ``cross_validate`` would raise. Every other variant gets its report.
     """
     gold = [row for row in corpus if row.origin == "gold"]
-    extra = [row for row in corpus if row.origin != "gold"]
+    extra = [row for row in corpus if row.origin != "gold" and row.norm_text]
     missing = [row.id for row in gold if row.id not in fold_plan.assignments]
     if missing:
         raise EvaluationError(
             f"fold plan does not cover {len(missing)} gold rows (e.g. {missing[0]!r})"
         )
     supports = Counter(row.label for row in gold)
-    folds: dict[object, list[tuple[Counter, Scores]]] = {variant: [] for variant in variants}
-    pooled = {variant: ConfusionMatrix() for variant in variants}
-    failed: dict[object, EvaluationError] = {}
-    for fold in range(fold_plan.k):
-        alive = [variant for variant in variants if variant not in failed]
-        if not alive:
-            break
-        test = [row for row in gold if fold_plan.assignments[row.id] == fold]
-        train = [row for row in gold if fold_plan.assignments[row.id] != fold] + extra
-        train = [row for row in train if row.norm_text]
-        try:
-            predicted = fold_recipe(train, [row.norm_text or "" for row in test], alive)
-        except ArahateError as exc:
-            predicted = dict.fromkeys(alive, exc)
-        for variant in alive:
-            labels = predicted[variant]
+    tests = [[row for row in gold if fold_plan.assignments[row.id] == fold] for fold in range(fold_plan.k)]
+    folds = [
+        (
+            [row for row in gold if fold_plan.assignments[row.id] != fold and row.norm_text] + extra,
+            [row.norm_text or "" for row in test],
+        )
+        for fold, test in enumerate(tests)
+    ]
+    try:
+        predicted = fold_recipe(folds, list(variants))
+    except ArahateError as exc:
+        predicted = [dict.fromkeys(variants, exc)] * fold_plan.k
+    reports: dict[object, MetricsReport | EvaluationError] = {}
+    for variant in variants:
+        detail: list[tuple[Counter, Scores]] = []
+        pooled = ConfusionMatrix()
+        labels_by_fold = [fold_labels[variant] for fold_labels in predicted]
+        for fold, (test, labels) in enumerate(zip(tests, labels_by_fold, strict=True)):
             if isinstance(labels, ArahateError):
                 error = EvaluationError(f"fold {fold}: training or prediction failed: {labels}")
                 error.__cause__ = labels
-                failed[variant] = error
-                continue
+                reports[variant] = error
+                break
             cm = ConfusionMatrix.from_pairs([row.label for row in test], labels)
-            pooled[variant].counts += cm.counts
+            pooled.counts += cm.counts
             fold_supports = Counter(row.label for row in test)
             scores = Scores.of(cm, fold_supports)
-            folds[variant].append((fold_supports, scores))
+            detail.append((fold_supports, scores))
             log.debug("fold %d: micro %.2f%%, macro %.2f%%", fold, scores.micro_f1, scores.macro_f1)
-    return {
-        variant: failed.get(variant)
-        or MetricsReport(
-            mean=Scores.mean([scores for _, scores in folds[variant]]),
-            pooled=Scores.of(pooled[variant], supports),
-            supports=supports,
-            fold_detail=folds[variant],
-        )
-        for variant in variants
-    }
+        else:
+            reports[variant] = MetricsReport(
+                mean=Scores.mean([scores for _, scores in detail]),
+                pooled=Scores.of(pooled, supports),
+                supports=supports,
+                fold_detail=detail,
+            )
+    return reports

@@ -31,7 +31,7 @@ from __future__ import annotations
 import logging
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -202,7 +202,7 @@ def normalize_corpus(
         norm = normalize_text(row.raw_text, cfg)
         if not norm:
             empty += 1
-        out.append(replace(row, norm_text=norm))
+        out.append(row.with_norm_text(norm))
     if empty:
         log.info(
             "%d/%d rows normalized to empty text; flagged for downstream exclusion",

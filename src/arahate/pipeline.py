@@ -213,8 +213,10 @@ class ExperimentRun:
     def _stage_train(self) -> None:
         data = self._read_rows(self._evaluation_corpus_path())
         trainable = [row for row in data if row.norm_text]
-        for name, (spec, hp) in zip(self._member_names(), self._tuned_members()):
-            model = encoder.fit(spec, hp, trainable)
+        models = encoder.fit_many([(spec, hp, trainable) for spec, hp in self._tuned_members()])
+        for name, model in zip(self._member_names(), models):
+            if isinstance(model, ArahateError):
+                raise model
             encoder.save_model(model, self.run_dir / "models" / name)
             matrix = encoder.predict_proba(
                 model, [row.norm_text or "" for row in data], ids=[row.id for row in data]
@@ -230,7 +232,7 @@ class ExperimentRun:
             # Same member, corpus and fold plan as the tune stage's CV of its winner.
             metrics = replace(self._tuned_cv[members[0]], seed=self.seed, config_hash=self.run_id)
         else:
-            metrics = cross_validate(data, classifier.fit, folds, seed=self.seed, config_hash=self.run_id)
+            metrics = cross_validate(data, classifier.fit_many, folds, seed=self.seed, config_hash=self.run_id)
         metrics.write_json(self.metrics_path)
         corpus_mod.write_json(self.run_dir / "folds.json", folds.to_dict())
 

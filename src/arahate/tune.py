@@ -13,7 +13,8 @@ The cross-validation protocol fits each fold once per group of points that
 differ only in epochs, to the largest of them, and scores the fold after
 every requested epoch: no backend's fit draws anything that depends on the
 epoch count, so its first e epochs are exactly an e-epoch fit. An epochs
-axis then costs max(axis) epochs per fold, not sum(axis).
+axis then costs max(axis) epochs per fold, not sum(axis), and the folds of
+a group train in one lockstep call.
 """
 
 from __future__ import annotations
@@ -215,22 +216,23 @@ def _cv_over_epochs(
 ) -> dict:
     """Cross-validate ``hp`` at every epoch count in ``epochs`` with one fit per fold.
 
-    Each fold trains to the largest epoch count still alive and predicts its
-    test rows after every requested epoch. A fit that fails in epoch e fails
-    only the counts of e and more.
+    Every fold trains to the largest epoch count, all in one
+    ``encoder.fit_many`` call, and predicts its test rows after every
+    requested epoch. A fold's fit that fails in epoch e fails only the
+    counts of e and more.
     """
 
-    def fold_recipe(train, texts, alive):
-        labels: dict[int, object] = {}
+    def fold_recipe(folds, counts):
+        labels: list[dict[int, object]] = [{} for _ in folds]
 
-        def score(model: encoder.TrainedModel) -> None:
-            if model.hyperparams.epochs in alive:
-                labels[model.hyperparams.epochs] = encoder.predict_proba(model, texts).argmax_labels()
+        def score(fold: int, model: encoder.TrainedModel) -> None:
+            if model.hyperparams.epochs in counts:
+                labels[fold][model.hyperparams.epochs] = encoder.predict_proba(model, folds[fold][1]).argmax_labels()
 
-        try:
-            encoder.fit(spec, replace(hp, epochs=max(alive)), train, on_epoch=score)
-        except ArahateError as exc:
-            labels.update((e, exc) for e in alive if e not in labels)
+        entries = [(spec, replace(hp, epochs=max(counts)), train) for train, _ in folds]
+        for fold_labels, outcome in zip(labels, encoder.fit_many(entries, score)):
+            if isinstance(outcome, ArahateError):
+                fold_labels.update((e, outcome) for e in counts if e not in fold_labels)
         return labels
 
     return cross_validate_variants(data, fold_recipe, fold_plan, epochs)

@@ -251,9 +251,11 @@ class TestRunCommand:
         assert (run_dir / "tune" / "toy_trace.csv").exists()
 
     def test_single_tuned_member_evaluates_without_fits(self, tmp_path, small_corpus, capsys, monkeypatch):
-        fits = []
-        fit = encoder.fit
-        monkeypatch.setattr(encoder, "fit", lambda spec, hp, rows, **kw: fits.append(hp.epochs) or fit(spec, hp, rows, **kw))
+        fits = []  # the epochs of every fit requested, in order
+        fit_many = encoder.fit_many
+        monkeypatch.setattr(
+            encoder, "fit_many", lambda entries, *hook: fits.extend(hp.epochs for _, hp, _ in entries) or fit_many(entries, *hook)
+        )
         config = write_config(
             tmp_path,
             small_corpus,
@@ -274,7 +276,7 @@ class TestRunCommand:
         data = read_jsonl(run_dir / "normalized" / "base.jsonl")
         member = (EncoderSpec("toy"), HyperParams(**best, seed=7))
         expected = cross_validate(
-            data, Classifier([member]).fit, stratified_folds(data, k=5, seed=7), seed=7, config_hash=run_dir.name[4:]
+            data, Classifier([member]).fit_many, stratified_folds(data, k=5, seed=7), seed=7, config_hash=run_dir.name[4:]
         )
         assert json.loads((run_dir / "metrics.json").read_text()) == json.loads(json.dumps(expected.to_dict()))
         # A resume without the tune stage in its process cross-validates again, to the same bytes.
@@ -925,7 +927,7 @@ class TestConfigSettings:
         plan = stratified_folds(NOISY, k=3, seed=7)
 
         def metrics(mode, weights=None):
-            report = cross_validate(NOISY, Classifier(members, mode, weights).fit, plan, seed=7)
+            report = cross_validate(NOISY, Classifier(members, mode, weights).fit_many, plan, seed=7)
             return json.loads(json.dumps(report.to_dict()))
 
         assert got == metrics("average", [1, 3])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
@@ -244,6 +245,11 @@ class TestTypes:
     def test_empty_raw_text_rejected(self):
         with pytest.raises(CorpusError):
             LabeledText(id="1", raw_text="", label=Label.NH, source="s")
+
+    def test_with_norm_text_copies_every_other_field(self):
+        row = LabeledText(id="7", raw_text="نص", label=Label.Ra, source="s", norm_text="old", origin="pseudo")
+        assert row.with_norm_text("نص") == dataclasses.replace(row, norm_text="نص")
+        assert row.norm_text == "old"
 
     def test_bad_label_map_target_rejected(self, tmp_path):
         with pytest.raises(CorpusError):

@@ -361,7 +361,7 @@ class TestSparseStep:
         rows = corpus_with_short_rows()
         model = ToyBackend().fit(TOY, hp, rows)
         params, losses = dense_reference_fit(hp, rows)
-        assert np.array_equal(model.params.weights, params.weights)
+        assert np.array_equal(model.params.dense_weights(), params.weights)
         assert np.array_equal(model.params.bias, params.bias)
         assert model.epoch_losses == losses
 
@@ -370,15 +370,16 @@ class TestSparseStep:
         model = ToyBackend().fit(TOY, HP, rows)
         features = hashed_ngram_features([row.norm_text for row in rows])
         untouched = np.setdiff1d(np.arange(model.params.n_buckets), features.indices)
-        assert (model.params.weights[:, untouched] == 0.0).all()
-        assert (model.params.weights[:, np.unique(features.indices)] != 0.0).any(axis=0).all()
+        weights = model.params.dense_weights()
+        assert (weights[:, untouched] == 0.0).all()
+        assert (weights[:, np.unique(features.indices)] != 0.0).any(axis=0).all()
 
     def test_each_step_sees_only_its_batch_buckets(self, monkeypatch):
         widths = []
 
-        def spy(params, features, labels):
+        def spy(params, features, labels, owner=None):
             widths.append((params.weights.shape[1], features.shape[1], np.unique(features.indices).size))
-            return toy_forward_backward(params, features, labels)
+            return toy_forward_backward(params, features, labels, owner)
 
         monkeypatch.setattr(encoder, "toy_forward_backward", spy)
         rows = corpus_with_short_rows()
@@ -481,6 +482,66 @@ class TestPretrainedErrorTaxonomy:
         rows = make_separable_corpus(n_per_class=2, seed=10)
         with pytest.raises(BackendWeightsError, match="download failed or local cache"):
             backend.fit(EncoderSpec("toy"), HP, rows)
+
+
+POOL = corpus_with_short_rows()
+# Batch-of-one steps at this rate leave these two rows' weights finite after
+# epoch 1 and overflow their logits in epoch 2.
+OVERFLOWING = [text_row(0, "ب" * 60, Label.NH), text_row(1, "ت" * 60, Label.GH)]
+# Texts shorter than a 3-gram: only the bias moves, and at that rate it stays finite.
+BIAS_ONLY = [text_row(2, "اب", Label.NH), text_row(3, "ات", Label.GH)]
+OVERFLOW_HP = dict(epochs=3, batch_size=1, learning_rate=1e306)
+
+@st.composite
+def fit_entries(draw):
+    """1-5 fit entries over at most two shapes, so most calls hold a lockstep group of several."""
+    shape = st.tuples(st.sampled_from([512, 2]), st.integers(1, 3), st.integers(1, 9), st.sampled_from([0.1, 0.5]))
+    shapes = draw(st.lists(shape, min_size=1, max_size=2))
+    entries = []
+    for _ in range(draw(st.integers(1, 5))):
+        tokens, epochs, batch, lr = draw(st.sampled_from(shapes))
+        rows = POOL[draw(st.integers(0, 4)) :: draw(st.integers(1, 3))]  # every class, 16 to 50 rows
+        entries.append((EncoderSpec("toy", tokens), HyperParams(epochs, batch, lr, draw(st.integers(0, 3))), rows))
+    return entries
+
+
+def snapshot(model):
+    """Everything a fit leaves, with the weights of every bucket."""
+    params = model.params
+    return (
+        model.hyperparams,
+        model.train_fingerprint,
+        list(model.epoch_losses),
+        params.dense_weights().tobytes(),
+        params.bias.tobytes(),
+    )
+
+
+class TestFitMany:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(entries=fit_entries(), overflow=st.booleans())
+    def test_equals_one_fit_per_entry(self, entries, overflow):
+        if overflow:
+            # Same shape as its bias-only neighbour, so the two share a lockstep group.
+            entries = entries + [
+                (TOY, HyperParams(**OVERFLOW_HP, seed=5), OVERFLOWING),
+                (TOY, HyperParams(**OVERFLOW_HP, seed=6), BIAS_ONLY),
+            ]
+        seen: dict[int, list] = {i: [] for i in range(len(entries))}
+        with np.errstate(all="ignore"):
+            many = encoder.fit_many(entries, lambda i, model: seen[i].append(snapshot(model)))
+        for i, (spec, hp, rows) in enumerate(entries):
+            alone_seen = []
+            with np.errstate(all="ignore"):
+                try:
+                    alone = snapshot(encoder.fit(spec, hp, rows, lambda model: alone_seen.append(snapshot(model))))
+                except EncoderError as exc:
+                    alone = str(exc)
+            assert seen[i] == alone_seen
+            assert (str(many[i]) if isinstance(many[i], EncoderError) else snapshot(many[i])) == alone
+        if overflow:
+            assert isinstance(many[-2], EncoderError) and [s[0].epochs for s in seen[len(entries) - 2]] == [1]
+            assert not isinstance(many[-1], EncoderError)
 
 
 class TestEpochHook:

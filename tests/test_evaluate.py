@@ -240,12 +240,17 @@ class _ConstantModel:
         return [self.label] * len(texts)
 
 
+def constant_nh(trains):
+    """A model recipe: a model that always predicts NH, per training set."""
+    return [_ConstantModel(Label.NH) for _ in trains]
+
+
 class TestCrossValidate:
     def test_separable_corpus_high_macro(self):
         corpus = make_separable_corpus(n_per_class=20, seed=6)
         plan = stratified_folds(corpus, k=5, seed=1)
         classifier = Classifier([(EncoderSpec("toy"), HyperParams(5, 8, 0.1, seed=1))])
-        report = cross_validate(corpus, classifier.fit, plan)
+        report = cross_validate(corpus, classifier.fit_many, plan)
         assert report.macro_f1 >= 95.0
         assert len(report.fold_detail) == 5
 
@@ -263,7 +268,7 @@ class TestCrossValidate:
                 )
                 i += 1
         plan = stratified_folds(rows, k=10, seed=2)
-        report = cross_validate(rows, lambda train: _ConstantModel(Label.NH), plan)
+        report = cross_validate(rows, constant_nh, plan)
         share = 833 / len(rows) * 100
         assert report.micro_f1 == pytest.approx(share, abs=0.5)
         assert len(report.fold_detail) == 10
@@ -286,9 +291,10 @@ class TestCrossValidate:
             def predict_labels(self, texts):
                 return [Label.NH] * len(texts)
 
-        def recipe(train):
-            assert all(row.origin != "gold" or row.norm_text for row in train)
-            return SpyModel(None)
+        def recipe(trains):
+            for train in trains:
+                assert all(row.origin != "gold" or row.norm_text for row in train)
+            return [SpyModel(None) for _ in trains]
 
         plan = stratified_folds(corpus + pseudo, k=5, seed=3)
         for fold in range(plan.k):
@@ -301,7 +307,7 @@ class TestCrossValidate:
         corpus = make_separable_corpus(n_per_class=10, seed=8)
         plan = stratified_folds(corpus, k=5, seed=4)
 
-        def broken(train):
+        def broken(trains):
             raise EvaluationError("boom")
 
         with pytest.raises(EvaluationError, match="fold 0"):
@@ -312,13 +318,13 @@ class TestCrossValidate:
         subset = [row for row in corpus if int(row.id) % 10 < 8]  # 8 rows per class
         plan = stratified_folds(subset, k=5, seed=5)
         with pytest.raises(EvaluationError, match="does not cover"):
-            cross_validate(corpus, lambda train: _ConstantModel(Label.NH), plan)
+            cross_validate(corpus, constant_nh, plan)
 
     def test_report_serialization_round_trip(self, tmp_path):
         corpus = make_separable_corpus(n_per_class=10, seed=10)
         plan = stratified_folds(corpus, k=5, seed=6)
         report = cross_validate(
-            corpus, lambda train: _ConstantModel(Label.NH), plan, seed=6, config_hash="abc"
+            corpus, constant_nh, plan, seed=6, config_hash="abc"
         )
         path = tmp_path / "metrics.json"
         report.write_json(path)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import csv
 
+import numpy as np
 import pytest
 
 from arahate import encoder
 from arahate.classifiers import Classifier
-from arahate.encoder import EncoderError, EncoderSpec, HyperParams
+from arahate.encoder import EncoderSpec, HyperParams
 from arahate.errors import ArahateError
 from arahate.evaluate import cross_validate, stratified_folds
 from arahate.tune import (
@@ -212,24 +213,30 @@ def separately(plan):
     """The protocol that cross-validates each point on its own, one fit per point and fold."""
 
     def score(spec, hp, data):
-        report = cross_validate(data, Classifier([(spec, hp)]).fit, plan)
+        report = cross_validate(data, Classifier([(spec, hp)]).fit_many, plan)
         return report.micro_f1, report
 
     return pointwise(score)
 
 
 def fail_fits_at_step(monkeypatch, step):
-    """Make the ``step``-th mini-batch step (0-based) of every toy fit raise."""
-    real = encoder.toy_forward_backward
-    done = [0]
+    """Make the ``step``-th mini-batch step (0-based) of every toy fit turn its bias non-finite.
 
-    def patched(params, features, labels):
-        if not params.bias.any():  # a fit's first step: the bias starts at zero
-            done[0] = 0
-        done[0] += 1
-        if done[0] == step + 1:
-            raise EncoderError("injected failure")
-        return real(params, features, labels)
+    The fit then fails at the end of that step's epoch, alone: the other fits
+    of its lockstep group go on.
+    """
+    real = encoder.toy_forward_backward
+    done: dict[int, int] = {}  # steps taken by each model of the running lockstep group
+
+    def patched(params, features, labels, owner):
+        if not params.bias.any():  # a lockstep group's first step: every bias starts at zero
+            done.clear()
+        loss, (grad_w, grad_b) = real(params, features, labels, owner)
+        for model in np.unique(owner):
+            done[model] = done.get(model, 0) + 1
+            if done[model] == step + 1:
+                grad_b[model] = np.nan
+        return loss, (grad_w, grad_b)
 
     monkeypatch.setattr(encoder, "toy_forward_backward", patched)
 
@@ -250,10 +257,12 @@ class TestSharedEpochFits:
         return [(e.stage, e.hp, e.score, e.failed, e.cached, e.detail) for e in trace]
 
     def search(self, protocol, monkeypatch, fail_step):
-        fits = []
-        fit = encoder.fit
+        fits = []  # the hyperparameters of every fit requested, in order
+        fit_many = encoder.fit_many
         with monkeypatch.context() as patch:
-            patch.setattr(encoder, "fit", lambda spec, hp, rows, **kw: fits.append(hp) or fit(spec, hp, rows, **kw))
+            patch.setattr(
+                encoder, "fit_many", lambda entries, *hook: fits.extend(hp for _, hp, _ in entries) or fit_many(entries, *hook)
+            )
             if fail_step is not None:
                 fail_fits_at_step(patch, fail_step)
             best, trace = coordinate_search(SPEC, self.GRID, self.CORPUS, protocol)
@@ -275,11 +284,13 @@ class TestSharedEpochFits:
         assert self.rows(trace) == self.rows(expected_trace)
         epochs = [(e.hp.epochs, e.failed) for e in trace if e.stage == "epochs"]
         assert epochs == [(1, False), (2, True), (3, True)]
-        assert trace[1].detail == "fold 1: training or prediction failed: injected failure"
-        assert trace[2].detail == "fold 0: training or prediction failed: injected failure"
-        # Fold 0 trains to 3 epochs and fails in epoch 3; fold 1, still owing
-        # epochs 1 and 2, fails in epoch 2; folds 2-4 train to epoch 1 only.
-        assert [hp.epochs for hp in fits[:5]] == [3, 2, 1, 1, 1]
+        failure = "training or prediction failed: non-finite model parameters after an epoch"
+        assert trace[1].detail == f"fold 1: {failure}"
+        assert trace[2].detail == f"fold 0: {failure}"
+        # Every fold trains to 3 epochs in one lockstep group: fold 0 fails in
+        # epoch 3 and folds 1-4 in epoch 2, each alone. The batch and lr
+        # stages then fit the 1-epoch winner's neighbours, one fit per fold.
+        assert [hp.epochs for hp in fits] == [3] * 5 + [1] * 10
 
 
 class TestTraceCsv:

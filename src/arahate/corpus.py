@@ -16,6 +16,7 @@ import logging
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -28,9 +29,6 @@ log = logging.getLogger(__name__)
 
 DISCARD = "discard"
 ORIGINS = ("gold", "direct_merge", "pseudo")
-
-# One encoder for every JSONL row: json.dumps with options builds a new one per call.
-_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 # Canonical label strings map onto themselves when a descriptor omits label_map.
 IDENTITY_LABEL_MAP: dict[str, str] = {label.value: label.value for label in LABEL_ORDER}
@@ -268,20 +266,19 @@ def read_jsonl(path: str | Path, key: str | None = None) -> list[LabeledText]:
 
 
 def write_jsonl(path: str | Path, rows: list[LabeledText]) -> None:
-    """Write a corpus in the canonical JSONL format (atomically)."""
+    """Write a corpus in the canonical JSONL format (atomically).
+
+    A line is ``json.dumps(record, ensure_ascii=False, sort_keys=True)`` of
+    the row's record, written field by field in sorted-key order.
+    """
     with atomic_open(path) as fh:
         for row in rows:
-            record: dict[str, str] = {
-                "id": row.id,
-                "text": row.raw_text,
-                "label": row.label.value,
-                "source": row.source,
-            }
-            if row.norm_text is not None:
-                record["norm_text"] = row.norm_text
-            if row.origin != "gold":
-                record["origin"] = row.origin
-            fh.write(_ROW_ENCODER.encode(record) + "\n")
+            norm = "" if row.norm_text is None else f', "norm_text": {_json_str(row.norm_text)}'
+            origin = "" if row.origin == "gold" else f', "origin": {_json_str(row.origin)}'
+            fh.write(
+                f'{{"id": {_json_str(row.id)}, "label": {_json_str(row.label.value)}{norm}{origin}, '
+                f'"source": {_json_str(row.source)}, "text": {_json_str(row.raw_text)}}}\n'
+            )
 
 
 @contextmanager

@@ -199,6 +199,15 @@ class TestMerge:
 
 # Characters that need quoting or escaping in CSV and JSON lines.
 AWKWARD_CHARS = [",", '"', "'", "\n", "\r", "\t", " ", "\\", "{", "a", "ن", "\u2028"]
+# Characters JSON escapes or may escape: quotes, backslashes, C0 controls,
+# DEL, line and paragraph separators, plus non-BMP and plain characters.
+JSON_CHARS = st.one_of(
+    st.sampled_from(
+        ['"', "\\", "/", "\x7f", "\xa0", "\u2028", "\u2029", "\U0001F600", "\U00010400", "ن", "a"]
+    ),
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x10000),
+)
 
 
 class TestJsonlRoundTrip:
@@ -224,6 +233,38 @@ class TestJsonlRoundTrip:
         path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
         write_jsonl(path, rows)
         assert read_jsonl(path) == rows
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.text(JSON_CHARS, min_size=1, max_size=10), min_size=3, max_size=3),
+                st.one_of(st.none(), st.text(JSON_CHARS, max_size=10)),
+                st.sampled_from(corpus_mod.ORIGINS),
+                st.sampled_from(LABEL_ORDER),
+            ),
+            max_size=6,
+        )
+    )
+    def test_lines_equal_json_dumps(self, tmp_path_factory, specs):
+        rows = [
+            LabeledText(
+                id=row_id, raw_text=text, source=source, norm_text=norm, origin=origin,
+                label=Label.GH if origin == "pseudo" and label == Label.NH else label,
+            )
+            for (row_id, text, source), norm, origin, label in specs
+        ]
+        path = tmp_path_factory.mktemp("jsonl") / "corpus.jsonl"
+        write_jsonl(path, rows)
+        expected = []
+        for row in rows:
+            record = {"id": row.id, "text": row.raw_text, "label": row.label.value, "source": row.source}
+            if row.norm_text is not None:
+                record["norm_text"] = row.norm_text
+            if row.origin != "gold":
+                record["origin"] = row.origin
+            expected.append(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+        assert path.read_text(encoding="utf-8") == "".join(expected)
 
     def test_origin_survives_round_trip(self, tmp_path):
         rows = [

@@ -28,6 +28,7 @@ from conftest import load_golden_cases
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_FILE = DATA_DIR / "normalize_golden.tsv"
 GOLDEN_STOPWORDS = DATA_DIR / "golden_stopwords.txt"
+SEP = normalize.SEPARATOR
 
 # Character soup for the randomized property tests: Arabic letters including
 # the unification variants, harakat, tatweel, Latin, digits, emoji,
@@ -135,6 +136,14 @@ class TestSingleRules:
         cfg = NormalizationConfig.load(stopword_file)
         assert normalize_text("الكتاب على الطاوله", cfg) == "الكتاب الطاوله"
 
+    def test_stopword_variants_match(self, tmp_path):
+        # Alef variants, harakat, tatweel and the corpus separator in the file.
+        path = tmp_path / "stopwords.txt"
+        path.write_text("إِلَــى\x1eأَنَّ\nهٰذَا\n", encoding="utf-8")
+        cfg = NormalizationConfig.load(path)
+        assert cfg.stopwords == {"الي", "ان", "هذا"}
+        assert normalize_text("ذهب الى البيت ان هذا", cfg) == "ذهب البيت"
+
     def test_missing_stopword_file(self, tmp_path):
         with pytest.raises(NormalizeError):
             NormalizationConfig.load(tmp_path / "absent.txt")
@@ -193,12 +202,33 @@ class TestInvariants:
         assert normalize_text(once, cfg) == once
 
     @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
-    @given(limit=st.integers(1, 4), text=st.text(st.sampled_from("ااأإآةهىيب \n")))
+    @given(limit=st.integers(1, 4), text=st.text(st.sampled_from("ااأإآةهىيب \x1e")))
     def test_one_collapse_after_unification_matches_the_two_pass_rule(self, limit, text):
-        assert normalize._collapse_repeats(text, limit) == two_pass_collapse(text, limit)
+        # The mask sees the joined corpus, after step 1 has made every other
+        # whitespace a space: the oracle runs on each separated row.
+        def collapse(text):
+            codes = normalize._encode(text)
+            return normalize._decode(codes[normalize._collapse_mask(codes, limit)])
+
+        def per_row(rule, text):
+            return SEP.join(rule(row) for row in text.split(SEP))
+
+        def collapse_unify_collapse(row):
+            return two_pass_collapse(two_pass_collapse(row, limit).translate(normalize._LETTER_MAP), limit)
+
+        assert collapse(text) == per_row(lambda row: two_pass_collapse(row, limit), text)
         unified = text.translate(normalize._LETTER_MAP)
-        expected = two_pass_collapse(two_pass_collapse(text, limit).translate(normalize._LETTER_MAP), limit)
-        assert normalize._collapse_repeats(unified, limit) == expected
+        assert collapse(unified) == per_row(collapse_unify_collapse, text)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(text=st.text(st.sampled_from("RTrtHhWwSsſ:/.@ \x1e\nxاب")))
+    def test_fast_regex_forms_match_the_plain_ones(self, text):
+        url = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+        rt = re.compile(r"(?<!\S)RT(?!\S)")
+        for word in ("RT", "http://", "https://", "www.", "hTTpſ://", "WwW."):
+            for padded in (word + text, text + word, text + " " + word + " " + text):
+                assert normalize._URL_RE.sub(" ", padded) == url.sub(" ", padded)
+                assert normalize._RT_RE.sub(" ", padded) == rt.sub(" ", padded)
 
     def test_determinism(self):
         cfg = golden_config()
@@ -206,7 +236,41 @@ class TestInvariants:
             assert normalize_text(text, cfg) == normalize_text(text, cfg)
 
 
+# Characters that stress the joined-corpus pass: the separator and its
+# neighbours, combining marks, Hangul L/V/T jamo split by a character that
+# step 2 deletes, astral emoji and newlines.
+CORPUS_POOL = CHAR_POOL + "\x1c\x1d\x1e\x1f\u0301\u0651\u1100\u1161\u11a8\u200b\U0001F600\U0001F44D\n\n"
+MARKS = "\u0301\u0651\u064b\u0670\u20dd"
+corpus_texts = st.lists(
+    st.one_of(
+        st.text(st.one_of(st.characters(), st.sampled_from(CORPUS_POOL)), max_size=30),
+        st.builds(str.__add__, st.sampled_from(MARKS), st.text(st.sampled_from(CORPUS_POOL), max_size=10)),
+        st.builds(
+            str.join,
+            st.sampled_from(["\u200b", "\u0301", "\u0651", "ـ"]),
+            st.lists(st.sampled_from(["\u1100", "\u1161", "\u11a8"]), min_size=2, max_size=4),
+        ),
+    ),
+    max_size=40,
+)
+
+
 class TestNormalizeCorpus:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(texts=corpus_texts, limit=st.integers(1, 4), strip=st.booleans())
+    def test_whole_corpus_matches_per_char_oracle(self, texts, limit, strip):
+        cfg = NormalizationConfig.load(GOLDEN_STOPWORDS, repeat_collapse_len=limit, strip_non_arabic=strip)
+        expected = [per_char_normalize(text, cfg) for text in texts]
+        assert normalize.normalize_texts(texts, cfg) == expected
+        rows = [
+            LabeledText(id=str(i), raw_text=text, label=Label.NH, source="t")
+            for i, text in enumerate(texts)
+            if text
+        ]
+        assert [row.norm_text for row in normalize_corpus(rows, cfg)] == [
+            norm for text, norm in zip(texts, expected) if text
+        ]
+
     def test_fills_norm_text(self, stopword_file):
         cfg = NormalizationConfig.load(stopword_file)
         rows = [LabeledText(id="1", raw_text="مرحبـــــا!!", label=Label.NH, source="t")]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import operator
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -28,6 +29,8 @@ from .labels import LABEL_ORDER, Label, parse_label
 log = logging.getLogger(__name__)
 
 DISCARD = "discard"
+# The fields load_dataset reads from a dataset row; the first three are required.
+_RECORD_FIELDS = ("id", "text", "label", "source", "norm_text", "origin")
 ORIGINS = ("gold", "direct_merge", "pseudo")
 
 # Canonical label strings map onto themselves when a descriptor omits label_map.
@@ -131,24 +134,41 @@ def _iter_jsonl(path: Path):
                 raise CorpusError(f"{path} line {line_no}: invalid JSON ({exc})") from None
             if not isinstance(record, dict):
                 raise CorpusError(f"{path} line {line_no}: expected a JSON object")
-            yield line_no, record
+            yield line_no, tuple(map(record.get, _RECORD_FIELDS))
 
 
 def _iter_delimited(path: Path, delimiter: str):
+    """(line number, fields) per row, by csv.DictReader's rules.
+
+    Blank lines are skipped, a short row reads None for its missing fields,
+    extra fields are ignored, and of two columns with the same name the last
+    wins. A header-position map picks the fields from plain ``csv.reader``
+    rows, without a dict per row.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
             return
-        missing = {"id", "text", "label"} - set(reader.fieldnames)
+        column = {name: index for index, name in enumerate(header)}
+        missing = set(_RECORD_FIELDS[:3]) - column.keys()
         if missing:
             raise CorpusError(f"{path}: missing required columns {sorted(missing)}")
-        for record in reader:
-            # DictReader consumes the header as line 1.
-            yield reader.line_num, record
+        width = len(header)
+        # An absent column reads the None appended at index ``width``.
+        pick = operator.itemgetter(*(column.get(name, width) for name in _RECORD_FIELDS))
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                row = row[:width] + [None] * (width - len(row))
+            row.append(None)
+            # The reader has consumed the header as line 1.
+            yield reader.line_num, pick(row)
 
 
 def _iter_records(path: Path, format: str):
-    """(line number, record) per row of a JSONL, CSV or TSV file."""
+    """(line number, values of _RECORD_FIELDS, None where absent) per row of a JSONL, CSV or TSV file."""
     try:
         if format == "jsonl":
             yield from _iter_jsonl(path)
@@ -171,18 +191,18 @@ def load_dataset(descriptor: DatasetDescriptor) -> list[LabeledText]:
     seen_ids: set[str] = set()
     discarded = 0
     dropped_non_hate = 0
-    for line_no, record in _iter_records(path, descriptor.format):
-        for key in ("id", "text", "label"):
-            if record.get(key) in (None, ""):
+    for line_no, (row_id, text, external, source, norm_text, origin) in _iter_records(path, descriptor.format):
+        for key, value in zip(_RECORD_FIELDS, (row_id, text, external)):
+            if value in (None, ""):
                 raise CorpusError(f"{path} line {line_no}: missing or empty field {key!r}")
-        label = descriptor.map_label(str(record["label"]), line_no)
+        label = descriptor.map_label(str(external), line_no)
         if label is None:
             discarded += 1
             continue
         if descriptor.hate_only and label == Label.NH:
             dropped_non_hate += 1
             continue
-        row_id = str(record["id"])
+        row_id = str(row_id)
         if row_id in seen_ids:
             raise CorpusError(f"{path} line {line_no}: duplicate id {row_id!r}")
         seen_ids.add(row_id)
@@ -190,11 +210,11 @@ def load_dataset(descriptor: DatasetDescriptor) -> list[LabeledText]:
             rows.append(
                 LabeledText(
                     id=row_id,
-                    raw_text=str(record["text"]),
+                    raw_text=str(text),
                     label=label,
-                    source=str(record.get("source") or descriptor.key),
-                    norm_text=record.get("norm_text"),
-                    origin=str(record.get("origin") or "gold"),
+                    source=str(source or descriptor.key),
+                    norm_text=norm_text,
+                    origin=str(origin or "gold"),
                 )
             )
         except CorpusError as exc:

@@ -8,11 +8,13 @@ mini-batch gradient descent: no heavyweight dependencies, bit-reproducible
 under a fixed seed, and fast enough to exercise the whole pipeline in tests.
 
 Its features are a pure function of the text. ``hashed_ngram_features``
-hashes a batch in one numpy pass with a table-driven CRC-32 that is
-bit-equal to ``zlib.crc32``, and ``cached_features`` keeps one read-only
-CSR row per distinct text in a per-process memo keyed by (n_buckets,
-ngram_sizes, max_tokens), so a process hashes each text once however many
-folds, grid points and ensemble members use it. The memo costs about one
+hashes a batch in blocks of whole texts, one numpy pass per block of at most
+2^16 characters, with a table-driven CRC-32 that is bit-equal to
+``zlib.crc32``; its transient memory is bounded by the block, not the batch.
+``cached_features`` keeps one read-only CSR row per distinct text in a
+per-process memo keyed by (n_buckets, ngram_sizes, max_tokens), so a process
+hashes each text once however many folds, grid points and ensemble members
+use it. The memo costs about one
 CSR row (~1 KiB for a tweet) per distinct text and is never evicted.
 
 ``fit_many`` trains many models in one call, and ``fit`` is its one-entry
@@ -237,14 +239,72 @@ def hashed_ngram_features(
     An n-gram's bucket is ``zlib.crc32`` of its UTF-8 bytes modulo
     ``n_buckets``, so features are stable across processes and platforms.
     Texts shorter than the smallest n-gram yield an all-zero row (predictions
-    then come from the bias alone). One numpy pass hashes the whole batch: a
-    table-driven CRC-32 (Sarwate 1988) runs over every n-gram's bytes at once,
-    and each larger size extends the state of the next smaller one from the
-    same start character, so each size costs only its extra characters.
+    then come from the bias alone). The texts are hashed in blocks of whole
+    texts of at most ``_HASH_BLOCK_CHARS`` characters (a longer text is a
+    block of its own), so the transient arrays stay the same size however
+    large the batch is; see ``_hash_block``.
     """
     if max_tokens is not None:
         texts = [_truncate(text, max_tokens) for text in texts]
+    return _hash_blocks(texts, n_buckets, sorted(ngram_sizes))
+
+
+# Characters hashed per block. A block's arrays take about 120 bytes a
+# character, so hashing holds under 8 MiB besides the features it returns.
+_HASH_BLOCK_CHARS = 2**16
+
+
+def _hash_blocks(texts: Sequence[str], n_buckets: int, ngram_sizes: list[int]) -> sparse.csr_matrix:
+    """The features of ``texts``, hashed block by block and joined into one CSR.
+
+    A block is a run of whole texts of at most ``_HASH_BLOCK_CHARS``
+    characters, or one longer text. A row depends only on its own text, so
+    the joined blocks equal one pass over the whole batch.
+    """
     lengths = np.fromiter((len(text) for text in texts), dtype=np.int64, count=len(texts))
+    ends = np.cumsum(lengths)
+    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+    indices, data = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
+    lo = 0
+    while lo < len(texts):
+        before = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + _HASH_BLOCK_CHARS, side="right")))
+        row_cells, block_indices, block_data = _hash_block(texts[lo:hi], lengths[lo:hi], n_buckets, ngram_sizes)
+        indptr[lo + 1 : hi + 1] = row_cells
+        indices.append(block_indices)
+        data.append(block_data)
+        lo = hi
+    np.cumsum(indptr, out=indptr)
+    return sparse.csr_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(texts), n_buckets)
+    )
+
+
+def _hash_block(
+    texts: Sequence[str], lengths: np.ndarray, n_buckets: int, ngram_sizes: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cell count of each row of ``texts``, and every row's sorted bucket ids and their counts."""
+    cells, counts = np.unique(_ngram_cells(texts, lengths, n_buckets, ngram_sizes), return_counts=True)
+    rows = cells // n_buckets
+    index_dtype = np.int32 if n_buckets <= np.iinfo(np.int32).max else np.int64
+    return (
+        np.bincount(rows, minlength=len(texts)),
+        (cells - rows * n_buckets).astype(index_dtype),
+        counts.astype(float),
+    )
+
+
+def _ngram_cells(
+    texts: Sequence[str], lengths: np.ndarray, n_buckets: int, ngram_sizes: list[int]
+) -> np.ndarray:
+    """``row * n_buckets + bucket`` of every n-gram of ``texts``, unsorted.
+
+    One numpy pass hashes them all: a table-driven CRC-32 (Sarwate 1988)
+    runs over every n-gram's bytes at once, and each larger size extends the
+    state of the next smaller one from the same start character, so each
+    size costs only its extra characters. Its arrays are freed on return,
+    before the cells are sorted.
+    """
     data = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8)
     # Byte offset of every character (UTF-8 lead bytes), plus the end.
     char_bytes = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
@@ -255,7 +315,7 @@ def hashed_ngram_features(
     crc = np.full(row.size, 0xFFFFFFFF, dtype=np.uint32)
     keys = [np.zeros(0, dtype=np.int64)]
     done = 0  # characters already folded into crc
-    for n in sorted(ngram_sizes):
+    for n in ngram_sizes:
         keep = start + n <= row_end
         start, row, row_end, crc = start[keep], row[keep], row_end[keep], crc[keep]
         first, stop = char_bytes[start + done], char_bytes[start + n]
@@ -265,14 +325,7 @@ def hashed_ngram_features(
             crc = np.where(at < stop, step, crc)
         done = n
         keys.append(row * n_buckets + (crc ^ 0xFFFFFFFF).astype(np.int64) % n_buckets)
-    cells, counts = np.unique(np.concatenate(keys), return_counts=True)
-    rows = cells // n_buckets
-    indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(texts)), out=indptr[1:])
-    return sparse.csr_matrix(
-        (counts.astype(float), cells - rows * n_buckets, indptr),
-        shape=(len(texts), n_buckets),
-    )
+    return np.concatenate(keys)
 
 
 # Per-process feature memo: (n_buckets, ngram_sizes, max_tokens) -> (row of each

@@ -67,7 +67,8 @@ def ensemble_policy(
 class ProbabilityMatrix:
     """N x 5 class probabilities for an ordered id list, columns in LABEL_ORDER.
 
-    Every row must be non-negative and sum to 1 within 1e-6.
+    Every cell must be finite and non-negative, and every row must sum to 1
+    within 1e-6.
     """
 
     ids: list[str]
@@ -80,6 +81,8 @@ class ProbabilityMatrix:
         if len(self.ids) != self.probs.shape[0]:
             raise VoteError(f"{len(self.ids)} ids but {self.probs.shape[0]} probability rows")
         if self.probs.size:
+            if not np.isfinite(self.probs).all():
+                raise VoteError("probabilities must be finite")
             if (self.probs < 0).any():
                 raise VoteError("probabilities must be non-negative")
             worst = np.abs(self.probs.sum(axis=1) - 1.0).max()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -115,6 +116,54 @@ class TestLoadDataset:
         path.write_text("id\ttext\tlabel\n1\tنص\tNH\n", encoding="utf-8")
         rows = load_dataset(DatasetDescriptor(key="t", path=str(path), format="tsv"))
         assert rows[0].label == Label.NH
+
+    def test_csv_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("id,text,label\n\n1,نص,NH\n\n\n2,نص ب,GH\n\n", encoding="utf-8")
+        rows = load_dataset(DatasetDescriptor(key="b", path=str(path), format="csv"))
+        assert [(row.id, row.label) for row in rows] == [("1", Label.NH), ("2", Label.GH)]
+
+    def test_csv_short_row_reports_missing_field_and_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("id,text,label\n1,نص,NH\n\n2,نص ب\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"line 4: missing or empty field 'label'"):
+            load_dataset(DatasetDescriptor(key="s", path=str(path), format="csv"))
+
+    def test_csv_extra_fields_ignored(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        path.write_text("id,text,label\n1,نص,NH,source,x\n", encoding="utf-8")
+        (row,) = load_dataset(DatasetDescriptor(key="e", path=str(path), format="csv"))
+        assert (row.id, row.raw_text, row.label, row.source) == ("1", "نص", Label.NH, "e")
+
+    def test_csv_repeated_column_last_wins(self, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text("id,text,label,text\n1,اول,NH,ثاني\n2,اول,NH\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"line 3: missing or empty field 'text'"):
+            load_dataset(DatasetDescriptor(key="r", path=str(path), format="csv"))
+        path.write_text("id,text,label,text\n1,اول,NH,ثاني\n", encoding="utf-8")
+        (row,) = load_dataset(DatasetDescriptor(key="r", path=str(path), format="csv"))
+        assert row.raw_text == "ثاني"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        extra=st.lists(st.sampled_from(corpus_mod._RECORD_FIELDS + ("x",)), max_size=4),
+        order=st.randoms(use_true_random=False),
+        rows=st.lists(
+            st.lists(st.text(st.sampled_from(["a", "ن", " ", ",", "\t", '"', "\n"]), max_size=3), max_size=9),
+            max_size=8,
+        ),
+        delimiter=st.sampled_from([",", "\t"]),
+    )
+    def test_delimited_rows_match_dict_reader(self, tmp_path_factory, extra, order, rows, delimiter):
+        header = list(corpus_mod._RECORD_FIELDS[:3]) + extra
+        order.shuffle(header)
+        path = tmp_path_factory.mktemp("delimited") / "rows.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, delimiter=delimiter).writerows([header] + rows)  # [] is a blank line
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh, delimiter=delimiter)
+            expected = [(reader.line_num, tuple(map(record.get, corpus_mod._RECORD_FIELDS))) for record in reader]
+        assert list(corpus_mod._iter_delimited(path, delimiter)) == expected
 
     def test_base_scale_corpus_matches_declared_counts(self, tmp_path):
         # Synthetic corpus mirroring the published class counts (11634 rows).

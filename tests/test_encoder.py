@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import math
 import sys
+import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,6 +245,44 @@ class TestFeaturization:
             hashed_ngram_features(texts, n_buckets, ngram_sizes, max_tokens),
             per_ngram_features(texts, n_buckets, ngram_sizes, max_tokens),
         )
+
+    @pytest.mark.parametrize("block_chars", [1, 3, 7])
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        texts=TEXTS,
+        n_buckets=st.integers(1, 2**16),
+        ngram_sizes=st.lists(st.integers(1, 6), max_size=4).map(tuple),
+        max_tokens=st.one_of(st.none(), st.integers(1, 5)),
+    )
+    @example(texts=EDGE_TEXTS, n_buckets=7, ngram_sizes=(1, 2), max_tokens=None)
+    @example(texts=EDGE_TEXTS, n_buckets=2**16, ngram_sizes=(3,), max_tokens=2)
+    # Texts longer than every block, and empty texts before, between and after them.
+    @example(texts=["", "", "abcdefgh", "", "a", "bc", "", "😂😍🔥 نص", ""], n_buckets=97, ngram_sizes=(3, 4, 5), max_tokens=None)
+    @example(texts=["", "", "abcdefgh", "", "a", "bc", "", "😂😍🔥 نص", ""], n_buckets=97, ngram_sizes=(2,), max_tokens=1)
+    def test_blocks_match_per_ngram_loop(self, block_chars, texts, n_buckets, ngram_sizes, max_tokens):
+        with mock.patch.object(encoder, "_HASH_BLOCK_CHARS", block_chars):
+            assert_same_csr(
+                hashed_ngram_features(texts, n_buckets, ngram_sizes, max_tokens),
+                per_ngram_features(texts, n_buckets, ngram_sizes, max_tokens),
+            )
+
+    def test_peak_memory_bounded_by_blocks(self):
+        # Tweet-length Arabic texts filling at least four blocks: hashing them
+        # must not hold much more than the matrix it returns.
+        rng = np.random.default_rng(13)
+        letters = np.array(list("ابتثجحخدذرزسشصضطظعغفقكلمنهوي "))
+        texts, chars = [], 0
+        while chars < 4 * encoder._HASH_BLOCK_CHARS:
+            texts.append("".join(rng.choice(letters, size=int(rng.integers(40, 140)))))
+            chars += len(texts[-1])
+        tracemalloc.start()
+        try:
+            features = hashed_ngram_features(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_csr(features[-3:], per_ngram_features(texts[-3:], TOY_DEFAULT_BUCKETS, (3, 4, 5)))
+        assert peak < 3 * (features.data.nbytes + features.indices.nbytes + features.indptr.nbytes)
 
     def test_memo_rows_match_oracle(self, fresh_memo):
         texts = ["نص عربي قصير", "اب", "نص عربي قصير", "كلمه " * 6, "اخر"]

@@ -221,6 +221,13 @@ class TestProbabilityMatrix:
         with pytest.raises(VoteError, match="non-negative"):
             pm([[1.2, -0.2, 0, 0, 0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        # NaN compares False with everything, so a NaN cell would slip past
+        # both the sign and the row-sum checks.
+        with pytest.raises(VoteError, match="finite"):
+            pm([[0.5, 0.5, 0, 0, 0], [bad, 1.0, 0, 0, 0]])
+
     def test_shape_enforced(self):
         with pytest.raises(VoteError):
             ProbabilityMatrix(ids=["a"], probs=np.ones((1, 4)) / 4)
@@ -276,6 +283,13 @@ class TestCacheRoundTrip:
         back = read_proba_csv(path)
         assert back.ids == ids
         assert np.array_equal(back.probs, matrix.probs)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "cache.csv"
+        path.write_text(f"id,p_NH,p_GH,p_Re,p_Ra,p_Se\na,1.0,0.0,0.0,0.0,0.0\nb,{cell},1.0,0.0,0.0,0.0\n", encoding="utf-8")
+        with pytest.raises(VoteError, match="finite"):
+            read_proba_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

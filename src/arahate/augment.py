@@ -68,20 +68,27 @@ class AugmentPlan:
 
 @dataclass
 class AugmentReport:
-    """Bookkeeping for one augmentation run.
+    """Bookkeeping for one augmentation run: one record of counts per source.
 
     For every pseudo source: rows == added + discarded_nh +
-    discarded_low_confidence + discarded_duplicates (checked by tests).
+    discarded_low_confidence + discarded_duplicates (checked by tests). The
+    run's totals are sums over those records.
     """
 
-    added_direct: int = 0
-    pseudo_counts: dict[Label, int] = field(
-        default_factory=lambda: {label: 0 for label in HATE_LABELS}
-    )
-    discarded_nh: int = 0
-    discarded_low_confidence: int = 0
-    discarded_duplicates: int = 0
     per_source: dict[str, dict] = field(default_factory=dict)
+
+    def _total(self, count: str, kind: str | None = None) -> int:
+        return sum(entry.get(count, 0) for entry in self.per_source.values() if kind in (None, entry["kind"]))
+
+    added_direct = property(lambda self: self._total("added", "direct"))
+    discarded_nh = property(lambda self: self._total("discarded_nh"))
+    discarded_low_confidence = property(lambda self: self._total("discarded_low_confidence"))
+    discarded_duplicates = property(lambda self: self._total("discarded_duplicates"))
+
+    @property
+    def pseudo_counts(self) -> dict[Label, int]:
+        pseudo = [entry["pseudo_counts"] for entry in self.per_source.values() if entry["kind"] == "pseudo"]
+        return {label: sum(counts[label.value] for counts in pseudo) for label in HATE_LABELS}
 
     def to_dict(self) -> dict:
         return {
@@ -185,10 +192,6 @@ def pseudo_label(
             new_rows.append(replace(row, label=label, origin="pseudo"))
             counters["added"] += 1
             counters["pseudo_counts"][label.value] += 1
-            report.pseudo_counts[label] += 1
-        report.discarded_nh += counters["discarded_nh"]
-        report.discarded_low_confidence += counters["discarded_low_confidence"]
-        report.discarded_duplicates += counters["discarded_duplicates"]
         report.per_source[key] = counters
         log.info(
             "pseudo-label %s: %d/%d rows kept (%d NH, %d low-confidence, %d duplicates)",
@@ -225,10 +228,6 @@ def build_augmented_corpus(
         [(key, datasets[key][1]) for key in plan.pseudo_sources],
         plan,
         known_norm_texts={row.norm_text for row in merged},
-    )
-    report.added_direct = len(merged) - len(base)
-    report.discarded_duplicates += sum(
-        counts["discarded_duplicates"] for counts in direct_counts.values()
     )
     report.per_source.update(direct_counts)
     return corpus_mod.merge([merged, pseudo_rows]), report

@@ -1,21 +1,23 @@
 """Trainable-classifier contract plus a deterministic reference backend.
 
-Every backend registered here exposes the same two operations: fine-tune on
-labelled rows (``fit``) and produce an N x 5 class-probability matrix
-(``predict_proba``). The bundled ``toy`` backend is a linear softmax model
-over hashed character 3-to-5-gram counts (2^16 buckets) trained with
-mini-batch gradient descent: no heavyweight dependencies, bit-reproducible
-under a fixed seed, and fast enough to exercise the whole pipeline in tests.
+Every backend in the table here exposes the same two operations: fine-tune
+many models on labelled rows (``fit_many``) and produce an N x 5
+class-probability matrix (``predict_proba_array``). The bundled ``toy``
+backend is a linear softmax model over hashed character 3-to-5-gram counts
+(2^16 buckets) trained with mini-batch gradient descent: no heavyweight
+dependencies, bit-reproducible under a fixed seed, and fast enough to
+exercise the whole pipeline in tests.
 
-Its features are a pure function of the text. ``hashed_ngram_features``
-hashes a batch in blocks of whole texts, one numpy pass per block of at most
-2^16 characters, with a table-driven CRC-32 that is bit-equal to
-``zlib.crc32``; its transient memory is bounded by the block, not the batch.
-``cached_features`` keeps one read-only CSR row per distinct text in a
-per-process memo keyed by (n_buckets, ngram_sizes, max_tokens), so a process
-hashes each text once however many folds, grid points and ensemble members
-use it. The memo costs about one
-CSR row (~1 KiB for a tweet) per distinct text and is never evicted.
+Its features are a pure function of the text, in one fixed geometry: 2^16
+buckets and 3-to-5-grams; ``load_model`` rejects a manifest that names
+another. ``hashed_ngram_features`` hashes a batch in blocks of whole texts,
+one numpy pass per block of at most 2^16 characters, with a table-driven
+CRC-32 that is bit-equal to ``zlib.crc32``; its transient memory is bounded
+by the block, not the batch. A per-process memo keyed by token limit keeps
+one read-only CSR row per distinct text, so a process hashes each text once
+however many folds, grid points and ensemble members use it. The memo costs
+about one CSR row (~1 KiB for a tweet) per distinct text and is never
+evicted.
 
 ``fit_many`` trains many models in one call, and ``fit`` is its one-entry
 case. The toy backend trains the entries of equal token limit, epochs, batch
@@ -29,9 +31,10 @@ for its sorted bucket ids ``cols``) and expands to every bucket only when
 saved. Each model gets bit for bit the weights, bias and losses its own fit
 gets, and one that turns non-finite fails alone.
 
-Three pretrained encoder slots are registered by name; their weights are
-fetched by the run environment (never vendored), so using them requires the
-``pretrained`` extra plus network or cache access to the weights.
+Three pretrained encoder slots sit in the backend table by name; their
+weights are fetched by the run environment (never vendored), so using them
+requires the ``pretrained`` extra plus network or cache access to the
+weights.
 """
 
 from __future__ import annotations
@@ -184,8 +187,6 @@ class ToyParams:
 
     weights: np.ndarray  # (K, len(cols))
     bias: np.ndarray  # (K,)
-    n_buckets: int = TOY_DEFAULT_BUCKETS
-    ngram_sizes: tuple[int, ...] = TOY_NGRAM_SIZES
     cols: np.ndarray | None = None  # sorted bucket ids
 
     def __post_init__(self) -> None:
@@ -193,8 +194,8 @@ class ToyParams:
             self.cols = np.arange(self.weights.shape[1])
 
     def dense_weights(self) -> np.ndarray:
-        """The (K, n_buckets) weights of every bucket."""
-        dense = np.zeros((N_CLASSES, self.n_buckets))
+        """The (K, TOY_DEFAULT_BUCKETS) weights of every bucket."""
+        dense = np.zeros((N_CLASSES, TOY_DEFAULT_BUCKETS))
         dense[:, self.cols] = self.weights
         return dense
 
@@ -228,17 +229,12 @@ def _crc32_table() -> np.ndarray:
 _CRC32_TABLE = _crc32_table()
 
 
-def hashed_ngram_features(
-    texts: Sequence[str],
-    n_buckets: int = TOY_DEFAULT_BUCKETS,
-    ngram_sizes: Sequence[int] = TOY_NGRAM_SIZES,
-    max_tokens: int | None = None,
-) -> sparse.csr_matrix:
-    """Hashed character n-gram counts per row, with sorted bucket ids per row.
+def hashed_ngram_features(texts: Sequence[str], max_tokens: int | None = None) -> sparse.csr_matrix:
+    """Hashed character 3-to-5-gram counts per row, with sorted bucket ids per row.
 
     An n-gram's bucket is ``zlib.crc32`` of its UTF-8 bytes modulo
-    ``n_buckets``, so features are stable across processes and platforms.
-    Texts shorter than the smallest n-gram yield an all-zero row (predictions
+    ``TOY_DEFAULT_BUCKETS``, so features are stable across processes and
+    platforms. Texts shorter than a 3-gram yield an all-zero row (predictions
     then come from the bias alone). The texts are hashed in blocks of whole
     texts of at most ``_HASH_BLOCK_CHARS`` characters (a longer text is a
     block of its own), so the transient arrays stay the same size however
@@ -246,7 +242,7 @@ def hashed_ngram_features(
     """
     if max_tokens is not None:
         texts = [_truncate(text, max_tokens) for text in texts]
-    return _hash_blocks(texts, n_buckets, sorted(ngram_sizes))
+    return _hash_blocks(texts)
 
 
 # Characters hashed per block. A block's arrays take about 120 bytes a
@@ -254,7 +250,7 @@ def hashed_ngram_features(
 _HASH_BLOCK_CHARS = 2**16
 
 
-def _hash_blocks(texts: Sequence[str], n_buckets: int, ngram_sizes: list[int]) -> sparse.csr_matrix:
+def _hash_blocks(texts: Sequence[str]) -> sparse.csr_matrix:
     """The features of ``texts``, hashed block by block and joined into one CSR.
 
     A block is a run of whole texts of at most ``_HASH_BLOCK_CHARS``
@@ -269,35 +265,30 @@ def _hash_blocks(texts: Sequence[str], n_buckets: int, ngram_sizes: list[int]) -
     while lo < len(texts):
         before = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(ends, before + _HASH_BLOCK_CHARS, side="right")))
-        row_cells, block_indices, block_data = _hash_block(texts[lo:hi], lengths[lo:hi], n_buckets, ngram_sizes)
+        row_cells, block_indices, block_data = _hash_block(texts[lo:hi], lengths[lo:hi])
         indptr[lo + 1 : hi + 1] = row_cells
         indices.append(block_indices)
         data.append(block_data)
         lo = hi
     np.cumsum(indptr, out=indptr)
     return sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(texts), n_buckets)
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(texts), TOY_DEFAULT_BUCKETS)
     )
 
 
-def _hash_block(
-    texts: Sequence[str], lengths: np.ndarray, n_buckets: int, ngram_sizes: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _hash_block(texts: Sequence[str], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The cell count of each row of ``texts``, and every row's sorted bucket ids and their counts."""
-    cells, counts = np.unique(_ngram_cells(texts, lengths, n_buckets, ngram_sizes), return_counts=True)
-    rows = cells // n_buckets
-    index_dtype = np.int32 if n_buckets <= np.iinfo(np.int32).max else np.int64
+    cells, counts = np.unique(_ngram_cells(texts, lengths), return_counts=True)
+    rows = cells // TOY_DEFAULT_BUCKETS
     return (
         np.bincount(rows, minlength=len(texts)),
-        (cells - rows * n_buckets).astype(index_dtype),
+        (cells - rows * TOY_DEFAULT_BUCKETS).astype(np.int32),
         counts.astype(float),
     )
 
 
-def _ngram_cells(
-    texts: Sequence[str], lengths: np.ndarray, n_buckets: int, ngram_sizes: list[int]
-) -> np.ndarray:
-    """``row * n_buckets + bucket`` of every n-gram of ``texts``, unsorted.
+def _ngram_cells(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
+    """``row * TOY_DEFAULT_BUCKETS + bucket`` of every n-gram of ``texts``, unsorted.
 
     One numpy pass hashes them all: a table-driven CRC-32 (Sarwate 1988)
     runs over every n-gram's bytes at once, and each larger size extends the
@@ -315,7 +306,7 @@ def _ngram_cells(
     crc = np.full(row.size, 0xFFFFFFFF, dtype=np.uint32)
     keys = [np.zeros(0, dtype=np.int64)]
     done = 0  # characters already folded into crc
-    for n in ngram_sizes:
+    for n in TOY_NGRAM_SIZES:
         keep = start + n <= row_end
         start, row, row_end, crc = start[keep], row[keep], row_end[keep], crc[keep]
         first, stop = char_bytes[start + done], char_bytes[start + n]
@@ -324,40 +315,29 @@ def _ngram_cells(
             step = _CRC32_TABLE[(crc ^ data.take(at, mode="clip")) & 0xFF] ^ (crc >> 8)
             crc = np.where(at < stop, step, crc)
         done = n
-        keys.append(row * n_buckets + (crc ^ 0xFFFFFFFF).astype(np.int64) % n_buckets)
+        keys.append(row * TOY_DEFAULT_BUCKETS + (crc ^ 0xFFFFFFFF).astype(np.int64) % TOY_DEFAULT_BUCKETS)
     return np.concatenate(keys)
 
 
-# Per-process feature memo: (n_buckets, ngram_sizes, max_tokens) -> (row of each
-# text seen so far, hashed rows of those texts). Features are a pure function
-# of the text, so folds, grid points and ensemble members share one hashing of
-# each distinct text. The stored arrays are read-only: ``cached_features``
-# hands out copies, and lockstep fits read the rows in place.
-_FEATURE_MEMO: dict[tuple, tuple[dict[str, int], sparse.csr_matrix]] = {}
+# Per-process feature memo: token limit -> (row of each text seen so far,
+# hashed rows of those texts). Features are a pure function of the text, so
+# folds, grid points and ensemble members share one hashing of each distinct
+# text. The stored arrays are read-only: prediction takes copies of its rows,
+# and lockstep fits read the rows in place.
+_FEATURE_MEMO: dict[int | None, tuple[dict[str, int], sparse.csr_matrix]] = {}
 
 
-def cached_features(
-    texts: Sequence[str], n_buckets: int, ngram_sizes: Sequence[int], max_tokens: int | None
-) -> sparse.csr_matrix:
-    """``hashed_ngram_features`` of ``texts``, hashing only texts this process has not seen."""
-    seen, rows = _memo_rows(texts, n_buckets, ngram_sizes, max_tokens)
-    return seen[rows]
-
-
-def _memo_rows(
-    texts: Sequence[str], n_buckets: int, ngram_sizes: Sequence[int], max_tokens: int | None
-) -> tuple[sparse.csr_matrix, np.ndarray]:
+def _memo_rows(texts: Sequence[str], max_tokens: int | None) -> tuple[sparse.csr_matrix, np.ndarray]:
     """The memo's read-only CSR and each text's row in it, after hashing the texts it lacks."""
-    key = (n_buckets, tuple(ngram_sizes), max_tokens)
-    row_of, seen = _FEATURE_MEMO.get(key) or ({}, sparse.csr_matrix((0, n_buckets)))
+    row_of, seen = _FEATURE_MEMO.get(max_tokens) or ({}, sparse.csr_matrix((0, TOY_DEFAULT_BUCKETS)))
     new = [text for text in dict.fromkeys(texts) if text not in row_of]
     if new:
-        block = hashed_ngram_features(new, n_buckets, ngram_sizes, max_tokens=max_tokens)
+        block = hashed_ngram_features(new, max_tokens=max_tokens)
         row_of.update(zip(new, range(len(row_of), len(row_of) + len(new))))
         seen = sparse.vstack([seen, block], format="csr")
         for array in (seen.data, seen.indices, seen.indptr):
             array.flags.writeable = False
-        _FEATURE_MEMO[key] = (row_of, seen)
+        _FEATURE_MEMO[max_tokens] = (row_of, seen)
     return seen, np.fromiter((row_of[text] for text in texts), dtype=np.int64, count=len(texts))
 
 
@@ -478,16 +458,18 @@ def _validate_training_rows(train: Sequence[LabeledText]) -> None:
         raise EncoderError("training set covers a single class; need at least two")
 
 
+# The manifest lines of the toy backend's one feature geometry.
+_TOY_GEOMETRY = {
+    "n_buckets": str(TOY_DEFAULT_BUCKETS),
+    "ngram_sizes": ",".join(str(n) for n in TOY_NGRAM_SIZES),
+}
+
+
 class ToyBackend:
     """Hashed character n-gram bag-of-features + linear softmax head."""
 
     key = TOY_BACKEND_KEY
     token_limit = DEFAULT_MAX_TOKENS
-
-    def fit(
-        self, spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText], on_epoch: EpochHook | None = None
-    ) -> TrainedModel:
-        return _fit_one(self.fit_many, spec, hp, train, on_epoch)
 
     def fit_many(
         self, entries: Sequence[FitEntry], on_epoch: EntryEpochHook | None = None
@@ -518,12 +500,7 @@ class ToyBackend:
         """
         spec, hp, _ = entries[0]
         trains = [train for _, _, train in entries]
-        features, text_rows = _memo_rows(
-            [row.norm_text for train in trains for row in train],
-            TOY_DEFAULT_BUCKETS,
-            TOY_NGRAM_SIZES,
-            spec.max_sequence_tokens,
-        )
+        features, text_rows = _memo_rows([row.norm_text for train in trains for row in train], spec.max_sequence_tokens)
         rows = np.split(text_rows, np.cumsum([len(train) for train in trains])[:-1])
         in_group = np.zeros(features.shape[0], dtype=bool)
         in_group[text_rows] = True
@@ -602,13 +579,12 @@ class ToyBackend:
             raise EncoderError("model was not trained by the toy backend")
         if not texts:
             return np.zeros((0, N_CLASSES))
-        features = cached_features(
-            texts, params.n_buckets, params.ngram_sizes, model.spec.max_sequence_tokens
-        )
+        seen, rows = _memo_rows(texts, model.spec.max_sequence_tokens)
+        features = seen[rows]
         # Buckets without a column read a trailing zero column: every count
         # still adds its (zero) term, so the sums are the dense model's.
         width = len(params.cols)
-        column = np.full(params.n_buckets, width, dtype=np.int32)
+        column = np.full(TOY_DEFAULT_BUCKETS, width, dtype=np.int32)
         column[params.cols] = np.arange(width, dtype=np.int32)
         remapped = sparse.csr_matrix(
             (features.data, column[features.indices], features.indptr), shape=(len(texts), width + 1)
@@ -616,28 +592,20 @@ class ToyBackend:
         weights_t = np.vstack([params.weights.T, np.zeros(N_CLASSES)])
         return _softmax(np.asarray(remapped @ weights_t + params.bias))
 
+    artifacts = (ARTIFACT_WEIGHTS, ARTIFACT_MANIFEST)  # what ``save`` writes
+
     def save(self, model: TrainedModel, directory: Path) -> None:
         params = model.params
         with atomic_open(directory / ARTIFACT_WEIGHTS, "wb") as fh:  # a file object: savez adds no ".npz"
             np.savez(fh, weights=params.dense_weights(), bias=params.bias)
-        _write_manifest(
-            directory,
-            model,
-            extra={
-                "n_buckets": str(params.n_buckets),
-                "ngram_sizes": ",".join(str(n) for n in params.ngram_sizes),
-            },
-        )
+        _write_manifest(directory, model, extra=_TOY_GEOMETRY)
 
     def load(self, directory: Path, manifest: dict[str, str]) -> TrainedModel:
+        geometry = {key: manifest.get(key) for key in _TOY_GEOMETRY}
+        if geometry != _TOY_GEOMETRY:
+            raise EncoderError(f"{directory}: feature geometry {geometry} is not the toy backend's {_TOY_GEOMETRY}")
         blob = np.load(directory / ARTIFACT_WEIGHTS)
-        params = ToyParams(
-            weights=blob["weights"],
-            bias=blob["bias"],
-            n_buckets=int(manifest["n_buckets"]),
-            ngram_sizes=tuple(int(n) for n in manifest["ngram_sizes"].split(",")),
-        )
-        return _model_from_manifest(manifest, params)
+        return _model_from_manifest(manifest, ToyParams(weights=blob["weights"], bias=blob["bias"]))
 
 
 class PretrainedBackend:
@@ -691,8 +659,8 @@ class PretrainedBackend:
                 f"(download failed or local cache missing): {exc}"
             ) from exc
 
-    def fit(
-        self, spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText], on_epoch: EpochHook | None = None
+    def _fit(
+        self, spec: EncoderSpec, hp: HyperParams, train: Sequence[LabeledText], on_epoch: EpochHook | None
     ) -> TrainedModel:
         torch, transformers = self._runtime_importer()
         tokenizer, model = self._load_pretrained(transformers)
@@ -730,12 +698,12 @@ class PretrainedBackend:
     def fit_many(
         self, entries: Sequence[FitEntry], on_epoch: EntryEpochHook | None = None
     ) -> list[TrainedModel | ArahateError]:
-        """One ``fit`` per entry, in order."""
+        """One ``_fit`` per entry, in order."""
         outcomes: list[TrainedModel | ArahateError] = []
         for index, (spec, hp, train) in enumerate(entries):
             hook = None if on_epoch is None else lambda model, index=index: on_epoch(index, model)
             try:
-                outcomes.append(self.fit(spec, hp, train, hook))
+                outcomes.append(self._fit(spec, hp, train, hook))
             except ArahateError as exc:
                 outcomes.append(exc)
         return outcomes
@@ -761,6 +729,8 @@ class PretrainedBackend:
                 rows.append(torch.softmax(logits, dim=-1).cpu().numpy())
         return np.concatenate(rows, axis=0)
 
+    artifacts = ("hf", ARTIFACT_MANIFEST)  # what ``save`` writes
+
     def save(self, model: TrainedModel, directory: Path) -> None:
         tokenizer, net = model.params
         tokenizer.save_pretrained(directory / "hf")
@@ -779,29 +749,17 @@ class PretrainedBackend:
         return _model_from_manifest(manifest, (tokenizer, net))
 
 
-_REGISTRY: dict[str, object] = {}
+_BACKENDS: dict[str, ToyBackend | PretrainedBackend] = {
+    TOY_BACKEND_KEY: ToyBackend(),
+    **{key: PretrainedBackend(key, model_id) for key, model_id in PRETRAINED_MODEL_IDS.items()},
+}
 
 
-def register_backend(backend) -> None:
-    _REGISTRY[backend.key] = backend
-
-
-def backend_keys() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-def get_backend(key: str):
+def get_backend(key: str) -> ToyBackend | PretrainedBackend:
     try:
-        return _REGISTRY[key]
+        return _BACKENDS[key]
     except KeyError:
-        raise EncoderError(
-            f"unknown backend key {key!r}; registered: {', '.join(backend_keys())}"
-        ) from None
-
-
-register_backend(ToyBackend())
-for _key, _model_id in PRETRAINED_MODEL_IDS.items():
-    register_backend(PretrainedBackend(_key, _model_id))
+        raise EncoderError(f"unknown backend key {key!r}; known: {', '.join(sorted(_BACKENDS))}") from None
 
 
 def fit_many(entries: Sequence[FitEntry], on_epoch: EntryEpochHook | None = None) -> list[TrainedModel | ArahateError]:
@@ -834,25 +792,21 @@ def fit(
 ) -> TrainedModel:
     """Fine-tune the spec'd backend on normalized rows covering >= 2 classes.
 
-    ``on_epoch``, if given, sees the model after every epoch. That model
-    shares the live parameters, which the next epoch overwrites: use it
+    The one-entry case of ``fit_many``: returns its model, or raises its
+    error. ``on_epoch``, if given, sees the model after every epoch. That
+    model shares the live parameters, which the next epoch overwrites: use it
     inside the call, do not keep it.
     """
-    return _fit_one(fit_many, spec, hp, train, on_epoch)
-
-
-def _subset_hook(on_epoch: EntryEpochHook | None, indices: Sequence[int]) -> EntryEpochHook | None:
-    """``on_epoch`` for the entries ``indices`` picks: entry i of the subset is entry ``indices[i]``."""
-    return None if on_epoch is None else lambda i, model: on_epoch(indices[i], model)
-
-
-def _fit_one(fit_many, spec: EncoderSpec, hp: HyperParams, train, on_epoch: EpochHook | None) -> TrainedModel:
-    """The one-entry case of a ``fit_many``: its model, or its error raised."""
     hook = None if on_epoch is None else lambda _, model: on_epoch(model)
     (outcome,) = fit_many([(spec, hp, train)], hook)
     if isinstance(outcome, ArahateError):
         raise outcome
     return outcome
+
+
+def _subset_hook(on_epoch: EntryEpochHook | None, indices: Sequence[int]) -> EntryEpochHook | None:
+    """``on_epoch`` for the entries ``indices`` picks: entry i of the subset is entry ``indices[i]``."""
+    return None if on_epoch is None else lambda i, model: on_epoch(indices[i], model)
 
 
 def predict_proba(

@@ -36,7 +36,8 @@ def ensemble_policy(
 
     Without a mode, one member is "single" and several are "majority".
     "single" takes exactly one member, "majority" and "average" at least two.
-    Only "average" takes weights: one per member, non-negative, not all zero.
+    Only "average" takes weights: one per member, finite, non-negative, not
+    all zero.
     """
     if mode is None:
         mode = "single" if n_members == 1 else "majority"
@@ -56,6 +57,8 @@ def ensemble_policy(
         raise EnsemblePolicyError(f"weights must be numbers, got {list(weights)!r}") from None
     if w.shape != (n_members,):
         raise EnsemblePolicyError(f"expected {n_members} weights, got {w.shape}")
+    if not np.isfinite(w).all():
+        raise EnsemblePolicyError(f"weights must be finite, got {w.tolist()}")
     if (w < 0).any():
         raise EnsemblePolicyError("weights must be non-negative")
     if w.sum() <= 0:

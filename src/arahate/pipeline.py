@@ -142,6 +142,12 @@ class ExperimentRun:
     def augmented_corpus(self) -> Path:
         return self.run_dir / "augmented" / "corpus.jsonl"
 
+    def trace_path(self, name: str) -> Path:
+        return self.run_dir / "tune" / f"{name}_trace.csv"
+
+    def predictions_path(self, name: str) -> Path:
+        return self.run_dir / "predictions" / f"{name}.csv"
+
     @property
     def metrics_path(self) -> Path:
         return self.run_dir / "metrics.json"
@@ -205,7 +211,7 @@ class ExperimentRun:
         for name, (spec, hp) in zip(self._member_names(), encoder_members(self.cfg, self.seed)):
             grid = tune_mod.SearchGrid.from_mapping(tune_cfg, hp)
             best, trace = tune_mod.coordinate_search(spec, grid, data, protocol)
-            tune_mod.write_trace_csv(self.run_dir / "tune" / f"{name}_trace.csv", trace)
+            tune_mod.write_trace_csv(self.trace_path(name), trace)
             best_map[name] = best.fields()
             self._tuned_cv[spec, best] = next(entry.detail for entry in trace if entry.hp == best)
         corpus_mod.write_json(self.run_dir / "tune" / "best.json", best_map)
@@ -221,7 +227,7 @@ class ExperimentRun:
             matrix = encoder.predict_proba(
                 model, [row.norm_text or "" for row in data], ids=[row.id for row in data]
             )
-            write_proba_csv(self.run_dir / "predictions" / f"{name}.csv", matrix)
+            write_proba_csv(self.predictions_path(name), matrix)
 
     def _stage_evaluate(self) -> None:
         data = self._read_rows(self._evaluation_corpus_path())
@@ -254,19 +260,17 @@ class ExperimentRun:
                     self._stage_augment,
                 )
             )
+        names = self._member_names()
         if self.cfg.get("tune", {}).get("enabled"):
-            stages.append(Stage("tune", [self.run_dir / "tune" / "best.json"], self._stage_tune))
-        stages.append(
-            Stage(
-                "train",
-                [
-                    self.run_dir / "models" / name / "manifest.txt"
-                    for name in self._member_names()
-                ],
-                self._stage_train,
-            )
-        )
-        stages.append(Stage("evaluate", [self.metrics_path], self._stage_evaluate))
+            tuned = [self.run_dir / "tune" / "best.json"] + [self.trace_path(name) for name in names]
+            stages.append(Stage("tune", tuned, self._stage_tune))
+        trained = [self.predictions_path(name) for name in names] + [
+            self.run_dir / "models" / name / artifact
+            for name, entry in zip(names, self.cfg["encoder"]["backends"])
+            for artifact in encoder.get_backend(entry["key"]).artifacts
+        ]
+        stages.append(Stage("train", trained, self._stage_train))
+        stages.append(Stage("evaluate", [self.metrics_path, self.run_dir / "folds.json"], self._stage_evaluate))
         if self.cfg.get("report", {}).get("enabled", False):
             stages.append(Stage("report", [self.report_path], self._stage_report))
         return stages

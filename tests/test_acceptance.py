@@ -159,11 +159,7 @@ class TestAcceptance:
         worst = 0.0
         for _ in range(100):
             n_buckets = int(rng.integers(8, 24))
-            params = ToyParams(
-                weights=rng.normal(size=(5, n_buckets)),
-                bias=rng.normal(size=5),
-                n_buckets=n_buckets,
-            )
+            params = ToyParams(weights=rng.normal(size=(5, n_buckets)), bias=rng.normal(size=5))
             features = np.abs(rng.normal(size=(int(rng.integers(2, 7)), n_buckets)))
             labels = rng.integers(0, 5, size=features.shape[0])
             _, (grad_w, grad_b) = toy_forward_backward(params, features, labels)
@@ -181,7 +177,7 @@ class TestAcceptance:
                     fd = (up - down) / (2 * h)
                     rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-4)
                     worst = max(worst, rel)
-        zero = ToyParams(weights=np.zeros((5, 11)), bias=np.zeros(5), n_buckets=11)
+        zero = ToyParams(weights=np.zeros((5, 11)), bias=np.zeros(5))
         features = np.abs(np.random.default_rng(1).normal(size=(4, 11)))
         zero_loss, _ = toy_forward_backward(zero, features, [0, 1, 2, 3])
         zero_ok = abs(zero_loss - np.log(5)) <= 1e-9

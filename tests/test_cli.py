@@ -6,6 +6,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -13,6 +17,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import arahate
 from arahate import corpus as corpus_mod, encoder, pipeline, tune as tune_mod
 from arahate.classifiers import Classifier
 from arahate.cli import FLAG_KEYS, build_parser, main
@@ -108,6 +113,29 @@ def assert_same_files(expected: Path, actual: Path) -> None:
     files = sorted(p.relative_to(expected) for p in expected.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(actual) for p in actual.rglob("*") if p.is_file())
     assert all((expected / f).read_bytes() == (actual / f).read_bytes() for f in files)
+
+
+# Every file of a clean augmented, tuned run (``_augmented_config``) but
+# manifest.json and the stage markers.
+RUN_OUTPUTS = [
+    "normalized/base.jsonl",
+    "normalized/sources/rel.jsonl",
+    "normalized/sources/ext.jsonl",
+    "augmented/corpus.jsonl",
+    "augmented/report.json",
+    "tune/best.json",
+    "tune/toy_trace.csv",
+    "models/toy/weights.npz",
+    "models/toy/manifest.txt",
+    "predictions/toy.csv",
+    "metrics.json",
+    "folds.json",
+]
+# The run's corpora a resume reads back after deleting one of them.
+REREAD = {
+    "augmented/corpus.jsonl": ["normalized/base.jsonl", "normalized/sources/rel.jsonl", "normalized/sources/ext.jsonl"],
+    "normalized/sources/ext.jsonl": [],
+}
 
 
 @pytest.fixture
@@ -347,29 +375,54 @@ class TestRunCommand:
         run_dir_of(capsys)
         assert reads == [tmp_path / "base.jsonl"]  # the raw input, read by normalize
 
-    @pytest.mark.parametrize(
-        "deleted, reread",
-        [
-            ("augmented/corpus.jsonl", ["normalized/base.jsonl", "normalized/sources/rel.jsonl",
-                                        "normalized/sources/ext.jsonl"]),
-            ("normalized/sources/ext.jsonl", []),
-        ],
-    )
+    @pytest.fixture(scope="class")
+    def clean_augmented_run(self, tmp_path_factory) -> tuple[Path, Path]:
+        """The config of an augmented, tuned run and the directory of its clean run."""
+        inputs = tmp_path_factory.mktemp("inputs")
+        config = self._augmented_config(inputs, make_separable_corpus(n_per_class=10, seed=51, normalized=False))
+        assert main(["run", "--config", str(config), "--out", str(inputs / "clean")]) == 0
+        (clean,) = (inputs / "clean").glob("run-*")
+        return config, clean
+
+    @pytest.mark.parametrize("deleted", RUN_OUTPUTS)
     def test_resume_rebuilds_a_deleted_corpus_byte_identical(
-        self, tmp_path, small_corpus, capsys, monkeypatch, deleted, reread
+        self, tmp_path, clean_augmented_run, capsys, monkeypatch, deleted
     ):
-        config = self._augmented_config(tmp_path, small_corpus)
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "clean")]) == 0
-        clean = run_dir_of(capsys)
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "resumed")]) == 0
-        run_dir = run_dir_of(capsys)
+        config, clean = clean_augmented_run
+        outputs = [p.relative_to(clean).as_posix() for p in clean.rglob("*") if p.is_file()]
+        assert sorted(RUN_OUTPUTS) == sorted(p for p in outputs if p != "manifest.json" and not p.startswith("stages/"))
+        run_dir = tmp_path / clean.name
+        shutil.copytree(clean, run_dir)
         (run_dir / deleted).unlink()
         reads = self._spy_reads(monkeypatch)
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "resumed")]) == 0
-        # A stage whose upstream was skipped reads the upstream's files; the
-        # stages after it take the corpus it wrote.
-        assert [p.relative_to(run_dir) for p in reads if run_dir in p.parents] == [Path(p) for p in reread]
+        assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert run_dir_of(capsys) == run_dir
+        if deleted in REREAD:
+            # A stage whose upstream was skipped reads the upstream's files;
+            # the stages after it take the corpus it wrote.
+            assert [p.relative_to(run_dir).as_posix() for p in reads if run_dir in p.parents] == REREAD[deleted]
         assert_same_files(clean, run_dir)
+
+    def test_fresh_interpreters_under_two_hash_seeds_write_identical_runs(self, tmp_path, small_corpus):
+        # Each process starts with an empty feature memo and its own str hash seed.
+        config = write_config(
+            tmp_path,
+            small_corpus,
+            encoder=TWO_TOYS,
+            ensemble={"mode": "majority"},
+            augment=augment_section(write_registry(tmp_path)),
+            tune={"enabled": True, "epochs_axis": [2, 3], "batch_axis": [8], "lr_axis": [0.1]},
+            report={"enabled": True},
+        )
+        src = Path(arahate.__file__).resolve().parents[1]
+        outs = []
+        for hash_seed in ("0", "1"):
+            outs.append(tmp_path / f"out-{hash_seed}")
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+            argv = [sys.executable, "-m", "arahate.cli", "run", "--config", str(config), "--out", str(outs[-1])]
+            subprocess.run(argv, env=env, check=True, capture_output=True, timeout=300)
+        assert (next(outs[0].glob("run-*")) / "report" / "tables.md").exists()
+        assert_same_files(*outs)
 
     @pytest.mark.parametrize("edited", ["data", "stopwords", "dataset", "baselines"])
     def test_input_edited_in_place_starts_a_fresh_run(self, tmp_path, small_corpus, capsys, edited):
@@ -459,6 +512,21 @@ class TestEnsemblePolicy:
             ["vote", "--mode", "average", "--weights", "1,x",
              "--caches", *write_caches(tmp_path, ["x"]), "--out", str(tmp_path / "p.csv")]
         ) == 1
+
+    @pytest.mark.parametrize("weights", ["1,nan", "1,inf", "nan,nan"])
+    def test_vote_weights_must_be_finite(self, tmp_path, capsys, weights):
+        argv = ["vote", "--mode", "average", "--weights", weights,
+                "--caches", *write_caches(tmp_path, ["x"]), "--out", str(tmp_path / "p.csv")]
+        assert main(argv) == 1
+        assert "weights must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_run_with_non_finite_weights_fails_before_any_stage(self, tmp_path, small_corpus, capsys):
+        ensemble = {"mode": "average", "weights": [1, float("nan")]}
+        config = write_config(tmp_path, small_corpus, encoder=TWO_TOYS, ensemble=ensemble)
+        assert main(["run", "--config", str(config)]) == 1
+        assert "weights must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     def test_run_weights_do_not_reach_the_labeler(self, tmp_path, small_corpus, capsys):
         augment = augment_section(write_registry(tmp_path))

@@ -25,7 +25,7 @@ from arahate.encoder import (
     HyperParams,
     PretrainedBackend,
     TOY_DEFAULT_BUCKETS,
-    ToyBackend,
+    TOY_NGRAM_SIZES,
     ToyParams,
     hashed_ngram_features,
     load_model,
@@ -47,11 +47,7 @@ def random_batch(rng, n_rows=5, n_buckets=17):
 
 
 def random_params(rng, n_buckets=17):
-    return ToyParams(
-        weights=rng.normal(size=(5, n_buckets)),
-        bias=rng.normal(size=5),
-        n_buckets=n_buckets,
-    )
+    return ToyParams(weights=rng.normal(size=(5, n_buckets)), bias=rng.normal(size=5))
 
 
 def finite_difference(params: ToyParams, features, labels, h=1e-6):
@@ -124,7 +120,7 @@ class TestEncoderSpec:
         assert EncoderSpec("toy", max_sequence_tokens=10_000).max_sequence_tokens == 512
 
     def test_registry_lists_roster(self):
-        keys = encoder.backend_keys()
+        keys = encoder._BACKENDS
         assert "toy" in keys
         assert "bert-base-arabertv02-twitter" in keys
         assert "bert-large-arabertv02-twitter" in keys
@@ -135,7 +131,7 @@ class TestToyForwardBackward:
     def test_zero_params_uniform_loss(self):
         rng = np.random.default_rng(0)
         features, labels = random_batch(rng)
-        params = ToyParams(weights=np.zeros((5, 17)), bias=np.zeros(5), n_buckets=17)
+        params = ToyParams(weights=np.zeros((5, 17)), bias=np.zeros(5))
         loss, _ = toy_forward_backward(params, features, labels)
         assert loss == pytest.approx(np.log(5), abs=1e-12)
 
@@ -159,9 +155,10 @@ class TestToyForwardBackward:
     def test_gradient_matches_on_sparse_features(self):
         rng = np.random.default_rng(99)
         texts = ["".join(rng.choice(list("ابجدهو"), size=8)) for _ in range(4)]
-        features = hashed_ngram_features(texts, n_buckets=17).toarray()
+        features = hashed_ngram_features(texts)
+        features = features[:, np.unique(features.indices)].toarray()  # the buckets the texts touch
         labels = rng.integers(0, 5, size=4)
-        params = random_params(rng)
+        params = random_params(rng, features.shape[1])
         _, analytic = toy_forward_backward(params, features, labels)
         numeric = finite_difference(params, features, labels)
         assert max_relative_error(analytic, numeric) < 1e-4
@@ -172,7 +169,7 @@ class TestToyForwardBackward:
             toy_forward_backward(params, np.zeros((1, 3)), [0])
 
 
-def per_ngram_features(texts, n_buckets, ngram_sizes, max_tokens=None):
+def per_ngram_features(texts, max_tokens=None):
     """The per-n-gram loop featurizer, kept as the oracle for the vectorized one."""
     indptr = [0]
     indices: list[int] = []
@@ -181,9 +178,9 @@ def per_ngram_features(texts, n_buckets, ngram_sizes, max_tokens=None):
         if max_tokens is not None and len(text.split()) > max_tokens:
             text = " ".join(text.split()[:max_tokens])
         counts: dict[int, int] = {}
-        for n in ngram_sizes:
+        for n in TOY_NGRAM_SIZES:
             for i in range(len(text) - n + 1):
-                bucket = zlib.crc32(text[i : i + n].encode("utf-8")) % n_buckets
+                bucket = zlib.crc32(text[i : i + n].encode("utf-8")) % TOY_DEFAULT_BUCKETS
                 counts[bucket] = counts.get(bucket, 0) + 1
         for bucket in sorted(counts):
             indices.append(bucket)
@@ -191,7 +188,7 @@ def per_ngram_features(texts, n_buckets, ngram_sizes, max_tokens=None):
         indptr.append(len(indices))
     return sparse.csr_matrix(
         (np.asarray(data, dtype=float), np.asarray(indices), np.asarray(indptr)),
-        shape=(len(texts), n_buckets),
+        shape=(len(texts), TOY_DEFAULT_BUCKETS),
     )
 
 
@@ -231,40 +228,23 @@ def hashed_texts(monkeypatch, fresh_memo):
 
 class TestFeaturization:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(
-        texts=TEXTS,
-        n_buckets=st.integers(1, 2**16),
-        ngram_sizes=st.lists(st.integers(1, 6), max_size=4).map(tuple),
-        max_tokens=st.one_of(st.none(), st.integers(1, 5)),
-    )
-    @example(texts=EDGE_TEXTS, n_buckets=7, ngram_sizes=(1, 2), max_tokens=None)
-    @example(texts=EDGE_TEXTS, n_buckets=1000, ngram_sizes=(5, 3, 4), max_tokens=None)
-    @example(texts=EDGE_TEXTS, n_buckets=2**16, ngram_sizes=(3,), max_tokens=2)
-    def test_matches_per_ngram_loop(self, texts, n_buckets, ngram_sizes, max_tokens):
-        assert_same_csr(
-            hashed_ngram_features(texts, n_buckets, ngram_sizes, max_tokens),
-            per_ngram_features(texts, n_buckets, ngram_sizes, max_tokens),
-        )
+    @given(texts=TEXTS, max_tokens=st.one_of(st.none(), st.integers(1, 5)))
+    @example(texts=EDGE_TEXTS, max_tokens=None)
+    @example(texts=EDGE_TEXTS, max_tokens=2)
+    def test_matches_per_ngram_loop(self, texts, max_tokens):
+        assert_same_csr(hashed_ngram_features(texts, max_tokens), per_ngram_features(texts, max_tokens))
 
     @pytest.mark.parametrize("block_chars", [1, 3, 7])
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(
-        texts=TEXTS,
-        n_buckets=st.integers(1, 2**16),
-        ngram_sizes=st.lists(st.integers(1, 6), max_size=4).map(tuple),
-        max_tokens=st.one_of(st.none(), st.integers(1, 5)),
-    )
-    @example(texts=EDGE_TEXTS, n_buckets=7, ngram_sizes=(1, 2), max_tokens=None)
-    @example(texts=EDGE_TEXTS, n_buckets=2**16, ngram_sizes=(3,), max_tokens=2)
+    @given(texts=TEXTS, max_tokens=st.one_of(st.none(), st.integers(1, 5)))
+    @example(texts=EDGE_TEXTS, max_tokens=None)
+    @example(texts=EDGE_TEXTS, max_tokens=2)
     # Texts longer than every block, and empty texts before, between and after them.
-    @example(texts=["", "", "abcdefgh", "", "a", "bc", "", "😂😍🔥 نص", ""], n_buckets=97, ngram_sizes=(3, 4, 5), max_tokens=None)
-    @example(texts=["", "", "abcdefgh", "", "a", "bc", "", "😂😍🔥 نص", ""], n_buckets=97, ngram_sizes=(2,), max_tokens=1)
-    def test_blocks_match_per_ngram_loop(self, block_chars, texts, n_buckets, ngram_sizes, max_tokens):
+    @example(texts=["", "", "abcdefgh", "", "a", "bc", "", "😂😍🔥 نص", ""], max_tokens=None)
+    @example(texts=["", "", "abcdefgh", "", "a", "bc", "", "😂😍🔥 نص", ""], max_tokens=1)
+    def test_blocks_match_per_ngram_loop(self, block_chars, texts, max_tokens):
         with mock.patch.object(encoder, "_HASH_BLOCK_CHARS", block_chars):
-            assert_same_csr(
-                hashed_ngram_features(texts, n_buckets, ngram_sizes, max_tokens),
-                per_ngram_features(texts, n_buckets, ngram_sizes, max_tokens),
-            )
+            assert_same_csr(hashed_ngram_features(texts, max_tokens), per_ngram_features(texts, max_tokens))
 
     def test_peak_memory_bounded_by_blocks(self):
         # Tweet-length Arabic texts filling at least four blocks: hashing them
@@ -281,15 +261,17 @@ class TestFeaturization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert_same_csr(features[-3:], per_ngram_features(texts[-3:], TOY_DEFAULT_BUCKETS, (3, 4, 5)))
+        assert_same_csr(features[-3:], per_ngram_features(texts[-3:]))
         assert peak < 3 * (features.data.nbytes + features.indices.nbytes + features.indptr.nbytes)
 
     def test_memo_rows_match_oracle(self, fresh_memo):
         texts = ["نص عربي قصير", "اب", "نص عربي قصير", "كلمه " * 6, "اخر"]
-        assert encoder.cached_features([], 64, (3, 4), None).shape == (0, 64)
+        seen, rows = encoder._memo_rows([], None)
+        assert seen[rows].shape == (0, TOY_DEFAULT_BUCKETS)
         for max_tokens in (None, 2, None, 2):
-            features = encoder.cached_features(texts, 64, (3, 4), max_tokens)
-            assert_same_csr(features, per_ngram_features(texts, 64, (3, 4), max_tokens))
+            seen, rows = encoder._memo_rows(texts, max_tokens)
+            features = seen[rows]
+            assert_same_csr(features, per_ngram_features(texts, max_tokens))
         for key, (_, stored) in encoder._FEATURE_MEMO.items():
             assert not (stored.data.flags.writeable or stored.indices.flags.writeable), key
         assert features.data.flags.writeable
@@ -297,8 +279,8 @@ class TestFeaturization:
     def test_each_distinct_text_hashed_once_across_fits(self, hashed_texts):
         rows = corpus_with_short_rows()
         rows = rows + rows[:5]
-        model = ToyBackend().fit(TOY, HP, rows)
-        ToyBackend().fit(TOY, HyperParams(2, 4, 0.1, seed=9), rows)
+        model = encoder.fit(TOY, HP, rows)
+        encoder.fit(TOY, HyperParams(2, 4, 0.1, seed=9), rows)
         encoder.predict_proba(model, [row.norm_text for row in rows[:10]])
         assert sorted(hashed_texts) == sorted({row.norm_text for row in rows})
 
@@ -309,13 +291,19 @@ class TestFeaturization:
         assert np.array_equal(a, b)
 
     def test_short_text_zero_row(self):
-        row = hashed_ngram_features(["اب"], n_buckets=16).toarray()
+        row = hashed_ngram_features(["اب"]).toarray()
         assert row.sum() == 0
+
+    def test_colliding_ngrams_share_a_cell(self):
+        # The trigrams "ازي" and "ذبا" both hash to bucket 54023.
+        features = hashed_ngram_features(["ازي ذبا"])
+        assert features[0, 54023] == 2.0
+        assert_same_csr(features, per_ngram_features(["ازي ذبا"]))
 
     def test_truncation_limits_tokens(self):
         long_text = " ".join(["كلمه"] * 50)
-        short = hashed_ngram_features([" ".join(["كلمه"] * 3)], n_buckets=64, max_tokens=3)
-        truncated = hashed_ngram_features([long_text], n_buckets=64, max_tokens=3)
+        short = hashed_ngram_features([" ".join(["كلمه"] * 3)], max_tokens=3)
+        truncated = hashed_ngram_features([long_text], max_tokens=3)
         assert np.array_equal(short.toarray(), truncated.toarray())
 
 
@@ -399,7 +387,7 @@ class TestSparseStep:
     )
     def test_bit_identical_to_dense_update(self, hp):
         rows = corpus_with_short_rows()
-        model = ToyBackend().fit(TOY, hp, rows)
+        model = encoder.fit(TOY, hp, rows)
         params, losses = dense_reference_fit(hp, rows)
         assert np.array_equal(model.params.dense_weights(), params.weights)
         assert np.array_equal(model.params.bias, params.bias)
@@ -407,9 +395,9 @@ class TestSparseStep:
 
     def test_untouched_buckets_stay_zero(self):
         rows = corpus_with_short_rows()
-        model = ToyBackend().fit(TOY, HP, rows)
+        model = encoder.fit(TOY, HP, rows)
         features = hashed_ngram_features([row.norm_text for row in rows])
-        untouched = np.setdiff1d(np.arange(model.params.n_buckets), features.indices)
+        untouched = np.setdiff1d(np.arange(TOY_DEFAULT_BUCKETS), features.indices)
         weights = model.params.dense_weights()
         assert (weights[:, untouched] == 0.0).all()
         assert (weights[:, np.unique(features.indices)] != 0.0).any(axis=0).all()
@@ -423,7 +411,7 @@ class TestSparseStep:
 
         monkeypatch.setattr(encoder, "toy_forward_backward", spy)
         rows = corpus_with_short_rows()
-        ToyBackend().fit(TOY, HP, rows)
+        encoder.fit(TOY, HP, rows)
         assert len(widths) == HP.epochs * math.ceil(len(rows) / HP.batch_size)
         for weight_cols, feature_cols, distinct in widths:
             assert weight_cols == feature_cols == distinct < TOY_DEFAULT_BUCKETS
@@ -432,7 +420,7 @@ class TestSparseStep:
         # One batch, one epoch: a 58-count trigram times a huge rate overflows to inf.
         rows = [text_row(0, "ب" * 60, Label.NH), text_row(1, "ت" * 60, Label.GH)]
         with pytest.raises(EncoderError, match="non-finite"), np.errstate(over="ignore"):
-            ToyBackend().fit(TOY, HyperParams(epochs=1, batch_size=2, learning_rate=1e308), rows)
+            encoder.fit(TOY, HyperParams(epochs=1, batch_size=2, learning_rate=1e308), rows)
 
 
 @pytest.fixture(scope="module")
@@ -493,6 +481,16 @@ class TestPersistence:
         with pytest.raises(EncoderError, match="manifest"):
             load_model(tmp_path)
 
+    @pytest.mark.parametrize(
+        "line, other", [("n_buckets=65536", "n_buckets=1024"), ("ngram_sizes=3,4,5", "ngram_sizes=2,3")]
+    )
+    def test_load_rejects_another_feature_geometry(self, tmp_path, line, other):
+        directory = save_model(encoder.fit(TOY, HP, make_separable_corpus(n_per_class=4, seed=9)), tmp_path / "model")
+        manifest = directory / "manifest.txt"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace(line, other), encoding="utf-8")
+        with pytest.raises(EncoderError, match="feature geometry"):
+            load_model(directory)
+
 
 class TestPretrainedErrorTaxonomy:
     def test_not_installed_is_distinguished(self):
@@ -501,8 +499,8 @@ class TestPretrainedErrorTaxonomy:
 
         backend = PretrainedBackend("x", "org/x", runtime_importer=broken_import)
         rows = make_separable_corpus(n_per_class=2, seed=10)
-        with pytest.raises(BackendNotInstalledError):
-            backend.fit(EncoderSpec("toy"), HP, rows)
+        (outcome,) = backend.fit_many([(EncoderSpec("toy"), HP, rows)])
+        assert isinstance(outcome, BackendNotInstalledError)
 
     def test_download_failure_is_distinguished(self):
         class FakeTorch:
@@ -520,8 +518,9 @@ class TestPretrainedErrorTaxonomy:
             "x", "org/x", runtime_importer=fake_import, weight_loader=failing_loader
         )
         rows = make_separable_corpus(n_per_class=2, seed=10)
-        with pytest.raises(BackendWeightsError, match="download failed or local cache"):
-            backend.fit(EncoderSpec("toy"), HP, rows)
+        (outcome,) = backend.fit_many([(EncoderSpec("toy"), HP, rows)])
+        assert isinstance(outcome, BackendWeightsError)
+        assert "download failed or local cache" in str(outcome)
 
 
 POOL = corpus_with_short_rows()
@@ -734,7 +733,7 @@ class TestPretrainedWithFakeRuntime:
             runtime_importer=lambda: (FakeTorch, FakeTransformers),
             weight_loader=lambda: (FakeTokenizer(), FakeNet()),
         )
-        monkeypatch.setitem(encoder._REGISTRY, "MARBERT", backend)
+        monkeypatch.setitem(encoder._BACKENDS, "MARBERT", backend)
         return backend
 
     # Skewed class shares give the class-prior model something to learn.

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from arahate.classifiers import Classifier
 from arahate.encoder import EncoderSpec, HyperParams
 from arahate.ensemble import (
+    EnsemblePolicyError,
     ProbabilityMatrix,
     VoteError,
     average_vote,
+    ensemble_policy,
     majority_vote,
     read_proba_csv,
     write_proba_csv,
@@ -210,6 +212,13 @@ class TestAverageVote:
         matrices = [pm([one_hotish(0)]), pm([one_hotish(1)])]
         with pytest.raises(VoteError, match="non-negative"):
             average_vote(matrices, weights=[1, -1])
+
+    @pytest.mark.parametrize("weights", [[1, np.nan], [1, np.inf], [np.nan, np.nan]])
+    def test_non_finite_weights_rejected(self, weights):
+        # NaN compares False with everything, so it would slip past the sign
+        # and all-zero checks and turn the combined matrix into NaN.
+        with pytest.raises(EnsemblePolicyError, match=r"weights must be finite, got \[.*(nan|inf)"):
+            ensemble_policy(2, "average", weights)
 
 
 class TestProbabilityMatrix:

@@ -91,22 +91,21 @@ class DatasetDescriptor:
     def __post_init__(self) -> None:
         if self.format not in ("jsonl", "csv", "tsv"):
             raise CorpusError(f"dataset {self.key!r}: unsupported format {self.format!r}")
+        self._labels: dict[str, Label | None] = {}  # label_map with each target parsed
         for external, target in self.label_map.items():
-            if target == DISCARD:
-                continue
             try:
-                parse_label(target)
+                self._labels[external] = None if target == DISCARD else parse_label(target)
             except ValueError as exc:
                 raise CorpusError(f"dataset {self.key!r}: label_map[{external!r}]: {exc}") from None
 
     def map_label(self, external: str, line_no: int) -> Label | None:
         """Resolve an external label string; None means the row is discarded."""
-        if external not in self.label_map:
+        try:
+            return self._labels[external]
+        except KeyError:
             raise CorpusError(
                 f"dataset {self.key!r} line {line_no}: unmapped label string {external!r}"
-            )
-        target = self.label_map[external]
-        return None if target == DISCARD else parse_label(target)
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -339,6 +338,8 @@ def load_registry(path: str | Path) -> list[DatasetDescriptor]:
         raise CorpusError(f"registry file not found: {path}")
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise CorpusError(f"registry {path}: not UTF-8 text") from None
     except yaml.YAMLError as exc:
         raise CorpusError(f"registry {path} is not valid YAML/JSON: {exc}") from None
     entries = data.get("datasets") if isinstance(data, dict) else data
@@ -352,6 +353,12 @@ def load_registry(path: str | Path) -> list[DatasetDescriptor]:
         if entry["key"] in seen_keys:
             raise CorpusError(f"{path}: duplicate dataset key {entry['key']!r}")
         seen_keys.add(entry["key"])
+        label_map = entry.get("label_map") or IDENTITY_LABEL_MAP
+        if not isinstance(label_map, dict):
+            raise CorpusError(f"{path}: dataset {entry['key']!r}: label_map must be a mapping, not {label_map!r}")
+        hate_only = entry.get("hate_only", False)
+        if not isinstance(hate_only, bool):
+            raise CorpusError(f"{path}: dataset {entry['key']!r}: hate_only must be true or false, not {hate_only!r}")
         dataset_path = Path(entry["path"])
         if not dataset_path.is_absolute():
             dataset_path = path.parent / dataset_path
@@ -360,8 +367,8 @@ def load_registry(path: str | Path) -> list[DatasetDescriptor]:
                 key=str(entry["key"]),
                 path=str(dataset_path),
                 format=str(entry.get("format", "jsonl")),
-                label_map=dict(entry.get("label_map") or IDENTITY_LABEL_MAP),
-                hate_only=bool(entry.get("hate_only", False)),
+                label_map=dict(label_map),
+                hate_only=hate_only,
             )
         )
     return descriptors

@@ -11,6 +11,12 @@ Cross-validation folds cover gold rows only; pseudo-labelled and
 directly-merged rows join every training split but are never scored.
 Reported metrics are arithmetic means of the per-fold values, with
 pooled-prediction metrics kept alongside for transparency.
+
+Cross-validation is three steps: ``fold_splits`` gives each fold's training
+and test rows, a recipe fits one model per fold, and ``score_folds`` turns
+each fold's predicted labels into the report. ``cross_validate`` runs them
+for one model per fold; tune's protocol runs them for every epoch count of
+one shared fit per fold.
 """
 
 from __future__ import annotations
@@ -257,14 +263,57 @@ class MetricsReport:
         write_json(path, self.to_dict())
 
 
-# fold_recipe(folds, variants) -> for each fold in order, {variant: predicted
-# labels, or the ArahateError that stopped that variant in that fold}, for
-# every variant it is asked for; ``folds`` holds every fold's (training rows,
-# test texts).
-FoldRecipe = Callable[[list[tuple[list[LabeledText], list[str]]], list], Sequence[Mapping[object, object]]]
 # model_recipe(training row sets) -> per set in order, a model with
 # predict_labels(texts), or the ArahateError that stopped its training.
 ModelRecipe = Callable[[list[list[LabeledText]]], Sequence[object]]
+
+
+def fold_splits(
+    corpus: Sequence[LabeledText], fold_plan: FoldPlan
+) -> tuple[list[list[LabeledText]], list[list[LabeledText]]]:
+    """Every fold's training rows and test rows, in fold order.
+
+    A fold tests its gold rows and trains on the other folds' gold rows plus
+    every non-gold row. A row whose norm_text is empty never trains, but is
+    still tested when it falls in a test fold.
+    """
+    gold = [row for row in corpus if row.origin == "gold"]
+    missing = [row.id for row in gold if row.id not in fold_plan.assignments]
+    if missing:
+        raise EvaluationError(
+            f"fold plan does not cover {len(missing)} gold rows (e.g. {missing[0]!r})"
+        )
+    extra = [row for row in corpus if row.origin != "gold" and row.norm_text]
+    folds = range(fold_plan.k)
+    tests = [[row for row in gold if fold_plan.assignments[row.id] == fold] for fold in folds]
+    trains = [[row for row in gold if fold_plan.assignments[row.id] != fold and row.norm_text] + extra for fold in folds]
+    return trains, tests
+
+
+def score_folds(tests: Sequence[Sequence[LabeledText]], labels: Sequence[object]) -> MetricsReport:
+    """The report of one model's predicted ``labels`` for each fold's ``tests``.
+
+    ``labels[fold]`` may be the ArahateError that stopped that fold's model:
+    the first such fold raises an EvaluationError that names it.
+    """
+    detail: list[tuple[Counter, Scores]] = []
+    pooled = ConfusionMatrix()
+    for fold, (test, fold_labels) in enumerate(zip(tests, labels, strict=True)):
+        if isinstance(fold_labels, ArahateError):
+            raise EvaluationError(f"fold {fold}: training or prediction failed: {fold_labels}") from fold_labels
+        cm = ConfusionMatrix.from_pairs([row.label for row in test], fold_labels)
+        pooled.counts += cm.counts
+        fold_supports = Counter(row.label for row in test)
+        scores = Scores.of(cm, fold_supports)
+        detail.append((fold_supports, scores))
+        log.debug("fold %d: micro %.2f%%, macro %.2f%%", fold, scores.micro_f1, scores.macro_f1)
+    supports = Counter(row.label for test in tests for row in test)
+    return MetricsReport(
+        mean=Scores.mean([scores for _, scores in detail]),
+        pooled=Scores.of(pooled, supports),
+        supports=supports,
+        fold_detail=detail,
+    )
 
 
 def cross_validate(
@@ -277,84 +326,23 @@ def cross_validate(
     """Train on k-1 folds (plus any non-gold rows), score the held-out gold fold.
 
     ``model_recipe`` gets every fold's training rows in one call, so it can
-    train the k models together. Every gold row is tested exactly once; rows
-    whose norm_text is empty are excluded from training but still scored
-    when they fall in a test fold. Reported numbers are means over folds;
-    pooled metrics ride along.
+    train the k models together; a recipe that raises an ArahateError fails
+    fold 0. Every gold row is tested exactly once (see ``fold_splits``).
+    Reported numbers are means over folds; pooled metrics ride along.
     """
+    trains, tests = fold_splits(corpus, fold_plan)
+    try:
+        models = model_recipe(trains)
+    except ArahateError as exc:
+        models = [exc] * fold_plan.k
 
-    def predict(model, texts):
+    def predict(model, test):
         if isinstance(model, ArahateError):
             return model
         try:
-            return model.predict_labels(texts)
+            return model.predict_labels([row.norm_text or "" for row in test])
         except ArahateError as exc:
             return exc
 
-    def fold_recipe(folds, variants):
-        models = model_recipe([train for train, _ in folds])
-        return [{None: predict(model, texts)} for model, (_, texts) in zip(models, folds, strict=True)]
-
-    report = cross_validate_variants(corpus, fold_recipe, fold_plan, [None])[None]
-    if isinstance(report, EvaluationError):
-        raise report
-    return replace(report, seed=seed, config_hash=config_hash)
-
-
-def cross_validate_variants(
-    corpus: Sequence[LabeledText], fold_recipe: FoldRecipe, fold_plan: FoldPlan, variants: Sequence
-) -> dict[object, MetricsReport | EvaluationError]:
-    """``cross_validate`` of several model variants whose folds can share work.
-
-    ``fold_recipe`` trains on every fold's training rows in one call and
-    returns every variant's predicted labels for each fold's test texts, or
-    the ArahateError that stopped that variant in that fold; a recipe that
-    raises one stops every variant in fold 0. A variant stopped in any fold
-    gets an EvaluationError naming the first such fold, as
-    ``cross_validate`` would raise. Every other variant gets its report.
-    """
-    gold = [row for row in corpus if row.origin == "gold"]
-    extra = [row for row in corpus if row.origin != "gold" and row.norm_text]
-    missing = [row.id for row in gold if row.id not in fold_plan.assignments]
-    if missing:
-        raise EvaluationError(
-            f"fold plan does not cover {len(missing)} gold rows (e.g. {missing[0]!r})"
-        )
-    supports = Counter(row.label for row in gold)
-    tests = [[row for row in gold if fold_plan.assignments[row.id] == fold] for fold in range(fold_plan.k)]
-    folds = [
-        (
-            [row for row in gold if fold_plan.assignments[row.id] != fold and row.norm_text] + extra,
-            [row.norm_text or "" for row in test],
-        )
-        for fold, test in enumerate(tests)
-    ]
-    try:
-        predicted = fold_recipe(folds, list(variants))
-    except ArahateError as exc:
-        predicted = [dict.fromkeys(variants, exc)] * fold_plan.k
-    reports: dict[object, MetricsReport | EvaluationError] = {}
-    for variant in variants:
-        detail: list[tuple[Counter, Scores]] = []
-        pooled = ConfusionMatrix()
-        labels_by_fold = [fold_labels[variant] for fold_labels in predicted]
-        for fold, (test, labels) in enumerate(zip(tests, labels_by_fold, strict=True)):
-            if isinstance(labels, ArahateError):
-                error = EvaluationError(f"fold {fold}: training or prediction failed: {labels}")
-                error.__cause__ = labels
-                reports[variant] = error
-                break
-            cm = ConfusionMatrix.from_pairs([row.label for row in test], labels)
-            pooled.counts += cm.counts
-            fold_supports = Counter(row.label for row in test)
-            scores = Scores.of(cm, fold_supports)
-            detail.append((fold_supports, scores))
-            log.debug("fold %d: micro %.2f%%, macro %.2f%%", fold, scores.micro_f1, scores.macro_f1)
-        else:
-            reports[variant] = MetricsReport(
-                mean=Scores.mean([scores for _, scores in detail]),
-                pooled=Scores.of(pooled, supports),
-                supports=supports,
-                fold_detail=detail,
-            )
-    return reports
+    labels = [predict(model, test) for model, test in zip(models, tests, strict=True)]
+    return replace(score_folds(tests, labels), seed=seed, config_hash=config_hash)

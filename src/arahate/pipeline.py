@@ -80,9 +80,9 @@ class ExperimentRun:
         # tune ran in this process: the evaluate stage of one tuned member
         # reuses it instead of cross-validating the same model again.
         self._tuned_cv: dict[tuple[EncoderSpec, HyperParams], MetricsReport] = {}
-        # Artifact path -> the rows this process wrote there. Rows are never
-        # mutated, so the stages that read them can share them.
-        self._written_rows: dict[Path, list[LabeledText]] = {}
+        # Artifact path -> the rows this process wrote or read there. Rows are
+        # never mutated, so the stages that read them can share them.
+        self._rows: dict[Path, list[LabeledText]] = {}
 
     # --- config helpers -------------------------------------------------
 
@@ -166,12 +166,13 @@ class ExperimentRun:
 
     def _write_rows(self, path: Path, rows: list[LabeledText]) -> None:
         corpus_mod.write_jsonl(path, rows)
-        self._written_rows[path] = rows
+        self._rows[path] = rows
 
     def _read_rows(self, path: Path) -> list[LabeledText]:
-        """The rows this process wrote to ``path``, else the file's rows."""
-        rows = self._written_rows.get(path)
-        return rows if rows is not None else corpus_mod.read_jsonl(path)
+        """The rows this process wrote to or read from ``path``, else the file's rows."""
+        if path not in self._rows:
+            self._rows[path] = corpus_mod.read_jsonl(path)
+        return self._rows[path]
 
     # --- stages -----------------------------------------------------------
 

@@ -9,12 +9,13 @@ entry per grid point per axis, but an already-scored configuration is served
 from the cache instead of being retrained.
 
 A stage hands all of its uncached points to the evaluation protocol at once.
-The cross-validation protocol fits each fold once per group of points that
-differ only in epochs, to the largest of them, and scores the fold after
-every requested epoch: no backend's fit draws anything that depends on the
-epoch count, so its first e epochs are exactly an e-epoch fit. An epochs
-axis then costs max(axis) epochs per fold, not sum(axis), and the folds of
-a group train in one lockstep call.
+The cross-validation protocol splits the folds once per call, fits each fold
+once per group of points that differ only in epochs, to the largest of them,
+and scores every requested epoch count with ``evaluate.score_folds``, the
+fold scorer ``cross_validate`` uses. No backend's fit draws anything that
+depends on the epoch count, so its first e epochs are exactly an e-epoch
+fit. An epochs axis then costs max(axis) epochs per fold, not sum(axis), and
+the folds of a group train in one lockstep call.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import encoder
 from .corpus import LabeledText, atomic_open
 from .encoder import DEFAULT_HYPERPARAMS, EncoderError, EncoderSpec, HyperParams
 from .errors import ArahateError, ConfigError
-from .evaluate import FoldPlan, cross_validate_variants
+from .evaluate import EvaluationError, FoldPlan, fold_splits, score_folds
 
 log = logging.getLogger(__name__)
 
@@ -103,21 +104,6 @@ class SearchTrace:
     detail: object = None
 
 
-@dataclass
-class _CacheEntry:
-    score: float | None
-    detail: object
-    failed: bool
-
-    @classmethod
-    def of(cls, key: tuple, outcome) -> "_CacheEntry":
-        if isinstance(outcome, ArahateError):
-            log.warning("grid point %s failed: %s", key, outcome)
-            return cls(score=None, detail=str(outcome), failed=True)
-        score, detail = outcome if isinstance(outcome, tuple) else (outcome, None)
-        return cls(score=float(score), detail=detail, failed=False)
-
-
 def _key(hp: HyperParams) -> tuple:
     return (hp.epochs, hp.batch_size, hp.learning_rate)
 
@@ -135,7 +121,7 @@ def coordinate_search(
     call raises one) is recorded as failed and excluded from the argmax; a
     stage in which every point fails aborts the search.
     """
-    cache: dict[tuple, _CacheEntry] = {}
+    cache: dict[tuple, SearchTrace] = {}  # grid point -> its first visit
     trace: list[SearchTrace] = []
 
     incumbent = grid.initial
@@ -157,20 +143,16 @@ def coordinate_search(
         scored: list[tuple[float, HyperParams]] = []
         for hp in points:
             key = _key(hp)
-            cached = key in cache
-            if not cached:
-                cache[key] = _CacheEntry.of(key, new[key])
-            entry = cache[key]
-            trace.append(
-                SearchTrace(
-                    stage=stage,
-                    hp=hp,
-                    score=entry.score,
-                    failed=entry.failed,
-                    cached=cached,
-                    detail=entry.detail,
-                )
-            )
+            outcome = new.get(key)
+            if key in cache:
+                entry = replace(cache[key], stage=stage, hp=hp, cached=True)
+            elif isinstance(outcome, ArahateError):
+                log.warning("grid point %s failed: %s", key, outcome)
+                entry = cache[key] = SearchTrace(stage, hp, None, failed=True, detail=str(outcome))
+            else:
+                score, detail = outcome if isinstance(outcome, tuple) else (outcome, None)
+                entry = cache[key] = SearchTrace(stage, hp, float(score), detail=detail)
+            trace.append(entry)
             if not entry.failed:
                 scored.append((entry.score, hp))
         if not scored:
@@ -188,54 +170,41 @@ def coordinate_search(
 
 
 def make_cv_protocol(fold_plan: FoldPlan) -> EvalProtocol:
-    """Evaluation protocol backed by the cross-validation driver.
+    """Evaluation protocol backed by cross-validation over ``fold_plan``.
 
     Scores a configuration by fold-mean micro-F1 (percent) of a single model
-    trained per fold; the full metrics report rides along as the detail.
-    Points that differ only in epochs share one fit per fold (see
-    ``_cv_over_epochs``).
+    trained per fold; the full metrics report rides along as the detail. A
+    fold's fit that fails in epoch e fails only the epoch counts of e and
+    more.
     """
 
     def protocol(spec: EncoderSpec, points: Sequence[HyperParams], data: Sequence[LabeledText]):
-        epochs_by_rest: dict[HyperParams, list[int]] = {}
+        trains, tests = fold_splits(data, fold_plan)
+        texts = [[row.norm_text or "" for row in test] for test in tests]
+        epochs_by_rest: dict[HyperParams, set[int]] = {}
         for hp in points:
-            epochs_by_rest.setdefault(replace(hp, epochs=1), []).append(hp.epochs)
+            epochs_by_rest.setdefault(replace(hp, epochs=1), set()).add(hp.epochs)
         outcomes: dict[HyperParams, object] = {}
-        for rest, epochs in epochs_by_rest.items():
-            for e, report in _cv_over_epochs(spec, rest, epochs, data, fold_plan).items():
-                outcomes[replace(rest, epochs=e)] = (
-                    report if isinstance(report, ArahateError) else (report.micro_f1, report)
-                )
+        for rest, counts in epochs_by_rest.items():
+            labels: list[dict[int, object]] = [{} for _ in tests]  # per fold: epochs -> predicted labels
+
+            def score(fold: int, model: encoder.TrainedModel) -> None:
+                if model.hyperparams.epochs in counts:
+                    labels[fold][model.hyperparams.epochs] = encoder.predict_proba(model, texts[fold]).argmax_labels()
+
+            try:
+                fits = encoder.fit_many([(spec, replace(rest, epochs=max(counts)), train) for train in trains], score)
+            except ArahateError as exc:
+                labels, fits = [{} for _ in tests], [exc] * len(tests)
+            for e in counts:
+                try:
+                    report = score_folds(tests, [fold.get(e, fit) for fold, fit in zip(labels, fits, strict=True)])
+                    outcomes[replace(rest, epochs=e)] = (report.micro_f1, report)
+                except EvaluationError as exc:
+                    outcomes[replace(rest, epochs=e)] = exc
         return [outcomes[hp] for hp in points]
 
     return protocol
-
-
-def _cv_over_epochs(
-    spec: EncoderSpec, hp: HyperParams, epochs: Sequence[int], data: Sequence[LabeledText], fold_plan: FoldPlan
-) -> dict:
-    """Cross-validate ``hp`` at every epoch count in ``epochs`` with one fit per fold.
-
-    Every fold trains to the largest epoch count, all in one
-    ``encoder.fit_many`` call, and predicts its test rows after every
-    requested epoch. A fold's fit that fails in epoch e fails only the
-    counts of e and more.
-    """
-
-    def fold_recipe(folds, counts):
-        labels: list[dict[int, object]] = [{} for _ in folds]
-
-        def score(fold: int, model: encoder.TrainedModel) -> None:
-            if model.hyperparams.epochs in counts:
-                labels[fold][model.hyperparams.epochs] = encoder.predict_proba(model, folds[fold][1]).argmax_labels()
-
-        entries = [(spec, replace(hp, epochs=max(counts)), train) for train, _ in folds]
-        for fold_labels, outcome in zip(labels, encoder.fit_many(entries, score)):
-            if isinstance(outcome, ArahateError):
-                fold_labels.update((e, outcome) for e in counts if e not in fold_labels)
-        return labels
-
-    return cross_validate_variants(data, fold_recipe, fold_plan, epochs)
 
 
 def write_trace_csv(path: str | Path, trace: Sequence[SearchTrace]) -> None:

@@ -87,6 +87,15 @@ def augment_section(registry: Path) -> dict:
 
 LABELER = "labeler:\n  backends:\n    - key: toy\n"
 
+# Registry files load_registry rejects, and the text of each one's error.
+BAD_REGISTRIES = {
+    "not-yaml": (b"datasets: [unclosed\n", "registry.yaml is not valid YAML"),
+    "not-utf8": ("- key: ext\n  path: ext.jsonl\n  label_map: {caf\u00e9: GH}\n".encode("latin-1"),
+                 "registry.yaml: not UTF-8 text"),
+    "label-map-list": (b"- key: ext\n  path: ext.jsonl\n  label_map: [GH]\n", "'ext': label_map must be a mapping"),
+    "hate-only-string": (b'- key: ext\n  path: ext.jsonl\n  hate_only: "false"\n', "'ext': hate_only must be true or false"),
+}
+
 TWO_TOYS = {
     "backends": [{"key": "toy"}, {"key": "toy"}],
     "hyperparams": {"epochs": 3, "batch_size": 8, "learning_rate": 0.1},
@@ -135,6 +144,9 @@ RUN_OUTPUTS = [
 REREAD = {
     "augmented/corpus.jsonl": ["normalized/base.jsonl", "normalized/sources/rel.jsonl", "normalized/sources/ext.jsonl"],
     "normalized/sources/ext.jsonl": [],
+    "models/toy/weights.npz": ["augmented/corpus.jsonl"],
+    "tune/best.json": ["augmented/corpus.jsonl"],
+    "metrics.json": ["augmented/corpus.jsonl"],
 }
 
 
@@ -863,18 +875,28 @@ class TestMalformedInputs:
         error = self._error(capsys)
         assert caches[1] in error and "line 2" in error
 
-    @pytest.mark.parametrize("command", ["augment", "evaluate"])
-    def test_registry_not_yaml(self, tmp_path, corpus_file, command, capsys):
-        (tmp_path / "registry.yaml").write_text("datasets: [unclosed\n", encoding="utf-8")
+    @pytest.mark.parametrize(
+        "command, registry",
+        [pytest.param(command, "not-yaml", id=command) for command in ("augment", "evaluate", "run")]
+        + [pytest.param(command, registry, id=f"{command}-{registry}")
+           for command in ("augment", "evaluate", "run") for registry in BAD_REGISTRIES if registry != "not-yaml"],
+    )
+    def test_registry_not_yaml(self, tmp_path, corpus_file, command, registry, capsys):
+        content, message = BAD_REGISTRIES[registry]
+        (tmp_path / "registry.yaml").write_bytes(content)
         plan = tmp_path / "plan.yaml"
         plan.write_text("registry: registry.yaml\npseudo_sources: [ext]\n" + LABELER, encoding="utf-8")
         argv = {
             "augment": ["augment", "--base", str(corpus_file), "--plan", str(plan)],
             "evaluate": ["evaluate", "--data", str(corpus_file), "--backend", "toy", "--augment-plan", str(plan),
                          "--hp", str(self._hp(tmp_path))],
+            "run": ["run", "--config", str(write_config(tmp_path, read_jsonl(corpus_file),
+                                                       augment=augment_section(tmp_path / "registry.yaml")))],
         }[command]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
-        assert "registry.yaml is not valid YAML" in self._error(capsys)
+        assert message in self._error(capsys)
+        if command == "run":
+            assert len(list((tmp_path / "out").glob("run-*/stages/normalize.failed"))) == 1
 
     def _hp(self, tmp_path: Path) -> Path:
         hp = tmp_path / "hp.yaml"

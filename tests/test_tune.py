@@ -135,6 +135,16 @@ class TestSearchMechanics:
         assert len(trace) == 3
         assert [entry.cached for entry in trace] == [False, True, True]
 
+    def test_value_repeated_in_an_axis_is_evaluated_once_and_listed_twice(self):
+        grid = SearchGrid(epochs_axis=(2, 2), batch_axis=(8,), lr_axis=(1e-5,), initial=HyperParams(2, 8, 1e-5))
+        seen = []
+        best, trace = coordinate_search(SPEC, grid, DATA, pointwise(lambda s, hp, d: seen.append(hp) or (50.0, hp)))
+        assert best == grid.initial and seen == [grid.initial]
+        assert [(entry.stage, entry.cached) for entry in trace] == [
+            ("epochs", False), ("epochs", True), ("batch", True), ("lr", True)
+        ]
+        assert all((entry.hp, entry.score, entry.detail) == (grid.initial, 50.0, grid.initial) for entry in trace)
+
     def test_flat_scores_break_ties_toward_cheap(self):
         grid = SearchGrid(
             epochs_axis=(2, 3, 4), batch_axis=(8, 16), lr_axis=(1e-5, 2e-5),

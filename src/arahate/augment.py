@@ -56,7 +56,7 @@ class AugmentPlan:
 
     @classmethod
     def from_mapping(cls, section: Mapping, labeler: Classifier | None) -> "AugmentPlan":
-        """Plan from a schema-checked ``augment`` section or `augment --plan` file."""
+        """Plan from a shape-checked ``augment`` section or `augment --plan` file."""
         return cls(
             direct_sources=tuple(section.get("direct_sources", ())),
             pseudo_sources=tuple(section.get("pseudo_sources", ())),

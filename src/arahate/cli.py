@@ -18,7 +18,9 @@ from pathlib import Path
 
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
 from .classifiers import Classifier
-from .config import GRID_SCHEMA, encoder_members, fold_plan, load_config, load_plan, normalization_config, read_yaml
+from .config import (
+    GRID_SHAPE, PARTIAL_HYPERPARAMS, encoder_members, fold_plan, load_config, load_plan, normalization_config, read_yaml
+)
 from .ensemble import average_vote, ensemble_policy, majority_vote, read_proba_csv, write_proba_csv
 from .errors import ArahateError, ConfigError
 from .evaluate import cross_validate
@@ -65,8 +67,8 @@ FLAG_KEYS = {
 }
 
 
-def _yaml_file(what: str, schema: dict | None = None):
-    return lambda path: read_yaml(path, what, schema)
+def _yaml_file(what: str, shape):
+    return lambda path: read_yaml(path, what, shape)
 
 
 def _put(node, keys: list[str], value) -> None:
@@ -292,12 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", _cmd_train, "fine-tune one backend and save the artifact")
     p.add_argument("--data", help="normalized corpus (JSONL)")
     p.add_argument("--backend", type=lambda key: [{"key": key}], help="backend key")
-    p.add_argument("--hp", type=_yaml_file("hyperparameter file"), help="hyperparameter file (YAML/JSON)")
+    p.add_argument(
+        "--hp", type=_yaml_file("hyperparameter file", PARTIAL_HYPERPARAMS), help="hyperparameter file (YAML/JSON)"
+    )
     p.add_argument("--max-tokens", type=int)
 
     p = command("tune", _cmd_tune, "coordinate-wise hyperparameter search")
     p.add_argument("--backend", type=lambda key: [{"key": key}], help="backend key")
-    p.add_argument("--grid", type=_yaml_file("search grid", GRID_SCHEMA), help="search grid file (YAML/JSON)")
+    p.add_argument("--grid", type=_yaml_file("search grid", GRID_SHAPE), help="search grid file (YAML/JSON)")
     p.add_argument("--data", help="normalized corpus (JSONL)")
     p.add_argument("--folds", type=int)
 
@@ -320,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("evaluate", _cmd_evaluate, "stratified k-fold cross-validation")
     p.add_argument("--data", help="corpus (JSONL)")
     p.add_argument("--backend", action="append", type=lambda key: {"key": key}, help="backend key (repeatable)")
-    p.add_argument("--hp", type=_yaml_file("hyperparameter file"), help="hyperparameter file (YAML/JSON)")
+    p.add_argument(
+        "--hp", type=_yaml_file("hyperparameter file", PARTIAL_HYPERPARAMS), help="hyperparameter file (YAML/JSON)"
+    )
     p.add_argument("--mode", choices=["single", "majority", "average"])
     p.add_argument("--augment-plan", help="apply this augmentation plan before CV")
     p.add_argument("--folds", type=int)

@@ -1,20 +1,27 @@
-"""Declarative run configuration: schema, validation and environment overrides.
+"""Declarative run configuration: shapes, validation and environment overrides.
 
 One YAML (or JSON) file captures every knob of a run, with sections mirroring
 the pipeline stages. Environment variables may override entries of the
 ``paths`` section only (``ARAHATE_PATH_<NAME>``); everything else comes from
 the file so a run is fully reproducible from its config snapshot.
+
+A config is checked in two steps. ``check_shape`` holds it against the shape
+table below: which keys each section takes, which are required, and each
+value's JSON type. ``validate_config`` then builds the objects that use the
+values, and each of them states its own range rules: ``HyperParams``,
+``EncoderSpec``, ``ensemble_policy``, ``SearchGrid``, ``AugmentPlan``,
+``NormalizationConfig`` and ``FoldPlan``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from pathlib import Path
 from typing import Mapping
 
-import jsonschema
 import yaml
 
 from . import encoder
@@ -28,139 +35,97 @@ from .tune import SearchGrid
 
 ENV_PATH_PREFIX = "ARAHATE_PATH_"
 
-_HP_SCHEMA = {
-    "type": "object",
-    "required": ["epochs", "batch_size", "learning_rate"],
-    "additionalProperties": False,
-    "properties": {
-        "epochs": {"type": "integer", "minimum": 1},
-        "batch_size": {"type": "integer", "minimum": 1},
-        "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-        "seed": {"type": "integer"},
-    },
+# Shapes. A dict is a mapping that takes only its listed keys, and a key
+# ending in "!" is required. A one-item list is a list of that shape, a tuple
+# is one of its values, and int / float / str / bool are JSON's integer /
+# number / string / boolean.
+_HYPERPARAMS = {"epochs!": int, "batch_size!": int, "learning_rate!": float, "seed": int}
+# An `--hp` file and a labeler backend's hyperparams may omit any field.
+PARTIAL_HYPERPARAMS = {key.rstrip("!"): kind for key, kind in _HYPERPARAMS.items()}
+
+
+def _backends(hyperparams: dict) -> list:
+    return [{"key!": str, "max_sequence_tokens": int, "hyperparams": hyperparams}]
+
+
+_ENSEMBLE = {"mode": str, "weights": [float]}
+_AUGMENT = {
+    "enabled": bool,
+    "registry": str,
+    "direct_sources": [str],
+    "pseudo_sources": [str],
+    "confidence_threshold": float,
 }
-
-_AXIS = lambda item: {"type": "array", "minItems": 1, "items": item}  # noqa: E731
-
-
-def _backends(hyperparams: dict) -> dict:
-    entry = {"key": {"type": "string"}, "max_sequence_tokens": {"type": "integer", "minimum": 1}}
-    return _AXIS(
-        {
-            "type": "object",
-            "required": ["key"],
-            "additionalProperties": False,
-            "properties": {**entry, "hyperparams": hyperparams},
-        }
-    )
-
-
-_ENSEMBLE = {
-    "mode": {"enum": ["single", "majority", "average"]},
-    "weights": {"type": "array", "items": {"type": "number", "minimum": 0}},
+# A `tune --grid` file is a `tune` section.
+GRID_SHAPE = {
+    "enabled": bool,
+    "epochs_axis": [int],
+    "batch_axis": [int],
+    "lr_axis": [float],
+    "initial": _HYPERPARAMS,
 }
-
-_AUGMENT_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "enabled": {"type": "boolean"},
-        "registry": {"type": "string"},
-        "direct_sources": {"type": "array", "items": {"type": "string"}},
-        "pseudo_sources": {"type": "array", "items": {"type": "string"}},
-        "confidence_threshold": {"type": "number", "minimum": 0, "maximum": 1},
-    },
+CONFIG_SHAPE = {
+    "run_name": str,
+    "seed": int,
+    "paths!": {"data!": str, "stopwords": str, "out_root": str},
+    "normalize": {"repeat_collapse_len": int, "strip_non_arabic": bool},
+    "encoder!": {"backends!": _backends(_HYPERPARAMS), "hyperparams": _HYPERPARAMS},
+    "ensemble": _ENSEMBLE,
+    "tune": GRID_SHAPE,
+    "augment": _AUGMENT,
+    "evaluate!": {"folds": int},
+    "report": {"enabled": bool, "baselines": str, "format": ("markdown", "csv")},
 }
+# An `augment --plan` file is an `augment` section plus the labeler.
+PLAN_SHAPE = {**_AUGMENT, "labeler": {"backends!": _backends(PARTIAL_HYPERPARAMS), **_ENSEMBLE}}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["paths", "encoder", "evaluate"],
-    "additionalProperties": False,
-    "properties": {
-        "run_name": {"type": "string"},
-        "seed": {"type": "integer"},
-        "paths": {
-            "type": "object",
-            "required": ["data"],
-            "additionalProperties": False,
-            "properties": {
-                "data": {"type": "string"},
-                "stopwords": {"type": "string"},
-                "out_root": {"type": "string"},
-            },
-        },
-        "normalize": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "repeat_collapse_len": {"type": "integer", "minimum": 1},
-                "strip_non_arabic": {"type": "boolean"},
-            },
-        },
-        "encoder": {
-            "type": "object",
-            "required": ["backends"],
-            "additionalProperties": False,
-            "properties": {"backends": _backends(_HP_SCHEMA), "hyperparams": _HP_SCHEMA},
-        },
-        "ensemble": {"type": "object", "additionalProperties": False, "properties": _ENSEMBLE},
-        "tune": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "enabled": {"type": "boolean"},
-                "epochs_axis": _AXIS({"type": "integer", "minimum": 1}),
-                "batch_axis": _AXIS({"type": "integer", "minimum": 1}),
-                "lr_axis": _AXIS({"type": "number", "exclusiveMinimum": 0}),
-                "initial": _HP_SCHEMA,
-            },
-        },
-        "augment": _AUGMENT_SCHEMA,
-        "evaluate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"folds": {"type": "integer", "minimum": 2}},
-        },
-        "report": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "enabled": {"type": "boolean"},
-                "baselines": {"type": "string"},
-                "format": {"enum": ["markdown", "csv"]},
-            },
-        },
-    },
-}
-
-# A `tune --grid` file is a `tune` section. An `augment --plan` file is an
-# `augment` section plus the labeler; labeler hyperparams may omit fields.
-GRID_SCHEMA = CONFIG_SCHEMA["properties"]["tune"]
-PLAN_SCHEMA = {
-    **_AUGMENT_SCHEMA,
-    "properties": {
-        **_AUGMENT_SCHEMA["properties"],
-        "labeler": {
-            "type": "object",
-            "required": ["backends"],
-            "additionalProperties": False,
-            "properties": {"backends": _backends({"type": "object"}), **_ENSEMBLE},
-        },
-    },
-}
+_JSON_TYPES = {int: "integer", float: "number", str: "string", bool: "boolean"}
 
 
-def _check_schema(data, schema: dict, what: str) -> None:
-    """Raise ConfigError naming the first place where ``data`` breaks ``schema``."""
-    try:
-        jsonschema.validate(data, schema)
-    except jsonschema.ValidationError as exc:
-        location = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{what} invalid at {location}: {exc.message}") from None
+def _is(value, kind: type) -> bool:
+    """JSON's type rules: 1.0 is an integer, and a boolean is neither an integer nor a number."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if kind is int:
+        return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if kind is float:
+        return isinstance(value, numbers.Number)
+    return isinstance(value, kind)
 
 
-def read_yaml(path: str | Path, what: str, schema: dict | None = None):
-    """Parse a YAML/JSON file (an empty one reads as {}) and check it against ``schema`` if given."""
+def check_shape(data, shape, what: str, path: tuple = ()) -> None:
+    """Raise ConfigError naming the first place where ``data`` breaks ``shape``."""
+
+    def fail(message: str):
+        location = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"{what} invalid at {location}: {message}")
+
+    if isinstance(shape, dict):
+        if not isinstance(data, dict):
+            fail(f"{data!r} is not a mapping")
+        keys = {key.rstrip("!"): key for key in shape}
+        for name in data:
+            if name not in keys:
+                fail(f"unexpected key {name!r}")
+        for name, key in keys.items():
+            if name in data:
+                check_shape(data[name], shape[key], what, (*path, name))
+            elif key.endswith("!"):
+                fail(f"{name!r} is required")
+    elif isinstance(shape, list):
+        if not isinstance(data, list):
+            fail(f"{data!r} is not a list")
+        for index, item in enumerate(data):
+            check_shape(item, shape[0], what, (*path, index))
+    elif isinstance(shape, tuple):
+        if data not in shape:
+            fail(f"{data!r} is not one of {list(shape)}")
+    elif not _is(data, shape):
+        fail(f"{data!r} is not of type {_JSON_TYPES[shape]!r}")
+
+
+def read_yaml(path: str | Path, what: str, shape=None):
+    """Parse a YAML/JSON file (an empty one reads as {}) and check it against ``shape`` if given."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
@@ -171,20 +136,14 @@ def read_yaml(path: str | Path, what: str, schema: dict | None = None):
     except yaml.YAMLError as exc:
         raise ConfigError(f"{what} is not valid YAML/JSON: {exc}") from None
     data = {} if data is None else data
-    if schema is not None:
-        _check_schema(data, schema, f"{what} {path}")
+    if shape is not None:
+        check_shape(data, shape, f"{what} {path}")
     return data
 
 
 def normalization_config(cfg: Mapping) -> NormalizationConfig:
     """Normalization options from a run config's ``normalize`` section and ``paths.stopwords``."""
-    section = cfg.get("normalize", {})
-    _check_schema(section, CONFIG_SCHEMA["properties"]["normalize"], "normalize options")
-    return NormalizationConfig.load(
-        cfg.get("paths", {}).get("stopwords"),
-        repeat_collapse_len=section.get("repeat_collapse_len", 2),
-        strip_non_arabic=section.get("strip_non_arabic", True),
-    )
+    return NormalizationConfig.load(cfg.get("paths", {}).get("stopwords"), **cfg.get("normalize", {}))
 
 
 def encoder_members(
@@ -207,9 +166,13 @@ def encoder_members(
     return encoder.members_from_entries(backends, seed, encoder_cfg.get("hyperparams"))
 
 
+def _folds(cfg: Mapping) -> int:
+    return cfg.get("evaluate", {}).get("folds", 10)
+
+
 def fold_plan(cfg: Mapping, rows, seed: int) -> FoldPlan:
     """The stratified fold plan of ``rows`` with a run config's ``evaluate.folds`` folds (10 by default)."""
-    return stratified_folds(rows, k=cfg.get("evaluate", {}).get("folds", 10), seed=seed)
+    return stratified_folds(rows, k=_folds(cfg), seed=seed)
 
 
 def load_plan(path: str | Path, default_seed: int = 0) -> AugmentPlan:
@@ -217,7 +180,7 @@ def load_plan(path: str | Path, default_seed: int = 0) -> AugmentPlan:
 
     Labeler backend i's seed is its explicit seed, else ``default_seed`` + i.
     """
-    data = read_yaml(path, "augmentation plan", PLAN_SCHEMA)
+    data = read_yaml(path, "augmentation plan", PLAN_SHAPE)
     labeler = data.get("labeler")
     if labeler is not None:
         members = encoder.members_from_entries(labeler["backends"], default_seed)
@@ -234,17 +197,23 @@ def _apply_env_overrides(cfg: dict) -> None:
 
 
 def validate_config(cfg: dict, base_dir: Path) -> dict:
-    """Schema-check, apply env overrides, resolve paths, verify inputs exist."""
+    """Apply env overrides, check the shape, build what the config describes, resolve paths, verify inputs exist.
+
+    A disabled ``tune`` or ``augment`` section is checked for shape only:
+    its grid or plan is never built, so its range rules never run.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
     _apply_env_overrides(cfg)
-    _check_schema(cfg, CONFIG_SCHEMA, "config")
+    check_shape(cfg, CONFIG_SHAPE, "config")
 
     members = encoder_members(cfg, 0)
     ensemble_policy(len(members), **cfg.get("ensemble", {}))
     if cfg.get("tune", {}).get("enabled"):
         for _, hp in members:
             SearchGrid.from_mapping(cfg["tune"], hp)
+    NormalizationConfig(**cfg.get("normalize", {}))
+    FoldPlan(_folds(cfg))
 
     def resolve(p: str) -> str:
         path = Path(p)

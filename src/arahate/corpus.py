@@ -1,4 +1,4 @@
-"""Dataset ingestion, label mapping onto the five-class taxonomy, merging and statistics.
+"""Dataset ingestion, label mapping onto the five-class taxonomy and merging.
 
 The canonical on-disk corpus format is JSON-lines (UTF-8, one object per line)
 with fields ``id``, ``text``, ``label`` and ``source``; ``norm_text`` and
@@ -108,20 +108,6 @@ class DatasetDescriptor:
             ) from None
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    """Whitespace-token statistics over raw text, per the dataset overview table."""
-
-    per_class_count: dict[Label, int]
-    word_count: int
-    unique_words: int
-    avg_words_per_text: float
-
-    @property
-    def size(self) -> int:
-        return sum(self.per_class_count.values())
-
-
 def _iter_jsonl(path: Path):
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -224,32 +210,6 @@ def load_dataset(descriptor: DatasetDescriptor) -> list[LabeledText]:
             descriptor.key, len(rows), discarded, dropped_non_hate,
         )
     return rows
-
-
-def compute_stats(corpus: list[LabeledText]) -> CorpusStats:
-    """Per-class counts plus whitespace-token word statistics over raw text.
-
-    Word counting is whitespace tokenization of the raw (un-normalized) text;
-    unique words are case- and diacritic-sensitive.
-    """
-    if not corpus:
-        raise CorpusError("cannot compute statistics of an empty corpus")
-    per_class = {label: 0 for label in LABEL_ORDER}
-    word_count = 0
-    vocabulary: set[str] = set()
-    for row in corpus:
-        tokens = row.raw_text.split()
-        if not tokens:
-            raise CorpusError(f"row {row.id!r}: text is empty after trimming")
-        per_class[row.label] += 1
-        word_count += len(tokens)
-        vocabulary.update(tokens)
-    return CorpusStats(
-        per_class_count=per_class,
-        word_count=word_count,
-        unique_words=len(vocabulary),
-        avg_words_per_text=word_count / len(corpus),
-    )
 
 
 def _qualify_id(row: LabeledText) -> str:

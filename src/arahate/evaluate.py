@@ -62,8 +62,12 @@ class FoldPlan:
     """Assignment of every gold row id to one of k folds."""
 
     k: int
-    seed: int
-    assignments: dict[str, int]
+    seed: int = 0
+    assignments: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.k < 2:
+            raise FoldPlanError(f"k must be at least 2; k={self.k} leaves no held-out fold")
 
     def to_dict(self) -> dict:
         return {"k": self.k, "seed": self.seed, "assignments": dict(self.assignments)}
@@ -75,8 +79,7 @@ def stratified_folds(corpus: Sequence[LabeledText], k: int = 10, seed: int = 0) 
     Only gold rows are assigned (augmented rows never enter test folds). Every
     fold's per-class count lands within one row of perfect proportionality.
     """
-    if k < 2:
-        raise FoldPlanError("k must be at least 2; k=1 leaves no held-out fold")
+    plan = FoldPlan(k=k, seed=seed)
     gold = [row for row in corpus if row.origin == "gold"]
     ids_by_class: dict[Label, list[str]] = {label: [] for label in LABEL_ORDER}
     seen: set[str] = set()
@@ -91,12 +94,11 @@ def stratified_folds(corpus: Sequence[LabeledText], k: int = 10, seed: int = 0) 
                 f"class {label.value} has {len(ids_by_class[label])} gold rows, fewer than k={k}"
             )
     rng = np.random.default_rng(seed)
-    assignments: dict[str, int] = {}
     for label in LABEL_ORDER:
         ids = ids_by_class[label]
         for position, idx in enumerate(rng.permutation(len(ids))):
-            assignments[ids[idx]] = position % k
-    return FoldPlan(k=k, seed=seed, assignments=assignments)
+            plan.assignments[ids[idx]] = position % k
+    return plan
 
 
 @dataclass

@@ -60,7 +60,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import LabeledText
-from .errors import ArahateError
+from .errors import ArahateError, ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -96,6 +96,10 @@ class NormalizeError(ArahateError):
     pass
 
 
+class NormalizationConfigError(NormalizeError, ConfigError):
+    """A normalization option out of range: a validation error (exit 1)."""
+
+
 @dataclass(frozen=True)
 class NormalizationConfig:
     """Normalization knobs plus the stopword list.
@@ -110,7 +114,7 @@ class NormalizationConfig:
 
     def __post_init__(self) -> None:
         if self.repeat_collapse_len < 1:
-            raise NormalizeError("repeat_collapse_len must be >= 1")
+            raise NormalizationConfigError("repeat_collapse_len must be >= 1")
 
     @classmethod
     def load(

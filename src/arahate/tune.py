@@ -78,7 +78,7 @@ class SearchGrid:
 
     @classmethod
     def from_mapping(cls, section: Mapping, base: HyperParams) -> "SearchGrid":
-        """Grid from a schema-checked ``tune`` section (of a run config or a `tune --grid` file).
+        """Grid from a shape-checked ``tune`` section (of a run config or a `tune --grid` file).
 
         Omitted axes take the defaults, an omitted ``initial`` is ``base``, and
         ``base``'s seed wins over a seed in ``initial``.

@@ -21,6 +21,7 @@ import arahate
 from arahate import corpus as corpus_mod, encoder, pipeline, tune as tune_mod
 from arahate.classifiers import Classifier
 from arahate.cli import FLAG_KEYS, build_parser, main
+from arahate.config import load_config
 from arahate.corpus import read_jsonl, write_jsonl
 from arahate.encoder import EncoderSpec, HyperParams, members_from_entries
 from arahate.ensemble import ProbabilityMatrix, write_proba_csv
@@ -96,6 +97,7 @@ BAD_REGISTRIES = {
     "hate-only-string": (b'- key: ext\n  path: ext.jsonl\n  hate_only: "false"\n', "'ext': hate_only must be true or false"),
 }
 
+HP = {"epochs": 1, "batch_size": 8, "learning_rate": 0.1}
 TWO_TOYS = {
     "backends": [{"key": "toy"}, {"key": "toy"}],
     "hyperparams": {"epochs": 3, "batch_size": 8, "learning_rate": 0.1},
@@ -224,6 +226,45 @@ class TestRunCommand:
     def test_schema_violation_is_validation_error(self, tmp_path, small_corpus):
         config = write_config(tmp_path, small_corpus, evaluate={"folds": 1})
         assert main(["run", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ({"encoder": {"backends": [{"key": "toy"}], "hyperparams": {**HP, "epochs": 0}}}, "epochs must be >= 1"),
+            ({"encoder": {"backends": [{"key": "toy"}], "hyperparams": {**HP, "batch_size": 0}}},
+             "batch_size must be >= 1"),
+            ({"encoder": {"backends": [{"key": "toy"}], "hyperparams": {**HP, "learning_rate": 0}}},
+             "learning_rate must be positive"),
+            ({"encoder": {"backends": [{"key": "toy", "max_sequence_tokens": 0}], "hyperparams": HP}},
+             "max_sequence_tokens must be >= 1"),
+            ({"tune": {"enabled": True, "epochs_axis": [], "lr_axis": [0.1]}}, "epochs_axis must not be empty"),
+            ({"tune": {"enabled": True, "batch_axis": [0, 8], "lr_axis": [0.1]}}, "batch_axis value 0"),
+            ({"encoder": TWO_TOYS, "ensemble": {"mode": "average", "weights": [-1, 2]}},
+             "weights must be non-negative"),
+            ({"ensemble": {"mode": "vote"}}, "unknown ensemble mode 'vote'"),
+            ({"augment": {"enabled": True, "registry": "registry.yaml", "pseudo_sources": ["ext"],
+                          "confidence_threshold": 1.5}}, "confidence_threshold must lie in [0, 1]"),
+            ({"normalize": {"repeat_collapse_len": 0}}, "repeat_collapse_len must be >= 1"),
+            ({"evaluate": {"folds": 1}}, "k must be at least 2"),
+            ({"report": {"enabled": True, "format": "pdf"}}, "'pdf' is not one of"),
+        ],
+        ids=["epochs-zero", "batch-size-zero", "learning-rate-zero", "max-tokens-zero", "empty-axis",
+             "axis-value-zero", "negative-weight", "unknown-mode", "threshold-above-one", "collapse-len-zero",
+             "one-fold", "unknown-format"],
+    )
+    def test_range_fault_is_validation_error(self, tmp_path, small_corpus, capsys, sections, message):
+        # Each range rule lives in the type that uses the value; validation
+        # builds those types, so a fault exits 1 before any stage runs.
+        write_registry(tmp_path)
+        assert main(["run", "--config", str(write_config(tmp_path, small_corpus, **sections))]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("runs/run-*/stages"))
+
+    def test_disabled_tune_section_builds_no_grid(self, tmp_path, small_corpus):
+        # Enabled, this initial point would be off the default lr_axis.
+        initial = {"epochs": 2, "batch_size": 8, "learning_rate": 0.1}
+        config = write_config(tmp_path, small_corpus, tune={"enabled": False, "initial": initial})
+        assert load_config(config)["tune"]["initial"] == initial
 
     def test_stage_failure_exit_code_and_record(self, tmp_path, small_corpus, capsys):
         # Corrupt JSONL passes config validation (file exists) but the
@@ -633,9 +674,13 @@ class TestStageCommands:
             ("epochs: 3\nbatch_size: 8\nlearning_rate: .inf\n", 1),
             ("- epochs\n", 1),
             ("batch_size: 8\nlearning_rate: 0.1\n", 0),  # epochs defaults to 2
+            ("epochs: 2.5\n", 1),
+            ("epochs: true\n", 1),
+            ("epoch: 5\n", 1),
+            ('epochs: "3"\n', 1),
         ],
         ids=["epochs-zero", "epochs-not-a-number", "negative-lr", "infinite-lr", "not-a-mapping",
-             "epochs-missing"],
+             "epochs-missing", "epochs-fractional", "epochs-boolean", "unknown-key", "epochs-string"],
     )
     def test_train_hp_file_validation(self, tmp_path, corpus_file, content, rc):
         hp = tmp_path / "hp.yaml"
@@ -670,6 +715,8 @@ class TestStageCommands:
              "registry: registry.yaml\npseudo_sources: [ext]\nconfidence_threshold: high\n" + LABELER),
             ("augment", "registry: registry.yaml\ndirect_sources: rel\n" + LABELER),
             ("augment", "registry: registry.yaml\npseudo_sources: [ext]\nlabeler:\n  backends:\n    - key: nope\n"),
+            ("augment",
+             "registry: registry.yaml\npseudo_sources: [ext]\n" + LABELER + "      hyperparams: {epochs: 2.5}\n"),
             ("run", {"tune": {"enabled": True, "epochs_axis": [1, 3], "batch_axis": [8], "lr_axis": [0.1],
                               "initial": {"epochs": 2, "batch_size": 8, "learning_rate": 0.1}}}),
             ("run", {"augment": {"enabled": True, "registry": "registry.yaml",
@@ -678,7 +725,7 @@ class TestStageCommands:
                                  "hyperparams": {"epochs": 5, "batch_size": 8, "learning_rate": float("inf")}}}),
         ],
         ids=["grid-initial-off-axis", "grid-scalar-axis", "grid-infinite-lr", "plan-threshold-not-a-number",
-             "plan-sources-not-a-list", "plan-unknown-labeler-key", "run-initial-off-axis",
+             "plan-sources-not-a-list", "plan-unknown-labeler-key", "plan-fractional-epochs", "run-initial-off-axis",
              "run-overlapping-sources", "run-infinite-lr"],
     )
     def test_grid_and_plan_validation(self, tmp_path, corpus_file, small_corpus, command, content):
@@ -950,7 +997,6 @@ class TestMalformedInputs:
 ROTATE = dict(zip(LABEL_ORDER, LABEL_ORDER[1:] + LABEL_ORDER[:1]))
 NOISY = [replace(row, label=ROTATE[row.label]) if i % 2 else row
          for i, row in enumerate(make_separable_corpus(10, seed=11))]
-HP = {"epochs": 1, "batch_size": 8, "learning_rate": 0.1}
 STAGE_SECTIONS = {
     "encoder": {"backends": [{"key": "toy"}, {"key": "toy"}], "hyperparams": HP},
     "ensemble": {"mode": "average", "weights": [1, 3]},

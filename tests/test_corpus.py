@@ -1,4 +1,4 @@
-"""Corpus loading, label mapping, statistics and merge semantics."""
+"""Corpus loading, label mapping and merge semantics."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import itertools
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,6 @@ from arahate.corpus import (
     DatasetDescriptor,
     LabeledText,
     atomic_open,
-    compute_stats,
     load_dataset,
     load_registry,
     merge,
@@ -182,8 +182,7 @@ class TestLoadDataset:
                     i += 1
         rows = load_dataset(DatasetDescriptor(key="base", path=str(path)))
         assert len(rows) == 11634
-        stats = compute_stats(rows)
-        assert stats.per_class_count == BASE_CLASS_COUNTS
+        assert Counter(row.label for row in rows) == BASE_CLASS_COUNTS
 
     def test_label_map_totality(self, tmp_path):
         path = tmp_path / "any.csv"
@@ -193,37 +192,6 @@ class TestLoadDataset:
         )
         for row in load_dataset(descriptor):
             assert row.label in LABEL_ORDER
-
-
-class TestComputeStats:
-    def test_hand_counted_example(self):
-        rows = [LabeledText(id="1", raw_text="ا ب ا", label=Label.NH, source="t")]
-        stats = compute_stats(rows)
-        assert stats.word_count == 3
-        assert stats.unique_words == 2
-        assert stats.avg_words_per_text == 3.0
-        assert stats.per_class_count[Label.NH] == 1
-        assert stats.size == 1
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(CorpusError):
-            compute_stats([])
-
-    def test_whitespace_only_text_rejected(self):
-        rows = [LabeledText(id="1", raw_text="   ", label=Label.NH, source="t")]
-        with pytest.raises(CorpusError):
-            compute_stats(rows)
-
-    def test_counts_sum_to_corpus_size(self):
-        rows = make_separable_corpus(n_per_class=7, seed=3)
-        stats = compute_stats(rows)
-        assert sum(stats.per_class_count.values()) == len(rows)
-
-    def test_unique_words_case_and_diacritic_sensitive(self):
-        rows = [
-            LabeledText(id="1", raw_text="كتاب كتابٌ", label=Label.NH, source="t"),
-        ]
-        assert compute_stats(rows).unique_words == 2
 
 
 class TestMerge:

@@ -23,13 +23,17 @@ evicted.
 case. The toy backend trains the entries of equal token limit, epochs, batch
 size and learning rate as one lockstep group: one step loop whose every step
 is one ``toy_forward_backward`` call over all the group's batches of that
-step, gathered from the memo's rows without a copy per model. The group's
-models share one column space, the buckets any of its rows touch, and each
-owns a block of one float64 weight matrix: about 6 MiB for the ten folds of
-a 500-row cross-validation. A trained model keeps only its block (weights
-for its sorted bucket ids ``cols``) and expands to every bucket only when
-saved. Each model gets bit for bit the weights, bias and losses its own fit
-gets, and one that turns non-finite fails alone.
+step, gathered from the memo's rows without a copy per model. A step builds
+no scipy matrix: its batch is a ``StepBatch`` of CSR arrays, and its two
+products call scipy's compiled ``csr_matvecs`` and ``csc_matvecs`` directly.
+Those are the kernels scipy's ``@`` calls for a CSR matrix, or its
+transpose, times a 2-D array, so the products are bit for bit ``@``'s. The
+group's models share one column space, the buckets any of its rows touch,
+and each owns a block of one float64 weight matrix: about 6 MiB for the ten
+folds of a 500-row cross-validation. A trained model keeps only its block
+(weights for its sorted bucket ids ``cols``) and expands to every bucket
+only when saved. Each model gets bit for bit the weights, bias and losses
+its own fit gets, and one that turns non-finite fails alone.
 
 Three pretrained encoder slots sit in the backend table by name; their
 weights are fetched by the run environment (never vendored), so using them
@@ -45,10 +49,11 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .corpus import LabeledText, atomic_open
 from .ensemble import ProbabilityMatrix
@@ -356,12 +361,46 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+class StepBatch(NamedTuple):
+    """A batch as the arrays of an (N, D) CSR matrix: what ``toy_forward_backward`` reads of one."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def _csr_product(batch: StepBatch, dense: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """``batch @ dense``, or ``batch.T @ dense``, bit for bit as scipy's ``@`` computes it.
+
+    For a CSR matrix times a 2-D array, scipy's ``@`` allocates a zero result
+    and calls ``csr_matvecs``; the transpose is the same three arrays read as
+    CSC, which ``csc_matvecs`` multiplies. This calls those kernels on the
+    batch's arrays directly. Each result row sums its terms in stored order,
+    and in the transpose each column's terms arrive in row order. The kernels
+    trust the sizes they are given, so the sizes scipy checks are checked here.
+    """
+    n_rows, n_cols = batch.shape
+    dense = np.ascontiguousarray(dense)
+    if len(batch.indptr) != n_rows + 1 or len(batch.indices) != len(batch.data) or batch.indptr[-1] > len(batch.data):
+        raise ValueError(f"CSR arrays do not fit shape {batch.shape}")
+    kernel = _sparsetools.csr_matvecs
+    if transpose:
+        kernel, n_rows, n_cols = _sparsetools.csc_matvecs, n_cols, n_rows
+    if dense.ndim != 2 or dense.shape[0] != n_cols:
+        raise ValueError(f"cannot multiply {n_rows}x{n_cols} sparse by {dense.shape} dense")
+    out = np.zeros((n_rows, dense.shape[1]), dtype=np.result_type(batch.data, dense))
+    kernel(n_rows, n_cols, dense.shape[1], batch.indptr, batch.indices, batch.data, dense.ravel(), out.ravel())
+    return out
+
+
 def toy_forward_backward(
     params: ToyParams, features, labels: Sequence[int], owner: np.ndarray | None = None
 ) -> tuple[float | np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Mean softmax cross-entropy over a batch plus its analytic gradient.
 
-    ``features`` is an (N, D) matrix (dense or CSR) of hashed n-gram counts;
+    ``features`` is an (N, D) ``StepBatch`` of hashed n-gram counts, or any
+    matrix scipy can make a CSR of (it is converted once, on entry);
     ``labels`` are class indices. Returns (loss, (grad_weights, grad_bias)).
 
     Several models step at once when ``owner`` gives each row's model index:
@@ -373,6 +412,8 @@ def toy_forward_backward(
     gets. A stacked call leaves the non-finite check to its caller, which
     fails only the model that turned non-finite.
     """
+    if not isinstance(features, StepBatch):
+        features = sparse.csr_matrix(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     n = features.shape[0]
     if owner is None:
@@ -383,20 +424,22 @@ def toy_forward_backward(
         raise EncoderError("empty batch")
     bias = params.bias.reshape(-1, N_CLASSES)
     sizes = np.bincount(owner, minlength=len(bias))
-    logits = features @ params.weights.T + bias[owner]
-    probs = _softmax(np.asarray(logits))
+    probs = _softmax(_csr_product(features, params.weights.T) + bias[owner])
     nll = -np.log(probs[np.arange(n), y])
     grad_out = probs
     grad_out[np.arange(n), y] -= 1.0
     grad_out /= sizes[owner, None]
-    grad_weights = np.asarray((features.T @ grad_out).T)
+    grad_weights = _csr_product(features, grad_out, transpose=True).T
     grad_bias = np.zeros_like(bias)
     np.add.at(grad_bias, owner, grad_out)  # row by row in order, as a sum over one model's rows
-    loss = np.zeros(len(bias))
-    stop = 0
-    for model in np.flatnonzero(sizes):
-        start, stop = stop, stop + sizes[model]
-        loss[model] = nll[start:stop].sum() / sizes[model]
+    # Each model's rows, led by a zero: reduceat starts a run from its first
+    # item and adds the rest as one sum, so every run sums to 0 + its rows,
+    # the order in which ``nll[rows].sum()`` adds them. A model without rows
+    # sums its zero.
+    led = np.zeros(n + len(bias))
+    led[np.arange(n) + owner + 1] = nll
+    runs = np.arange(len(bias)) + np.cumsum(sizes) - sizes
+    loss = np.add.reduceat(led, runs) / np.maximum(sizes, 1)
     if params.bias.ndim == 1:
         return float(loss[0]), (grad_weights, grad_bias[0])
     return loss, (grad_weights, grad_bias)
@@ -518,6 +561,8 @@ class ToyBackend:
         # Each column's K weights as one item: a step scatters whole items.
         weight_rows = weights_t.view(np.dtype((np.void, weights_t.itemsize * N_CLASSES))).reshape(-1)
         entry_of = np.empty(len(entries) * width, dtype=np.int32)  # scratch: one count of each column in a step
+        # Each step swaps its weights into this one ToyParams; the step reads only weights and bias.
+        step_params = ToyParams(weights=weights_t[:0].T, bias=bias)
         losses: list[list[float]] = [[] for _ in entries]
         failed: dict[int, EncoderError] = {}
 
@@ -536,13 +581,17 @@ class ToyBackend:
             by_step = np.argsort(step, kind="stable")
             epoch_rows = np.concatenate([rows[i][order] for i, order in zip(alive, orders)])[by_step]
             epoch_labels = np.concatenate([labels[i][order] for i, order in zip(alive, orders)])[by_step]
-            owner = np.repeat(alive, [len(order) for order in orders])[by_step]
-            bounds = np.concatenate([[0], np.cumsum(np.bincount(step))])
+            owner = np.repeat(alive, [len(order) for order in orders])
+            # Rows of each model in each step, one row of counts per step.
+            step_sizes = np.bincount(step * len(entries) + owner, minlength=(step.max() + 1) * len(entries))
+            step_sizes = step_sizes.reshape(-1, len(entries))
+            owner = owner[by_step]
+            bounds = np.concatenate([[0], np.cumsum(step_sizes.sum(axis=1))])
             running = np.zeros(len(entries))
             # A model that turns non-finite keeps stepping on its own columns
             # until the epoch ends; its NaNs reach no other model.
             with np.errstate(invalid="ignore"):
-                for start, stop in zip(bounds[:-1], bounds[1:]):
+                for start, stop, sizes in zip(bounds[:-1], bounds[1:], step_sizes):
                     ids, own = epoch_rows[start:stop], owner[start:stop]
                     at, indptr = _gather_rows(features.indptr, ids)
                     # Number the step's distinct columns without sorting. Their
@@ -555,15 +604,15 @@ class ToyBackend:
                     is_first = entry == np.arange(len(keys))
                     batch_cols = keys[is_first]
                     local = (np.cumsum(is_first, dtype=np.int32) - 1)[entry]
-                    batch = sparse.csr_matrix((features.data[at], local, indptr), shape=(len(ids), len(batch_cols)))
+                    batch = StepBatch(indptr, local, features.data[at], (len(ids), len(batch_cols)))
                     step_weights = np.take(weights_t, batch_cols, axis=0)
-                    step_params = ToyParams(weights=step_weights.T, bias=bias)
+                    step_params.weights = step_weights.T
                     loss, (grad_w, grad_b) = toy_forward_backward(step_params, batch, epoch_labels[start:stop], own)
                     grad_w *= hp.learning_rate  # in place: the same products, no temporaries
                     step_weights -= grad_w.T
                     weight_rows[batch_cols] = step_weights.view(weight_rows.dtype).reshape(-1)
                     bias -= hp.learning_rate * grad_b
-                    running += loss * np.bincount(own, minlength=len(entries))
+                    running += loss * sizes
             for i in alive:
                 if not (np.isfinite(weights_t[i * width : (i + 1) * width]).all() and np.isfinite(bias[i]).all()):
                     failed[i] = EncoderError("non-finite model parameters after an epoch")

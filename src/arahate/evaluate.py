@@ -66,6 +66,7 @@ class FoldPlan:
     assignments: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", int(self.k))  # a config's whole float, such as 10.0
         if self.k < 2:
             raise FoldPlanError(f"k must be at least 2; k={self.k} leaves no held-out fold")
 
@@ -80,6 +81,7 @@ def stratified_folds(corpus: Sequence[LabeledText], k: int = 10, seed: int = 0) 
     fold's per-class count lands within one row of perfect proportionality.
     """
     plan = FoldPlan(k=k, seed=seed)
+    k = plan.k
     gold = [row for row in corpus if row.origin == "gold"]
     ids_by_class: dict[Label, list[str]] = {label: [] for label in LABEL_ORDER}
     seen: set[str] = set()

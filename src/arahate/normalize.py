@@ -113,6 +113,7 @@ class NormalizationConfig:
     strip_non_arabic: bool = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "repeat_collapse_len", int(self.repeat_collapse_len))  # a config's 2.0 is 2
         if self.repeat_collapse_len < 1:
             raise NormalizationConfigError("repeat_collapse_len must be >= 1")
 

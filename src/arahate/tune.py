@@ -61,6 +61,9 @@ class SearchGrid:
     initial: HyperParams = HyperParams(*DEFAULT_HYPERPARAMS)
 
     def __post_init__(self) -> None:
+        # A config's whole floats, such as 5.0, are the integers they stand for.
+        object.__setattr__(self, "epochs_axis", tuple(int(value) for value in self.epochs_axis))
+        object.__setattr__(self, "batch_axis", tuple(int(value) for value in self.batch_axis))
         for name, axis, field in (
             ("epochs_axis", self.epochs_axis, "epochs"),
             ("batch_axis", self.batch_axis, "batch_size"),

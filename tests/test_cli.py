@@ -260,6 +260,25 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("runs/run-*/stages"))
 
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {"evaluate": {"folds": 5.0}},
+            {"normalize": {"repeat_collapse_len": 2.0, "strip_non_arabic": True}},
+            {"tune": {"enabled": True, "epochs_axis": [5.0], "batch_axis": [8.0], "lr_axis": [0.1]}},
+        ],
+        ids=["folds", "repeat-collapse-len", "tune-axes"],
+    )
+    def test_whole_float_settings_run_as_integers(self, tmp_path, small_corpus, capsys, sections):
+        # JSON's integer admits 5.0; each setting's type makes it the int 5.
+        integers = json.loads(json.dumps(sections).replace(".0", ""))  # the twin: 5.0 written as 5
+        aggregates = []
+        for name, settings in (("floats", sections), ("integers", integers)):
+            (tmp_path / name).mkdir()
+            assert main(["run", "--config", str(write_config(tmp_path / name, small_corpus, **settings))]) == 0
+            aggregates.append(json.loads((run_dir_of(capsys) / "metrics.json").read_text())["aggregates"])
+        assert aggregates[0] == aggregates[1]
+
     def test_disabled_tune_section_builds_no_grid(self, tmp_path, small_corpus):
         # Enabled, this initial point would be off the default lr_axis.
         initial = {"epochs": 2, "batch_size": 8, "learning_rate": 0.1}

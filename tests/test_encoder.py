@@ -169,6 +169,51 @@ class TestToyForwardBackward:
             toy_forward_backward(params, np.zeros((1, 3)), [0])
 
 
+@st.composite
+def step_batches(draw):
+    """A StepBatch with empty rows, untouched columns and rows in any column order, plus 1-20 vectors."""
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    rows = [draw(st.lists(st.integers(0, n_cols - 1), unique=True, max_size=8)) for _ in range(n_rows)]
+    index_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(index_dtype)
+    indices = np.asarray([col for row in rows for col in row], dtype=index_dtype)
+    # Magnitudes over 16 decades, so a sum in another order would round differently.
+    data = rng.normal(size=len(indices)) * 10.0 ** rng.integers(-8, 8, size=len(indices))
+    n_vecs = draw(st.integers(1, 20))
+    x, g = rng.normal(size=(n_cols, n_vecs)), rng.normal(size=(n_rows, n_vecs))
+    return encoder.StepBatch(indptr, indices, data, (n_rows, n_cols)), x, g
+
+
+class TestCsrProduct:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(step_batches())
+    @example(  # a single row with one entry, int32 indptr, one vector
+        (encoder.StepBatch(np.array([0, 1], np.int32), np.array([2], np.int32), np.array([3.0]), (1, 4)),
+         np.arange(4.0).reshape(4, 1), np.ones((1, 1)))
+    )
+    def test_equals_scipy_matmul_bit_for_bit(self, case):
+        batch, x, g = case
+        matrix = sparse.csr_matrix((batch.data, batch.indices, batch.indptr), shape=batch.shape)
+        for actual, expected in (
+            (encoder._csr_product(batch, x), matrix @ x),
+            (encoder._csr_product(batch, g, transpose=True), matrix.T @ g),
+        ):
+            assert actual.shape == expected.shape and actual.dtype == expected.dtype
+            assert actual.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize(
+        "indptr, dense_rows, transpose",
+        [([0, 1], 4, False), ([0, 1, 1], 3, False), ([0, 1, 1], 4, True)],
+        ids=["indptr-too-short", "dense-rows-off", "transposed-dense-rows-off"],
+    )
+    def test_sizes_that_do_not_fit_raise(self, indptr, dense_rows, transpose):
+        # The kernels would read past the arrays; scipy's @ raises ValueError here too.
+        batch = encoder.StepBatch(np.array(indptr, np.int32), np.array([2], np.int32), np.array([3.0]), (2, 4))
+        with pytest.raises(ValueError):
+            encoder._csr_product(batch, np.ones((dense_rows, 5)), transpose=transpose)
+
+
 def per_ngram_features(texts, max_tokens=None):
     """The per-n-gram loop featurizer, kept as the oracle for the vectorized one."""
     indptr = [0]
@@ -344,10 +389,15 @@ class TestFit:
 
 
 def dense_reference_fit(hp: HyperParams, rows):
-    """The dense mini-batch loop: every step reads and updates all buckets."""
+    """The dense mini-batch loop: every step reads and updates all buckets.
+
+    Logits and gradients come from scipy's public ``@`` on the full-width
+    feature rows, not from ``toy_forward_backward``. The bias gradient adds
+    the batch's rows one by one, in row order, as a model's own step does.
+    """
     features = hashed_ngram_features([row.norm_text for row in rows], max_tokens=TOY.max_sequence_tokens)
     y = np.asarray([LABEL_INDEX[row.label] for row in rows])
-    params = ToyParams(weights=np.zeros((5, features.shape[1])), bias=np.zeros(5))
+    weights, bias = np.zeros((5, features.shape[1])), np.zeros(5)
     rng = np.random.default_rng(hp.seed)
     n = len(rows)
     losses = []
@@ -356,12 +406,21 @@ def dense_reference_fit(hp: HyperParams, rows):
         running = 0.0
         for start in range(0, n, hp.batch_size):
             batch = order[start : start + hp.batch_size]
-            loss, (grad_w, grad_b) = toy_forward_backward(params, features[batch], y[batch])
-            params.weights -= hp.learning_rate * grad_w
-            params.bias -= hp.learning_rate * grad_b
+            x, labels = features[batch], y[batch]
+            logits = x @ weights.T + bias
+            exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+            probs = exp / exp.sum(axis=1, keepdims=True)
+            loss = -np.log(probs[np.arange(len(batch)), labels]).sum() / len(batch)
+            probs[np.arange(len(batch)), labels] -= 1.0
+            probs /= len(batch)
+            grad_b = np.zeros(5)
+            for row in probs:
+                grad_b += row
+            weights -= hp.learning_rate * (x.T @ probs).T
+            bias -= hp.learning_rate * grad_b
             running += loss * len(batch)
         losses.append(running / n)
-    return params, losses
+    return ToyParams(weights=weights, bias=bias), losses
 
 
 def text_row(index: int, text: str, label: Label) -> LabeledText:

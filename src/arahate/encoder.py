@@ -23,17 +23,18 @@ evicted.
 case. The toy backend trains the entries of equal token limit, epochs, batch
 size and learning rate as one lockstep group: one step loop whose every step
 is one ``toy_forward_backward`` call over all the group's batches of that
-step, gathered from the memo's rows without a copy per model. A step builds
-no scipy matrix: its batch is a ``StepBatch`` of CSR arrays, and its two
-products call scipy's compiled ``csr_matvecs`` and ``csc_matvecs`` directly.
-Those are the kernels scipy's ``@`` calls for a CSR matrix, or its
-transpose, times a 2-D array, so the products are bit for bit ``@``'s. The
-group's models share one column space, the buckets any of its rows touch,
-and each owns a block of one float64 weight matrix: about 6 MiB for the ten
-folds of a 500-row cross-validation. A trained model keeps only its block
-(weights for its sorted bucket ids ``cols``) and expands to every bucket
-only when saved. Each model gets bit for bit the weights, bias and losses
-its own fit gets, and one that turns non-finite fails alone.
+step. Fit and predict read the memo alike and build no scipy matrix:
+``_take_rows`` copies rows into a ``StepBatch`` of CSR arrays with scipy's
+compiled ``csr_row_index``, the kernel ``matrix[ids]`` runs, and
+``_csr_product`` multiplies with ``csr_matvecs`` and ``csc_matvecs``, the
+kernels ``@`` runs for a CSR matrix, or its transpose, times a 2-D array:
+rows and products are bit for bit scipy's. The group's models share one
+column space, the buckets any of its rows touch, and each owns a block of
+one float64 weight matrix: about 6 MiB for the ten folds of a 500-row
+cross-validation. A trained model keeps only its block (weights for its
+sorted bucket ids ``cols``) and expands to every bucket only when saved.
+Each model gets bit for bit the weights, bias and losses its own fit gets,
+and one that turns non-finite fails alone.
 
 Three pretrained encoder slots sit in the backend table by name; their
 weights are fetched by the run environment (never vendored), so using them
@@ -327,8 +328,8 @@ def _ngram_cells(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
 # Per-process feature memo: token limit -> (row of each text seen so far,
 # hashed rows of those texts). Features are a pure function of the text, so
 # folds, grid points and ensemble members share one hashing of each distinct
-# text. The stored arrays are read-only: prediction takes copies of its rows,
-# and lockstep fits read the rows in place.
+# text. The stored arrays are read-only; fits and predictions copy rows out
+# with ``_take_rows``.
 _FEATURE_MEMO: dict[int | None, tuple[dict[str, int], sparse.csr_matrix]] = {}
 
 
@@ -346,15 +347,6 @@ def _memo_rows(texts: Sequence[str], max_tokens: int | None) -> tuple[sparse.csr
     return seen, np.fromiter((row_of[text] for text in texts), dtype=np.int64, count=len(texts))
 
 
-def _gather_rows(indptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where rows ``ids`` of a CSR store their entries, in order, and the indptr of those rows stacked."""
-    start = indptr[ids]
-    counts = indptr[ids + 1] - start
-    stacked = np.zeros(len(ids) + 1, dtype=np.int32)  # int32 indices, which scipy would otherwise copy
-    np.cumsum(counts, out=stacked[1:])
-    return np.arange(stacked[-1]) + np.repeat(start - stacked[:-1], counts), stacked
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -370,6 +362,22 @@ class StepBatch(NamedTuple):
     shape: tuple[int, int]
 
 
+def _take_rows(matrix: sparse.csr_matrix, ids: np.ndarray) -> StepBatch:
+    """Rows ``ids`` of a CSR, stacked in order: bit for bit the arrays of ``matrix[ids]``.
+
+    This calls ``csr_row_index``, the kernel ``matrix[ids]`` runs, with no scipy
+    matrix built. The kernel takes one index dtype, the matrix's, and trusts ids.
+    """
+    ids = np.asarray(ids, dtype=matrix.indptr.dtype)
+    if ids.size and ids.min() < 0:
+        raise IndexError("negative row id")
+    indptr = np.zeros(len(ids) + 1, dtype=ids.dtype)
+    np.cumsum(matrix.indptr[ids + 1] - matrix.indptr[ids], out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=ids.dtype), np.empty(indptr[-1], dtype=matrix.data.dtype)
+    _sparsetools.csr_row_index(len(ids), ids, matrix.indptr, matrix.indices, matrix.data, indices, data)
+    return StepBatch(indptr, indices, data, (len(ids), matrix.shape[1]))
+
+
 def _csr_product(batch: StepBatch, dense: np.ndarray, transpose: bool = False) -> np.ndarray:
     """``batch @ dense``, or ``batch.T @ dense``, bit for bit as scipy's ``@`` computes it.
 
@@ -378,12 +386,14 @@ def _csr_product(batch: StepBatch, dense: np.ndarray, transpose: bool = False) -
     CSC, which ``csc_matvecs`` multiplies. This calls those kernels on the
     batch's arrays directly. Each result row sums its terms in stored order,
     and in the transpose each column's terms arrive in row order. The kernels
-    trust the sizes they are given, so the sizes scipy checks are checked here.
+    trust their sizes and take one index dtype, so scipy's checks are made here.
     """
     n_rows, n_cols = batch.shape
     dense = np.ascontiguousarray(dense)
     if len(batch.indptr) != n_rows + 1 or len(batch.indices) != len(batch.data) or batch.indptr[-1] > len(batch.data):
         raise ValueError(f"CSR arrays do not fit shape {batch.shape}")
+    if batch.indptr.dtype != batch.indices.dtype:
+        raise ValueError(f"indptr is {batch.indptr.dtype} but indices are {batch.indices.dtype}")
     kernel = _sparsetools.csr_matvecs
     if transpose:
         kernel, n_rows, n_cols = _sparsetools.csc_matvecs, n_cols, n_rows
@@ -545,10 +555,8 @@ class ToyBackend:
         trains = [train for _, _, train in entries]
         features, text_rows = _memo_rows([row.norm_text for train in trains for row in train], spec.max_sequence_tokens)
         rows = np.split(text_rows, np.cumsum([len(train) for train in trains])[:-1])
-        in_group = np.zeros(features.shape[0], dtype=bool)
-        in_group[text_rows] = True
         touched = np.zeros(TOY_DEFAULT_BUCKETS, dtype=bool)
-        touched[features.indices[np.repeat(in_group, np.diff(features.indptr))]] = True
+        touched[_take_rows(features, np.unique(text_rows)).indices] = True
         cols = np.flatnonzero(touched)
         width = len(cols)
         column = np.cumsum(touched, dtype=np.int32) - 1  # bucket -> its column in every block
@@ -592,25 +600,24 @@ class ToyBackend:
             # until the epoch ends; its NaNs reach no other model.
             with np.errstate(invalid="ignore"):
                 for start, stop, sizes in zip(bounds[:-1], bounds[1:], step_sizes):
-                    ids, own = epoch_rows[start:stop], owner[start:stop]
-                    at, indptr = _gather_rows(features.indptr, ids)
+                    taken, own = _take_rows(features, epoch_rows[start:stop]), owner[start:stop]
                     # Number the step's distinct columns without sorting. Their
                     # order does not matter: each row still sums its counts in
                     # stored (bucket) order and each column its rows in row
                     # order, as in that model's own step.
-                    keys = column[features.indices[at]] + np.repeat(own * width, np.diff(indptr))
+                    keys = column[taken.indices] + np.repeat(own * width, np.diff(taken.indptr))
                     entry_of[keys] = np.arange(len(keys))
                     entry = entry_of[keys]
                     is_first = entry == np.arange(len(keys))
                     batch_cols = keys[is_first]
-                    local = (np.cumsum(is_first, dtype=np.int32) - 1)[entry]
-                    batch = StepBatch(indptr, local, features.data[at], (len(ids), len(batch_cols)))
+                    local = (np.cumsum(is_first, dtype=taken.indptr.dtype) - 1)[entry]
+                    batch = taken._replace(indices=local, shape=(len(own), len(batch_cols)))
                     step_weights = np.take(weights_t, batch_cols, axis=0)
                     step_params.weights = step_weights.T
                     loss, (grad_w, grad_b) = toy_forward_backward(step_params, batch, epoch_labels[start:stop], own)
                     grad_w *= hp.learning_rate  # in place: the same products, no temporaries
                     step_weights -= grad_w.T
-                    weight_rows[batch_cols] = step_weights.view(weight_rows.dtype).reshape(-1)
+                    np.put(weight_rows, batch_cols, step_weights.view(weight_rows.dtype).reshape(-1))
                     bias -= hp.learning_rate * grad_b
                     running += loss * sizes
             for i in alive:
@@ -626,20 +633,15 @@ class ToyBackend:
         params = model.params
         if not isinstance(params, ToyParams):
             raise EncoderError("model was not trained by the toy backend")
-        if not texts:
-            return np.zeros((0, N_CLASSES))
-        seen, rows = _memo_rows(texts, model.spec.max_sequence_tokens)
-        features = seen[rows]
+        batch = _take_rows(*_memo_rows(texts, model.spec.max_sequence_tokens))
         # Buckets without a column read a trailing zero column: every count
         # still adds its (zero) term, so the sums are the dense model's.
         width = len(params.cols)
-        column = np.full(TOY_DEFAULT_BUCKETS, width, dtype=np.int32)
-        column[params.cols] = np.arange(width, dtype=np.int32)
-        remapped = sparse.csr_matrix(
-            (features.data, column[features.indices], features.indptr), shape=(len(texts), width + 1)
-        )
+        column = np.full(TOY_DEFAULT_BUCKETS, width, dtype=batch.indices.dtype)
+        column[params.cols] = np.arange(width)
+        batch = batch._replace(indices=column[batch.indices], shape=(len(texts), width + 1))
         weights_t = np.vstack([params.weights.T, np.zeros(N_CLASSES)])
-        return _softmax(np.asarray(remapped @ weights_t + params.bias))
+        return _softmax(_csr_product(batch, weights_t) + params.bias)
 
     artifacts = (ARTIFACT_WEIGHTS, ARTIFACT_MANIFEST)  # what ``save`` writes
 

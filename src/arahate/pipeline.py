@@ -69,6 +69,15 @@ class ExperimentRun:
         self.cfg = cfg
         self.seed = seed if seed is not None else int(cfg.get("seed", 0))
         self.out_root = Path(out_root)
+        # The augment registry's datasets (none when augment is off), parsed
+        # once; an unreadable registry has none, and its error fails normalize.
+        self._registry: list[DatasetDescriptor] = []
+        self._registry_error: ArahateError | None = None
+        if cfg.get("augment", {}).get("enabled"):
+            try:
+                self._registry = corpus_mod.load_registry(cfg["augment"]["registry"])
+            except ArahateError as exc:
+                self._registry_error = exc
         self.input_hashes = {
             path: _sha256_file(Path(path)) if Path(path).exists() else None
             for path in self._input_paths()
@@ -92,22 +101,11 @@ class ExperimentRun:
         inputs = [paths["data"]] + ([paths["stopwords"]] if paths.get("stopwords") else [])
         if self.cfg.get("augment", {}).get("enabled"):
             inputs.append(self.cfg["augment"]["registry"])
-            inputs += [d.path for d in self._registry()]
+            inputs += [d.path for d in self._registry]
         report_cfg = self.cfg.get("report", {})
         if report_cfg.get("enabled") and report_cfg.get("baselines"):
             inputs.append(report_cfg["baselines"])
         return inputs
-
-    def _registry(self) -> list[DatasetDescriptor]:
-        """The augment registry's datasets: none when augment is off or the registry
-        is unreadable (the normalize stage reads it again and records the failure)."""
-        augment_cfg = self.cfg.get("augment", {})
-        if not augment_cfg.get("enabled"):
-            return []
-        try:
-            return corpus_mod.load_registry(augment_cfg["registry"])
-        except ArahateError:
-            return []
 
     def _tuned_members(self) -> list[tuple[EncoderSpec, HyperParams]]:
         members = encoder_members(self.cfg, self.seed)
@@ -180,11 +178,11 @@ class ExperimentRun:
         cfg = normalization_config(self.cfg)
         base = normalize_corpus(corpus_mod.read_jsonl(self.cfg["paths"]["data"], key="base"), cfg)
         self._write_rows(self.normalized_base, base)
-        augment_cfg = self.cfg.get("augment", {})
-        if augment_cfg.get("enabled"):
-            for descriptor in corpus_mod.load_registry(augment_cfg["registry"]):
-                rows = normalize_corpus(corpus_mod.load_dataset(descriptor), cfg)
-                self._write_rows(self.normalized_source(descriptor.key), rows)
+        if self._registry_error is not None:
+            raise self._registry_error
+        for descriptor in self._registry:
+            rows = normalize_corpus(corpus_mod.load_dataset(descriptor), cfg)
+            self._write_rows(self.normalized_source(descriptor.key), rows)
         # The base rows are exactly the gold rows that evaluation folds, so a
         # class with fewer of them than folds fails here, before any fit.
         fold_plan(self.cfg, base, self.seed)
@@ -194,7 +192,7 @@ class ExperimentRun:
         base = self._read_rows(self.normalized_base)
         datasets = {
             descriptor.key: (descriptor, self._read_rows(self.normalized_source(descriptor.key)))
-            for descriptor in corpus_mod.load_registry(augment_cfg["registry"])
+            for descriptor in self._registry
         }
         # The labeler has no mode: several members vote by majority, which
         # takes no weights, so the run's ensemble section does not apply.
@@ -251,7 +249,7 @@ class ExperimentRun:
         )
 
     def _stages(self) -> list[Stage]:
-        normalized = [self.normalized_base] + [self.normalized_source(d.key) for d in self._registry()]
+        normalized = [self.normalized_base] + [self.normalized_source(d.key) for d in self._registry]
         stages = [Stage("normalize", normalized, self._stage_normalize)]
         if self.cfg.get("augment", {}).get("enabled"):
             stages.append(

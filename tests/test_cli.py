@@ -447,6 +447,15 @@ class TestRunCommand:
         run_dir_of(capsys)
         assert reads == [tmp_path / "base.jsonl"]  # the raw input, read by normalize
 
+    def test_fresh_run_parses_the_registry_once(self, tmp_path, small_corpus, capsys, monkeypatch):
+        parses = []
+        load = corpus_mod.load_registry
+        monkeypatch.setattr(corpus_mod, "load_registry", lambda path: parses.append(Path(path)) or load(path))
+        config = self._augmented_config(tmp_path, small_corpus)
+        assert main(["run", "--config", str(config)]) == 0
+        run_dir_of(capsys)
+        assert len(parses) == 1  # input hashes, stage outputs, normalize and augment share it
+
     @pytest.fixture(scope="class")
     def clean_augmented_run(self, tmp_path_factory) -> tuple[Path, Path]:
         """The config of an augmented, tuned run and the directory of its clean run."""

@@ -213,6 +213,46 @@ class TestCsrProduct:
         with pytest.raises(ValueError):
             encoder._csr_product(batch, np.ones((dense_rows, 5)), transpose=transpose)
 
+    def test_index_dtypes_that_differ_raise(self):
+        # The kernels are templated on one index dtype.
+        batch = encoder.StepBatch(np.array([0, 1], np.int64), np.array([2], np.int32), np.array([3.0]), (1, 4))
+        with pytest.raises(ValueError, match="indptr is int64 but indices are int32"):
+            encoder._csr_product(batch, np.ones((4, 5)))
+
+
+@st.composite
+def csr_and_row_ids(draw):
+    """A CSR with empty rows and unsorted columns, and ids to take: repeated, unsorted, or none.
+
+    Past 2^31 columns scipy stores int64 index arrays, below it int32.
+    """
+    n_rows, n_cols = draw(st.integers(1, 10)), draw(st.sampled_from([30, 2**31 + 30]))
+    rows = [draw(st.lists(st.integers(0, n_cols - 1), unique=True, max_size=6)) for _ in range(n_rows)]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.asarray([col for row in rows for col in row], dtype=np.int64)
+    data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=len(indices))
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+    return matrix, np.asarray(draw(st.lists(st.integers(0, n_rows - 1), max_size=15)), dtype=np.int64)
+
+
+class TestTakeRows:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(csr_and_row_ids())
+    def test_equals_scipy_row_indexing_bit_for_bit(self, case):
+        matrix, ids = case
+        assert matrix.indices.dtype == (np.int64 if matrix.shape[1] > 2**31 else np.int32)
+        taken, expected = encoder._take_rows(matrix, ids), matrix[ids]
+        assert taken.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            actual, want = getattr(taken, name), getattr(expected, name)
+            assert actual.dtype == want.dtype and actual.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("bad_id", [-1, 3])
+    def test_row_id_out_of_range_raises(self, bad_id):
+        # The kernel would read outside the matrix's arrays.
+        with pytest.raises(IndexError):
+            encoder._take_rows(sparse.csr_matrix(np.eye(3)), np.array([0, bad_id]))
+
 
 def per_ngram_features(texts, max_tokens=None):
     """The per-n-gram loop featurizer, kept as the oracle for the vectorized one."""
@@ -514,6 +554,19 @@ class TestPredictProba:
         batched = encoder.predict_proba(model, texts).probs
         single = np.vstack([encoder.predict_proba(model, [t]).probs for t in texts])
         assert np.abs(batched - single).max() < 1e-5
+
+    def test_equals_dense_oracle_bit_for_bit(self, model, tmp_path):
+        # Latin letters hash to buckets the compact model has no column for; "j" has no n-gram.
+        texts = [row.norm_text for row in make_separable_corpus(n_per_class=3, seed=8)] + ["qwxz vbnk", "j"]
+        save_model(model, tmp_path)
+        for trained in (model, load_model(tmp_path)):  # compact, then dense
+            params = trained.params
+            features = hashed_ngram_features(texts, trained.spec.max_sequence_tokens)
+            logits = np.asarray(features @ params.dense_weights().T) + params.bias
+            exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+            expected = exp / exp.sum(axis=1, keepdims=True)
+            assert encoder.predict_proba(trained, texts).probs.tobytes() == expected.tobytes()
+        assert np.setdiff1d(features.indices, model.params.cols).size > 0
 
     def test_ids_attached(self, model):
         matrix = encoder.predict_proba(model, ["نص اول", "نص ثاني"], ids=["a", "b"])

@@ -4,6 +4,8 @@ A Classifier is a list of (encoder spec, hyperparameters) members plus the
 rule that combines them (see ensemble.ensemble_policy). Its bound
 ``fit_many`` is the recipe cross-validation consumes: one row set per fold ->
 one retrained copy per fold, every member of every fold trained in lockstep.
+Its members predict in one ``encoder.predict_proba_many`` call, so members
+trained in lockstep read the texts' feature rows once and share one product.
 """
 
 from __future__ import annotations
@@ -73,8 +75,7 @@ class Classifier:
     def predict_with_confidence(self, texts: Sequence[str]) -> tuple[list[Label], np.ndarray]:
         if self.models is None:
             raise NotFittedError("classifier has not been trained")
-        ids = [str(i) for i in range(len(texts))]
-        matrices = [encoder.predict_proba(model, texts, ids) for model in self.models]
+        matrices = encoder.predict_proba_many(self.models, texts)
         if not texts:
             return [], np.zeros(0)
         if self.mode == "majority":

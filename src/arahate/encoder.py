@@ -1,12 +1,12 @@
 """Trainable-classifier contract plus a deterministic reference backend.
 
-Every backend in the table here exposes the same two operations: fine-tune
-many models on labelled rows (``fit_many``) and produce an N x 5
-class-probability matrix (``predict_proba_array``). The bundled ``toy``
-backend is a linear softmax model over hashed character 3-to-5-gram counts
-(2^16 buckets) trained with mini-batch gradient descent: no heavyweight
-dependencies, bit-reproducible under a fixed seed, and fast enough to
-exercise the whole pipeline in tests.
+Every backend in the table here exposes the same two operations, each over
+many models: fine-tune them on labelled rows (``fit_many``) and give each
+an N x 5 class-probability matrix of the same texts
+(``predict_proba_arrays``). The bundled ``toy`` backend is a linear softmax
+model over hashed character 3-to-5-gram counts (2^16 buckets) trained with
+mini-batch gradient descent: no heavyweight dependencies, bit-reproducible
+under a fixed seed, and fast enough to exercise the whole pipeline in tests.
 
 Its features are a pure function of the text, in one fixed geometry: 2^16
 buckets and 3-to-5-grams; ``load_model`` rejects a manifest that names
@@ -14,16 +14,17 @@ another. ``hashed_ngram_features`` hashes a batch in blocks of whole texts,
 one numpy pass per block of at most 2^16 characters, with a table-driven
 CRC-32 that is bit-equal to ``zlib.crc32``; its transient memory is bounded
 by the block, not the batch. A per-process memo keyed by token limit keeps
-one read-only CSR row per distinct text, so a process hashes each text once
-however many folds, grid points and ensemble members use it. The memo costs
-about one CSR row (~1 KiB for a tweet) per distinct text and is never
-evicted.
+one CSR row per distinct text, so a process hashes each text once however
+many folds, grid points and ensemble members use it. The memo costs about
+one CSR row (~1 KiB for a tweet) per distinct text and is never evicted;
+its buffers grow in place, doubling when full.
 
-``fit_many`` trains many models in one call, and ``fit`` is its one-entry
-case. The toy backend trains the entries of equal token limit, epochs, batch
-size and learning rate as one lockstep group: one step loop whose every step
-is one ``toy_forward_backward`` call over all the group's batches of that
-step. Fit and predict read the memo alike and build no scipy matrix:
+``fit_many`` and ``predict_proba_many`` serve many models in one call, and
+``fit`` and ``predict_proba`` are their one-model cases. The toy backend
+trains the entries of equal token limit, epochs, batch size and learning
+rate as one lockstep group: one step loop whose every step is one
+``toy_forward_backward`` call over all the group's batches of that step.
+Fit and predict read the memo alike and build no scipy matrix:
 ``_take_rows`` copies rows into a ``StepBatch`` of CSR arrays with scipy's
 compiled ``csr_row_index``, the kernel ``matrix[ids]`` runs, and
 ``_csr_product`` multiplies with ``csr_matvecs`` and ``csc_matvecs``, the
@@ -34,7 +35,8 @@ one float64 weight matrix: about 6 MiB for the ten folds of a 500-row
 cross-validation. A trained model keeps only its block (weights for its
 sorted bucket ids ``cols``) and expands to every bucket only when saved.
 Each model gets bit for bit the weights, bias and losses its own fit gets,
-and one that turns non-finite fails alone.
+and one that turns non-finite fails alone. The models of a group predict
+with one row copy and one product, their weights side by side.
 
 Three pretrained encoder slots sit in the backend table by name; their
 weights are fetched by the run environment (never vendored), so using them
@@ -218,6 +220,8 @@ class TrainedModel:
 
 
 def _truncate(text: str, max_tokens: int) -> str:
+    if len(text) <= 2 * max_tokens:  # k tokens take at least 2k - 1 characters
+        return text
     tokens = text.split()
     if len(tokens) <= max_tokens:
         return text
@@ -326,25 +330,47 @@ def _ngram_cells(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
 
 
 # Per-process feature memo: token limit -> (row of each text seen so far,
-# hashed rows of those texts). Features are a pure function of the text, so
-# folds, grid points and ensemble members share one hashing of each distinct
-# text. The stored arrays are read-only; fits and predictions copy rows out
-# with ``_take_rows``.
-_FEATURE_MEMO: dict[int | None, tuple[dict[str, int], sparse.csr_matrix]] = {}
+# [indptr, indices, data] buffers whose prefix holds those rows).
+_FEATURE_MEMO: dict[int | None, tuple[dict[str, int], list[np.ndarray]]] = {}
+_INT32_ENTRIES = np.iinfo(np.int32).max  # stored entries an int32 index holds
 
 
-def _memo_rows(texts: Sequence[str], max_tokens: int | None) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """The memo's read-only CSR and each text's row in it, after hashing the texts it lacks."""
-    row_of, seen = _FEATURE_MEMO.get(max_tokens) or ({}, sparse.csr_matrix((0, TOY_DEFAULT_BUCKETS)))
+def _memo_rows(texts: Sequence[str], max_tokens: int | None) -> tuple[StepBatch, np.ndarray]:
+    """The memo's rows as read-only CSR arrays and each text's row in them, after hashing the texts it lacks.
+
+    A fill writes only after the stored rows, so arrays returned earlier keep
+    their values. Index arrays are int32 while the entries fit, else int64.
+    """
+    empty = [np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0)]
+    row_of, buffers = _FEATURE_MEMO.setdefault(max_tokens, ({}, empty))
+    n_rows = len(row_of)
     new = [text for text in dict.fromkeys(texts) if text not in row_of]
     if new:
         block = hashed_ngram_features(new, max_tokens=max_tokens)
-        row_of.update(zip(new, range(len(row_of), len(row_of) + len(new))))
-        seen = sparse.vstack([seen, block], format="csr")
-        for array in (seen.data, seen.indices, seen.indptr):
-            array.flags.writeable = False
-        _FEATURE_MEMO[max_tokens] = (row_of, seen)
-    return seen, np.fromiter((row_of[text] for text in texts), dtype=np.int64, count=len(texts))
+        nnz = int(buffers[0][n_rows])
+        index = np.int32 if nnz + block.nnz <= _INT32_ENTRIES else np.int64
+        parts = [block.indptr[1:].astype(index) + nnz, block.indices.astype(index, copy=False), block.data]
+        buffers[:] = [_appended(*args) for args in zip(buffers, (n_rows + 1, nnz, nnz), parts)]
+        row_of.update(zip(new, range(n_rows, n_rows + len(new))))
+        n_rows += len(new)
+    indptr, indices, data = buffers
+    views = [indptr[: n_rows + 1], indices[: indptr[n_rows]], data[: indptr[n_rows]]]
+    for view in views:
+        view.flags.writeable = False
+    ids = np.fromiter((row_of[text] for text in texts), dtype=np.int64, count=len(texts))
+    return StepBatch(*views, (n_rows, TOY_DEFAULT_BUCKETS)), ids
+
+
+def _appended(buffer: np.ndarray, filled: int, part: np.ndarray) -> np.ndarray:
+    """``buffer`` with ``part`` written after its first ``filled`` items; where it lacks the room or
+    ``part``'s dtype, a copy with room for as many items again, whose pages stay unused until written."""
+    end = filled + len(part)
+    if end > len(buffer) or buffer.dtype != part.dtype:
+        grown = np.empty(2 * end, part.dtype)
+        grown[:filled] = buffer[:filled]
+        buffer = grown
+    buffer[filled:end] = part
+    return buffer
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -629,19 +655,32 @@ class ToyBackend:
                     on_epoch(i, model(i))
         return [failed.get(i) or model(i) for i in range(len(entries))]
 
-    def predict_proba_array(self, model: TrainedModel, texts: Sequence[str]) -> np.ndarray:
-        params = model.params
-        if not isinstance(params, ToyParams):
-            raise EncoderError("model was not trained by the toy backend")
-        batch = _take_rows(*_memo_rows(texts, model.spec.max_sequence_tokens))
-        # Buckets without a column read a trailing zero column: every count
-        # still adds its (zero) term, so the sums are the dense model's.
-        width = len(params.cols)
-        column = np.full(TOY_DEFAULT_BUCKETS, width, dtype=batch.indices.dtype)
-        column[params.cols] = np.arange(width)
-        batch = batch._replace(indices=column[batch.indices], shape=(len(texts), width + 1))
-        weights_t = np.vstack([params.weights.T, np.zeros(N_CLASSES)])
-        return _softmax(_csr_product(batch, weights_t) + params.bias)
+    def predict_proba_arrays(self, models: Sequence[TrainedModel], texts: Sequence[str]) -> list[np.ndarray]:
+        """Each model's probabilities; the models of one ``cols`` array and token limit make one product.
+        ``csr_matvecs`` sums each output column on its own, so each model's logits are its own product's."""
+        groups: dict[tuple[int, int], list[int]] = {}
+        for index, model in enumerate(models):
+            if not isinstance(model.params, ToyParams):
+                raise EncoderError("model was not trained by the toy backend")
+            groups.setdefault((id(model.params.cols), model.spec.max_sequence_tokens), []).append(index)
+        probs: list = [None] * len(models)
+        for indices in groups.values():
+            first = models[indices[0]]
+            batch = _take_rows(*_memo_rows(texts, first.spec.max_sequence_tokens))
+            # Buckets without a column read a trailing zero column: every count
+            # still adds its (zero) term, so the sums are the dense model's.
+            width = len(first.params.cols)
+            column = np.full(TOY_DEFAULT_BUCKETS, width, dtype=batch.indices.dtype)
+            column[first.params.cols] = np.arange(width)
+            batch = batch._replace(indices=column[batch.indices], shape=(len(texts), width + 1))
+            weights_t = np.empty((width + 1, len(indices), N_CLASSES))  # one copy of each model's weights
+            weights_t[width] = 0
+            for j, index in enumerate(indices):
+                weights_t[:width, j] = models[index].params.weights.T
+            logits = _csr_product(batch, weights_t.reshape(width + 1, -1)).reshape(len(texts), len(indices), N_CLASSES)
+            for j, index in enumerate(indices):
+                probs[index] = _softmax(logits[:, j] + models[index].params.bias)
+        return probs
 
     artifacts = (ARTIFACT_WEIGHTS, ARTIFACT_MANIFEST)  # what ``save`` writes
 
@@ -759,26 +798,28 @@ class PretrainedBackend:
                 outcomes.append(exc)
         return outcomes
 
-    def predict_proba_array(self, model: TrainedModel, texts: Sequence[str]) -> np.ndarray:
+    def predict_proba_arrays(self, models: Sequence[TrainedModel], texts: Sequence[str]) -> list[np.ndarray]:
+        """One model after another, in batches of its batch size."""
         torch, _ = self._runtime_importer()
-        tokenizer, net = model.params
-        if not texts:
-            return np.zeros((0, N_CLASSES))
-        net.eval()
-        rows = []
-        with torch.no_grad():
-            for start in range(0, len(texts), model.hyperparams.batch_size):
-                chunk = list(texts[start : start + model.hyperparams.batch_size])
-                batch = tokenizer(
-                    chunk,
-                    padding="longest",
-                    truncation=True,
-                    max_length=model.spec.max_sequence_tokens,
-                    return_tensors="pt",
-                )
-                logits = net(**batch).logits
-                rows.append(torch.softmax(logits, dim=-1).cpu().numpy())
-        return np.concatenate(rows, axis=0)
+        probs = []
+        for model in models:
+            tokenizer, net = model.params
+            net.eval()
+            rows = [np.zeros((0, N_CLASSES))]  # float64, as ProbabilityMatrix stores them
+            with torch.no_grad():
+                for start in range(0, len(texts), model.hyperparams.batch_size):
+                    chunk = list(texts[start : start + model.hyperparams.batch_size])
+                    batch = tokenizer(
+                        chunk,
+                        padding="longest",
+                        truncation=True,
+                        max_length=model.spec.max_sequence_tokens,
+                        return_tensors="pt",
+                    )
+                    logits = net(**batch).logits
+                    rows.append(torch.softmax(logits, dim=-1).cpu().numpy())
+            probs.append(np.concatenate(rows, axis=0))
+        return probs
 
     artifacts = ("hf", ARTIFACT_MANIFEST)  # what ``save`` writes
 
@@ -860,15 +901,26 @@ def _subset_hook(on_epoch: EntryEpochHook | None, indices: Sequence[int]) -> Ent
     return None if on_epoch is None else lambda i, model: on_epoch(indices[i], model)
 
 
+def predict_proba_many(
+    models: Sequence[TrainedModel], texts: Sequence[str], ids: Sequence[str] | None = None
+) -> list[ProbabilityMatrix]:
+    """Each model's N x 5 class probabilities of the same texts, in model order, from one call per backend."""
+    texts = list(texts)
+    ids = [str(i) for i in range(len(texts))] if ids is None else list(ids)
+    matrices: list = [None] * len(models)
+    for key in dict.fromkeys(model.spec.backend_key for model in models):
+        indices = [i for i, model in enumerate(models) if model.spec.backend_key == key]
+        for index, probs in zip(indices, get_backend(key).predict_proba_arrays([models[i] for i in indices], texts)):
+            matrices[index] = ProbabilityMatrix(ids=list(ids), probs=probs)
+    return matrices
+
+
 def predict_proba(
     model: TrainedModel, texts: Sequence[str], ids: Sequence[str] | None = None
 ) -> ProbabilityMatrix:
-    """N x 5 class probabilities; an empty text list gives an empty matrix."""
-    backend = get_backend(model.spec.backend_key)
-    probs = backend.predict_proba_array(model, list(texts))
-    if ids is None:
-        ids = [str(i) for i in range(len(texts))]
-    return ProbabilityMatrix(ids=list(ids), probs=probs)
+    """N x 5 class probabilities (none for no texts): the one-model case of ``predict_proba_many``."""
+    (matrix,) = predict_proba_many([model], texts, ids)
+    return matrix
 
 
 def _write_manifest(directory: Path, model: TrainedModel, extra: dict[str, str]) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -34,7 +35,7 @@ from arahate.encoder import (
 )
 from arahate.labels import LABEL_INDEX, LABEL_ORDER, Label
 
-from conftest import class_word, make_separable_corpus
+from conftest import class_text, class_word, make_separable_corpus
 
 TOY = EncoderSpec("toy")
 HP = HyperParams(epochs=5, batch_size=8, learning_rate=0.1, seed=1)
@@ -352,14 +353,63 @@ class TestFeaturization:
     def test_memo_rows_match_oracle(self, fresh_memo):
         texts = ["نص عربي قصير", "اب", "نص عربي قصير", "كلمه " * 6, "اخر"]
         seen, rows = encoder._memo_rows([], None)
-        assert seen[rows].shape == (0, TOY_DEFAULT_BUCKETS)
+        assert encoder._take_rows(seen, rows).shape == (0, TOY_DEFAULT_BUCKETS)
         for max_tokens in (None, 2, None, 2):
             seen, rows = encoder._memo_rows(texts, max_tokens)
-            features = seen[rows]
+            features = encoder._take_rows(seen, rows)
             assert_same_csr(features, per_ngram_features(texts, max_tokens))
-        for key, (_, stored) in encoder._FEATURE_MEMO.items():
-            assert not (stored.data.flags.writeable or stored.indices.flags.writeable), key
+            assert not any(array.flags.writeable for array in seen[:3]), max_tokens
         assert features.data.flags.writeable
+
+    @pytest.mark.parametrize("int32_entries", [np.iinfo(np.int32).max, 300])
+    def test_memo_grows_in_place_across_doublings(self, monkeypatch, fresh_memo, int32_entries):
+        # The buffers start empty, so fills grow them again and again; a low int32 limit promotes the index arrays.
+        monkeypatch.setattr(encoder, "_INT32_ENTRIES", int32_entries)
+        rng = np.random.default_rng(3)
+        row_of, earlier, capacities = {}, [], set()
+        for size in (1, 2, 3, 5, 8, 13):
+            batch = [class_text(LABEL_ORDER[i % 5], rng) for i in range(size)] + ["", "اب"] + list(row_of)[:2]
+            view, rows = encoder._memo_rows(batch, None)
+            for text, row in zip(batch, rows):
+                assert row_of.setdefault(text, row) == row
+            assert_same_csr(encoder._take_rows(view, list(row_of.values())), per_ngram_features(list(row_of)))
+            for array in view[:3]:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 0
+            for old, values in earlier:
+                assert all(np.array_equal(array, value) for array, value in zip(old[:3], values))
+            earlier.append((view, [array.copy() for array in view[:3]]))
+            capacities.add(len(encoder._FEATURE_MEMO[None][1][1]))
+        assert len(capacities) >= 4
+        assert sorted(row_of.values()) == list(range(len(row_of)))
+        index = np.int32 if len(view.data) <= int32_entries else np.int64
+        assert view.indptr.dtype == view.indices.dtype == index
+        assert earlier[0][0].indptr.dtype == np.int32
+
+    def test_memo_fill_allocates_only_its_rows(self, fresh_memo):
+        rng = np.random.default_rng(17)
+        texts = [class_text(LABEL_ORDER[i % 5], rng, (6, 12)) for i in range(3000)]
+        # A fill that grows the buffers leaves room for as much again, so the next few texts fit.
+        view, _ = encoder._memo_rows(texts, None)
+        memo_bytes = sum(array.nbytes for array in view[:3])
+        tracemalloc.start()
+        try:
+            encoder._memo_rows(texts[:100] + ["كلمه اخرى جديده", "سطر ثالث جديد"], None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < memo_bytes / 20
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(text=st.text(st.sampled_from(" \t\n\u3000\xa0ab"), max_size=14), max_tokens=st.integers(1, 6))
+    # The tightest texts either side of the bound: 2k - 1 characters holding k tokens.
+    @example(text="a b", max_tokens=1)
+    @example(text="a\u3000b\xa0a", max_tokens=2)
+    @example(text="a\tb\na", max_tokens=3)
+    def test_truncate_matches_the_token_split(self, text, max_tokens):
+        tokens = text.split()
+        expected = text if len(tokens) <= max_tokens else " ".join(tokens[:max_tokens])
+        assert encoder._truncate(text, max_tokens) == expected
 
     def test_each_distinct_text_hashed_once_across_fits(self, hashed_texts):
         rows = corpus_with_short_rows()
@@ -571,6 +621,53 @@ class TestPredictProba:
     def test_ids_attached(self, model):
         matrix = encoder.predict_proba(model, ["نص اول", "نص ثاني"], ids=["a", "b"])
         assert matrix.ids == ["a", "b"]
+
+
+@pytest.fixture(scope="module")
+def model_pool(model, tmp_path_factory):
+    """Models that share ``cols`` (a lockstep group, and one under another token limit), and models that do not."""
+    rows = make_separable_corpus(n_per_class=6, seed=21)
+    group = encoder.fit_many([(TOY, HyperParams(2, 8, 0.1, seed=seed), rows) for seed in range(3)])
+    assert group[0].params.cols is group[1].params.cols is group[2].params.cols
+    short = encoder.fit(EncoderSpec("toy", 2), HyperParams(2, 8, 0.1, seed=4), rows)
+    dense = load_model(save_model(model, tmp_path_factory.mktemp("dense")))
+    return [*group, dataclasses.replace(group[1], spec=EncoderSpec("toy", 3)), model, short, dense]
+
+
+PREDICT_TEXTS = [
+    row.norm_text for row in make_separable_corpus(n_per_class=2, seed=22)
+] + ["", "اب", "qwxz vbnk", "j", "نص " * 9]
+
+
+class TestPredictProbaMany:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        picks=st.lists(st.integers(0, 6), max_size=7),
+        texts=st.lists(st.sampled_from(PREDICT_TEXTS), max_size=9),
+    )
+    @example(picks=[0, 1, 2], texts=PREDICT_TEXTS)
+    @example(picks=[2, 3, 1, 6, 0, 5, 4, 2], texts=PREDICT_TEXTS + PREDICT_TEXTS[:3])
+    def test_equals_one_model_at_a_time(self, model_pool, picks, texts):
+        models = [model_pool[i] for i in picks]
+        many = encoder.predict_proba_many(models, texts)
+        assert len(many) == len(models)
+        for matrix, model in zip(many, models):
+            alone = encoder.predict_proba(model, texts)
+            assert matrix.ids == alone.ids == [str(i) for i in range(len(texts))]
+            assert matrix.probs.tobytes() == alone.probs.tobytes()
+
+    def test_a_group_takes_its_rows_once(self, model_pool, monkeypatch):
+        calls = []
+
+        def spy(matrix, ids):
+            calls.append(len(ids))
+            return take_rows(matrix, ids)
+
+        take_rows = encoder._take_rows
+        monkeypatch.setattr(encoder, "_take_rows", spy)
+        encoder.predict_proba_many(model_pool, PREDICT_TEXTS)
+        # The lockstep group of three, one of its models again under token limit 3, then three models alone.
+        assert calls == [len(PREDICT_TEXTS)] * 5
 
 
 class TestPersistence:
@@ -887,6 +984,16 @@ class TestPretrainedWithFakeRuntime:
         loaded = load_model(tmp_path / "model")
         assert (loaded.hyperparams, loaded.train_fingerprint) == (model.hyperparams, model.train_fingerprint)
         assert np.array_equal(encoder.predict_proba(loaded, texts).probs, probs)
+
+    def test_predict_many_equals_one_model_at_a_time(self, marbert, model):
+        first = encoder.fit(self.SPEC, HyperParams(2, 4, 0.5, seed=5), self.ROWS)
+        second = encoder.fit(self.SPEC, HyperParams(1, 3, 0.5, seed=6), self.ROWS)
+        models = [first, model, second, first]  # a toy model between them
+        for texts in ([], ["نص", "نص"], [row.norm_text for row in self.ROWS[:7]]):
+            many = encoder.predict_proba_many(models, texts)
+            alone = [encoder.predict_proba(m, texts) for m in models]
+            assert [m.probs.tobytes() for m in many] == [m.probs.tobytes() for m in alone]
+        assert len({m.probs.tobytes() for m in alone}) == 3
 
     def test_load_without_weights_is_a_weights_error(self, marbert, tmp_path):
         model = encoder.fit(self.SPEC, HyperParams(1, 4, 0.5), self.ROWS)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arahate import encoder
 from arahate.classifiers import Classifier
 from arahate.encoder import EncoderSpec, HyperParams
 from arahate.ensemble import (
@@ -22,6 +23,8 @@ from arahate.ensemble import (
     write_proba_csv,
 )
 from arahate.labels import LABEL_ORDER, N_CLASSES, Label
+
+from conftest import class_word, make_separable_corpus
 
 
 def pm(rows, ids=None):
@@ -262,6 +265,20 @@ class TestVotingDispatch:
     def test_weight_count_enforced(self):
         with pytest.raises(VoteError):
             Classifier(self.MEMBERS, mode="average", weights=(1.0, 2.0))
+
+    def test_majority_confidence_equals_per_member_oracle(self):
+        classifier = Classifier(self.MEMBERS).fit(make_separable_corpus(n_per_class=6, seed=31))
+        rng = np.random.default_rng(32)
+        # Words of two classes per text, so the members disagree on some rows.
+        texts = [f"{class_word(LABEL_ORDER[i % 5], rng)} {class_word(LABEL_ORDER[i % 3], rng)}" for i in range(40)]
+        matrices = [encoder.predict_proba(model, texts) for model in classifier.models]
+        labels = majority_vote(matrices)
+        winners = [LABEL_ORDER.index(label) for label in labels]
+        confidence = np.stack([m.probs for m in matrices])[:, np.arange(len(texts)), winners].mean(axis=0)
+        got_labels, got_confidence = classifier.predict_with_confidence(texts)
+        assert got_labels == labels
+        assert got_confidence.tobytes() == confidence.tobytes()
+        assert len({tuple(m.argmax_labels()) for m in matrices}) > 1
 
 
 # Characters that need quoting or escaping in CSV and JSON lines.

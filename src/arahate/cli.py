@@ -260,7 +260,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(_require(args.config, "--config"))
+    cfg = load_config(_require(args.config, "--config"), seed=args.seed)
     out_root = args.out or cfg.get("paths", {}).get("out_root") or "runs"
     run_dir = run_experiment(cfg, out_root, seed=args.seed)
     print(f"run complete -> {run_dir}")

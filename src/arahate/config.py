@@ -196,24 +196,26 @@ def _apply_env_overrides(cfg: dict) -> None:
             cfg.setdefault("paths", {})[name[len(ENV_PATH_PREFIX):].lower()] = value
 
 
-def validate_config(cfg: dict, base_dir: Path) -> dict:
+def validate_config(cfg: dict, base_dir: Path, seed: int | None = None) -> dict:
     """Apply env overrides, check the shape, build what the config describes, resolve paths, verify inputs exist.
 
-    A disabled ``tune`` or ``augment`` section is checked for shape only:
-    its grid or plan is never built, so its range rules never run.
+    ``seed``, when given, overrides the config's seed, and the objects are
+    built with it. A disabled ``tune`` or ``augment`` section is checked for
+    shape only: its grid or plan is never built, so its range rules never run.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
     _apply_env_overrides(cfg)
     check_shape(cfg, CONFIG_SHAPE, "config")
 
-    members = encoder_members(cfg, 0)
+    seed = cfg.get("seed", 0) if seed is None else seed
+    members = encoder_members(cfg, seed)
     ensemble_policy(len(members), **cfg.get("ensemble", {}))
     if cfg.get("tune", {}).get("enabled"):
         for _, hp in members:
             SearchGrid.from_mapping(cfg["tune"], hp)
     NormalizationConfig(**cfg.get("normalize", {}))
-    FoldPlan(_folds(cfg))
+    FoldPlan(_folds(cfg), seed)
 
     def resolve(p: str) -> str:
         path = Path(p)
@@ -243,8 +245,8 @@ def validate_config(cfg: dict, base_dir: Path) -> dict:
     return cfg
 
 
-def load_config(path: str | Path) -> dict:
-    return validate_config(read_yaml(path, "config file"), Path(path).parent.resolve())
+def load_config(path: str | Path, seed: int | None = None) -> dict:
+    return validate_config(read_yaml(path, "config file"), Path(path).parent.resolve(), seed)
 
 
 def config_hash(cfg: dict, seed: int, version: str, input_hashes: dict[str, str | None]) -> str:

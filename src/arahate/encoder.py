@@ -24,12 +24,17 @@ its buffers grow in place, doubling when full.
 trains the entries of equal token limit, epochs, batch size and learning
 rate as one lockstep group: one step loop whose every step is one
 ``toy_forward_backward`` call over all the group's batches of that step.
+Work that depends only on an epoch's order runs once per epoch: where each
+row's entries lie, where its model's weights start, and every step's loss
+per model, summed at the epoch's end from each row's loss. A step copies its
+rows, numbers the columns they touch, gathers and updates those weights.
 Fit and predict read the memo alike and build no scipy matrix:
-``_take_rows`` copies rows into a ``StepBatch`` of CSR arrays with scipy's
-compiled ``csr_row_index``, the kernel ``matrix[ids]`` runs, and
-``_csr_product`` multiplies with ``csr_matvecs`` and ``csc_matvecs``, the
-kernels ``@`` runs for a CSR matrix, or its transpose, times a 2-D array:
-rows and products are bit for bit scipy's. The group's models share one
+``_row_spans`` finds rows and ``_copy_rows`` copies them into a
+``StepBatch`` of CSR arrays with scipy's compiled ``csr_row_index``, the
+kernel ``matrix[ids]`` runs, and ``_csr_product`` multiplies with
+``csr_matvecs`` and ``csc_matvecs``, the kernels ``@`` runs for a CSR
+matrix, or its transpose, times a 2-D array: rows and products are bit for
+bit scipy's. The group's models share one
 column space, the buckets any of its rows touch, and each owns a block of
 one float64 weight matrix: about 6 MiB for the ten folds of a 500-row
 cross-validation. A trained model keeps only its block (weights for its
@@ -112,6 +117,8 @@ class HyperParams:
             raise EncoderError("batch_size must be >= 1")
         if not 0 < self.learning_rate < math.inf:
             raise EncoderError("learning_rate must be positive and finite")
+        if self.seed < 0:
+            raise EncoderError(f"seed must be an integer >= 0, got {self.seed}")
 
     @classmethod
     def from_mapping(cls, data: Mapping, seed: int = 0) -> "HyperParams":
@@ -388,20 +395,51 @@ class StepBatch(NamedTuple):
     shape: tuple[int, int]
 
 
-def _take_rows(matrix: sparse.csr_matrix, ids: np.ndarray) -> StepBatch:
-    """Rows ``ids`` of a CSR, stacked in order: bit for bit the arrays of ``matrix[ids]``.
+def _row_spans(matrix: sparse.csr_matrix | StepBatch, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where rows ``ids`` of a CSR lie: the ids in the matrix's index dtype, each row's stored
+    length, and the running offsets of their entries, the ``indptr`` of ``matrix[ids]``.
 
-    This calls ``csr_row_index``, the kernel ``matrix[ids]`` runs, with no scipy
-    matrix built. The kernel takes one index dtype, the matrix's, and trusts ids.
+    The offsets take the ids' dtype while their total fits it, else int64.
+    The copy kernel trusts ids, so a row id outside the matrix raises here.
     """
     ids = np.asarray(ids, dtype=matrix.indptr.dtype)
     if ids.size and ids.min() < 0:
         raise IndexError("negative row id")
-    indptr = np.zeros(len(ids) + 1, dtype=ids.dtype)
-    np.cumsum(matrix.indptr[ids + 1] - matrix.indptr[ids], out=indptr[1:])
+    lengths = matrix.indptr[ids + 1] - matrix.indptr[ids]
+    fits = lengths.sum(dtype=np.int64) <= np.iinfo(ids.dtype).max
+    offsets = np.zeros(len(ids) + 1, dtype=ids.dtype if fits else np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return ids, lengths, offsets
+
+
+def _copy_rows(matrix: sparse.csr_matrix | StepBatch, ids: np.ndarray, indptr: np.ndarray) -> StepBatch:
+    """Rows ``ids`` of a CSR, stacked in order, from ids and an ``indptr`` from ``_row_spans``
+    (a slice of its offsets less their first value). This calls ``csr_row_index``, the kernel
+    ``matrix[ids]`` runs, with no scipy matrix built."""
     indices, data = np.empty(indptr[-1], dtype=ids.dtype), np.empty(indptr[-1], dtype=matrix.data.dtype)
     _sparsetools.csr_row_index(len(ids), ids, matrix.indptr, matrix.indices, matrix.data, indices, data)
-    return StepBatch(indptr, indices, data, (len(ids), matrix.shape[1]))
+    return StepBatch(indptr, indices.astype(indptr.dtype, copy=False), data, (len(ids), matrix.shape[1]))
+
+
+def _take_rows(matrix: sparse.csr_matrix | StepBatch, ids: np.ndarray) -> StepBatch:
+    """Rows ``ids`` of a CSR, stacked in order: bit for bit the arrays of ``matrix[ids]``."""
+    ids, _, offsets = _row_spans(matrix, ids)
+    return _copy_rows(matrix, ids, offsets)
+
+
+def _run_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sum of each run of consecutive ``values``, runs ``sizes`` long: bit for bit ``values[run].sum()``.
+
+    ``np.sum`` adds a zero and then every item as one pairwise sum, and
+    ``reduceat`` starts a run from its first item and adds the rest as one
+    pairwise sum, so each run is led by a zero. A run of no items sums its zero.
+    """
+    starts = np.arange(len(sizes)) + np.cumsum(sizes) - sizes
+    led = np.zeros(len(values) + len(sizes), dtype=values.dtype)
+    item = np.ones(len(led), dtype=bool)
+    item[starts] = False
+    led[item] = values
+    return np.add.reduceat(led, starts)
 
 
 def _csr_product(batch: StepBatch, dense: np.ndarray, transpose: bool = False) -> np.ndarray:
@@ -442,10 +480,11 @@ def toy_forward_backward(
     Several models step at once when ``owner`` gives each row's model index:
     ``params.bias`` is then one (K,) row per model, each model's rows are
     contiguous and in model order, and models own disjoint weight columns.
-    Every model's batch is its own rows: the loss is one mean per model and
-    grad_bias one row per model, each summed over that model's rows alone,
-    so each model gets bit for bit the gradient a batch of its rows alone
-    gets. A stacked call leaves the non-finite check to its caller, which
+    Every model's batch is its own rows: grad_bias is one row per model,
+    summed over that model's rows alone, so each model gets bit for bit the
+    gradient a batch of its rows alone gets. A stacked call returns each
+    row's loss in place of the mean, which its caller takes per model with
+    ``_run_sums``, and leaves the non-finite check to its caller, which
     fails only the model that turned non-finite.
     """
     if not isinstance(features, StepBatch):
@@ -468,17 +507,9 @@ def toy_forward_backward(
     grad_weights = _csr_product(features, grad_out, transpose=True).T
     grad_bias = np.zeros_like(bias)
     np.add.at(grad_bias, owner, grad_out)  # row by row in order, as a sum over one model's rows
-    # Each model's rows, led by a zero: reduceat starts a run from its first
-    # item and adds the rest as one sum, so every run sums to 0 + its rows,
-    # the order in which ``nll[rows].sum()`` adds them. A model without rows
-    # sums its zero.
-    led = np.zeros(n + len(bias))
-    led[np.arange(n) + owner + 1] = nll
-    runs = np.arange(len(bias)) + np.cumsum(sizes) - sizes
-    loss = np.add.reduceat(led, runs) / np.maximum(sizes, 1)
     if params.bias.ndim == 1:
-        return float(loss[0]), (grad_weights, grad_bias[0])
-    return loss, (grad_weights, grad_bias)
+        return float(_run_sums(nll, [n])[0] / n), (grad_weights, grad_bias[0])
+    return nll, (grad_weights, grad_bias)
 
 
 def train_fingerprint(spec: EncoderSpec, hp: HyperParams, train_ids: Sequence[str]) -> str:
@@ -570,12 +601,18 @@ class ToyBackend:
         """One step loop over same-shape fits; bit for bit the models separate fits return.
 
         Model i owns block i of one weight matrix: one column per bucket any
-        entry's rows touch. Each stacked step takes every model's batch of
-        that step, in model order, from the feature memo's rows (one per
-        distinct text), and reads and writes only the columns those batches
-        touch. The matrix is
-        stored transposed, one row of K weights per column, so a step
-        gathers and scatters whole rows.
+        entry's rows touch. The matrix is stored transposed, one row of K
+        weights per column, so a step gathers and scatters whole rows.
+
+        An epoch shuffles each model's rows, orders them by (step, model) so
+        that each stacked step is one contiguous slice, and works out once
+        where each row's entries lie in the feature memo (one row per distinct
+        text) and where its model's block starts. A step does only what its
+        own rows need: it copies them, numbers the columns they touch, gathers
+        those weights, calls ``toy_forward_backward`` and scatters the update
+        back. Each row's loss goes into an epoch buffer, from which the
+        epoch's end takes every step's mean per model and each model's running
+        loss.
         """
         spec, hp, _ = entries[0]
         trains = [train for _, _, train in entries]
@@ -594,7 +631,7 @@ class ToyBackend:
         bias = np.zeros((len(entries), N_CLASSES))
         # Each column's K weights as one item: a step scatters whole items.
         weight_rows = weights_t.view(np.dtype((np.void, weights_t.itemsize * N_CLASSES))).reshape(-1)
-        entry_of = np.empty(len(entries) * width, dtype=np.int32)  # scratch: one count of each column in a step
+        entry_of = np.empty(len(entries) * width, dtype=features.indptr.dtype)  # scratch: one count per column
         # Each step swaps its weights into this one ToyParams; the step reads only weights and bias.
         step_params = ToyParams(weights=weights_t[:0].T, bias=bias)
         losses: list[list[float]] = [[] for _ in entries]
@@ -608,44 +645,53 @@ class ToyBackend:
             alive = [i for i in range(len(entries)) if i not in failed]
             if not alive:
                 break
-            # Shuffle every model once per epoch, then order the epoch's rows
-            # by (step, model), so each stacked step is one contiguous slice.
             orders = [rngs[i].permutation(len(rows[i])) for i in alive]
             step = np.concatenate([np.arange(len(order)) // hp.batch_size for order in orders])
             by_step = np.argsort(step, kind="stable")
-            epoch_rows = np.concatenate([rows[i][order] for i, order in zip(alive, orders)])[by_step]
+            ids, lengths, offsets = _row_spans(
+                features, np.concatenate([rows[i][order] for i, order in zip(alive, orders)])[by_step]
+            )
             epoch_labels = np.concatenate([labels[i][order] for i, order in zip(alive, orders)])[by_step]
             owner = np.repeat(alive, [len(order) for order in orders])
             # Rows of each model in each step, one row of counts per step.
             step_sizes = np.bincount(step * len(entries) + owner, minlength=(step.max() + 1) * len(entries))
             step_sizes = step_sizes.reshape(-1, len(entries))
             owner = owner[by_step]
+            del orders, step, by_step  # the steps keep only the per-row arrays they read
+            block = owner * width  # each row's first column in the weight matrix
             bounds = np.concatenate([[0], np.cumsum(step_sizes.sum(axis=1))])
-            running = np.zeros(len(entries))
+            # Every step's batch takes the offsets' index dtype.
+            count = np.arange(np.diff(offsets[bounds]).max(), dtype=offsets.dtype)
+            entry_of = entry_of.astype(offsets.dtype, copy=False)
+            nll = np.empty(len(ids))
+            bounds = bounds.tolist()
             # A model that turns non-finite keeps stepping on its own columns
             # until the epoch ends; its NaNs reach no other model.
             with np.errstate(invalid="ignore"):
-                for start, stop, sizes in zip(bounds[:-1], bounds[1:], step_sizes):
-                    taken, own = _take_rows(features, epoch_rows[start:stop]), owner[start:stop]
+                for start, stop in zip(bounds[:-1], bounds[1:]):
+                    taken = _copy_rows(features, ids[start:stop], offsets[start : stop + 1] - offsets[start])
                     # Number the step's distinct columns without sorting. Their
                     # order does not matter: each row still sums its counts in
                     # stored (bucket) order and each column its rows in row
                     # order, as in that model's own step.
-                    keys = column[taken.indices] + np.repeat(own * width, np.diff(taken.indptr))
-                    entry_of[keys] = np.arange(len(keys))
-                    entry = entry_of[keys]
-                    is_first = entry == np.arange(len(keys))
-                    batch_cols = keys[is_first]
-                    local = (np.cumsum(is_first, dtype=taken.indptr.dtype) - 1)[entry]
-                    batch = taken._replace(indices=local, shape=(len(own), len(batch_cols)))
+                    keys = column[taken.indices] + np.repeat(block[start:stop], lengths[start:stop])
+                    entry_of[keys] = count[: len(keys)]
+                    batch_cols = keys[entry_of[keys] == count[: len(keys)]]
+                    entry_of[batch_cols] = count[: len(batch_cols)]
+                    batch = taken._replace(indices=entry_of[keys], shape=(stop - start, len(batch_cols)))
                     step_weights = np.take(weights_t, batch_cols, axis=0)
                     step_params.weights = step_weights.T
-                    loss, (grad_w, grad_b) = toy_forward_backward(step_params, batch, epoch_labels[start:stop], own)
+                    nll[start:stop], (grad_w, grad_b) = toy_forward_backward(
+                        step_params, batch, epoch_labels[start:stop], owner[start:stop]
+                    )
                     grad_w *= hp.learning_rate  # in place: the same products, no temporaries
                     step_weights -= grad_w.T
                     np.put(weight_rows, batch_cols, step_weights.view(weight_rows.dtype).reshape(-1))
                     bias -= hp.learning_rate * grad_b
-                    running += loss * sizes
+                # Each step's loss per model, its rows' mean, weighted by its
+                # rows and added up step after step from a zero.
+                means = _run_sums(nll, step_sizes.ravel()).reshape(step_sizes.shape) / np.maximum(step_sizes, 1)
+                running = np.cumsum(np.vstack([np.zeros(len(entries)), means * step_sizes]), axis=0)[-1]
             for i in alive:
                 if not (np.isfinite(weights_t[i * width : (i + 1) * width]).all() and np.isfinite(bias[i]).all()):
                     failed[i] = EncoderError("non-finite model parameters after an epoch")

@@ -67,8 +67,11 @@ class FoldPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", int(self.k))  # a config's whole float, such as 10.0
+        object.__setattr__(self, "seed", int(self.seed))
         if self.k < 2:
             raise FoldPlanError(f"k must be at least 2; k={self.k} leaves no held-out fold")
+        if self.seed < 0:
+            raise FoldPlanError(f"seed must be an integer >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {"k": self.k, "seed": self.seed, "assignments": dict(self.assignments)}

@@ -942,6 +942,29 @@ class TestMalformedInputs:
         assert message in self._error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "entry, seed", [("config", -1), ("--seed", -5), ("split --seed", -1), ("--hp", -2), ("plan labeler", -3)]
+    )
+    def test_negative_seed_is_validation_error(self, tmp_path, corpus_file, entry, seed, capsys):
+        # A seed reaches numpy's generators only through HyperParams and FoldPlan, which reject it.
+        data = ["--data", str(corpus_file)]
+        (tmp_path / "hp.yaml").write_text("epochs: 1\nbatch_size: 8\nlearning_rate: 0.1\nseed: -2\n")
+        (tmp_path / "plan.yaml").write_text(
+            "registry: registry.yaml\npseudo_sources: [ext]\n" + LABELER + "      hyperparams: {seed: -3}\n"
+        )
+        config = write_config(tmp_path, read_jsonl(corpus_file), seed=-1 if entry == "config" else 7)
+        argv = {
+            "config": ["run", "--config", str(config)],
+            "--seed": ["run", "--config", str(config), "--seed", "-5"],
+            "split --seed": ["split", *data, "--seed", "-1"],
+            "--hp": ["train", *data, "--backend", "toy", "--hp", str(tmp_path / "hp.yaml")],
+            "plan labeler": ["augment", "--base", str(corpus_file), "--plan", str(tmp_path / "plan.yaml")],
+        }[entry]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        error = self._error(capsys)
+        assert f"seed must be an integer >= 0, got {seed}" in error and error.count("\n") == 1
+        assert not (tmp_path / "out").exists() and not list(tmp_path.glob("runs/run-*/stages/*.failed"))
+
     def test_vote_cache_cell_not_a_number(self, tmp_path, capsys):
         caches = write_caches(tmp_path, ["x", "y"])
         text = Path(caches[1]).read_text(encoding="utf-8")

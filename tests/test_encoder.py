@@ -94,6 +94,7 @@ class TestHyperParams:
             {"epochs": 1, "batch_size": 8, "learning_rate": 0.0},
             {"epochs": 1, "batch_size": 8, "learning_rate": -1e-5},
             {"epochs": 1, "batch_size": 8, "learning_rate": math.inf},
+            {"epochs": 1, "batch_size": 8, "learning_rate": 1e-5, "seed": -1},  # numpy's generators take none
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -248,11 +249,41 @@ class TestTakeRows:
             actual, want = getattr(taken, name), getattr(expected, name)
             assert actual.dtype == want.dtype and actual.tobytes() == want.tobytes(), name
 
+    def test_offsets_past_int32_widen_to_int64(self):
+        # An epoch reads a row once per model, so its entries can outgrow an int32 memo's.
+        big = encoder.StepBatch(np.array([0, 2**30], np.int32), None, None, (1, TOY_DEFAULT_BUCKETS))
+        assert encoder._row_spans(big, [0])[2].dtype == np.int32
+        ids, lengths, offsets = encoder._row_spans(big, [0, 0])
+        assert ids.dtype == lengths.dtype == np.int32
+        assert offsets.dtype == np.int64 and offsets.tolist() == [0, 2**30, 2**31]
+
     @pytest.mark.parametrize("bad_id", [-1, 3])
     def test_row_id_out_of_range_raises(self, bad_id):
         # The kernel would read outside the matrix's arrays.
         with pytest.raises(IndexError):
             encoder._take_rows(sparse.csr_matrix(np.eye(3)), np.array([0, bad_id]))
+
+
+# Run lengths on both sides of numpy's pairwise-summation blocks (8 and 128 items).
+RUN_LENGTHS = [0, 1, 7, 8, 9, 127, 128, 129, 300]
+
+
+class TestRunSums:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        sizes=st.lists(st.sampled_from(RUN_LENGTHS), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    @example(sizes=RUN_LENGTHS, seed=0, zeros=1.0)
+    def test_each_run_sums_as_numpy_sums_it(self, sizes, seed, zeros):
+        # Signed magnitudes over 16 decades, a share of them -0.0.
+        rng = np.random.default_rng(seed)
+        values = rng.choice([-1.0, 1.0], sum(sizes)) * 10.0 ** rng.uniform(-8, 8, sum(sizes))
+        values[rng.random(len(values)) < zeros] = -0.0
+        sums = encoder._run_sums(values, np.asarray(sizes))
+        runs = [values[end - size : end] for size, end in zip(sizes, np.cumsum(sizes))]
+        assert [s.tobytes() for s in sums] == [run.sum().tobytes() for run in runs]
 
 
 def per_ngram_features(texts, max_tokens=None):
@@ -790,6 +821,21 @@ class TestFitMany:
         if overflow:
             assert isinstance(many[-2], EncoderError) and [s[0].epochs for s in seen[len(entries) - 2]] == [1]
             assert not isinstance(many[-1], EncoderError)
+
+
+    def test_stacked_group_equals_dense_oracle(self):
+        # 50, 25 and 18 rows in steps of 12: the group's last steps hold rows of the first model only.
+        entries = [
+            (TOY, HyperParams(3, 12, 0.1, seed=seed), rows)
+            for seed, rows in [(2, POOL), (5, POOL[1::2]), (9, POOL[4:22])]
+        ]
+        models = encoder.fit_many(entries)
+        assert len({id(model.params.cols) for model in models}) == 1  # one lockstep group
+        for model, (_, hp, rows) in zip(models, entries):
+            params, losses = dense_reference_fit(hp, rows)
+            assert model.params.dense_weights().tobytes() == params.weights.tobytes()
+            assert model.params.bias.tobytes() == params.bias.tobytes()
+            assert model.epoch_losses == losses
 
 
 class TestEpochHook:

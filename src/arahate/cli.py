@@ -129,6 +129,14 @@ def _augment_from_plan(cfg: dict, plan_path: str, base: list):
     return augment_mod.build_augmented_corpus(base, plan, datasets)
 
 
+def _normalized(rows: list) -> list:
+    """``rows``, once every one of them is normalized; a row that is not is a validation error."""
+    for row in rows:
+        if row.norm_text is None:
+            raise ConfigError(f"row {row.id!r} is not normalized; run `arahate normalize` first")
+    return rows
+
+
 def _write_labels_csv(path: str, ids: list[str], labels) -> None:
     with corpus_mod.atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
@@ -162,7 +170,7 @@ def _cmd_train(args) -> int:
     cfg = _config(args)
     data, (spec, hp) = _data(cfg), _one_member(cfg, "train")
     out = _require(args.out, "--out")
-    rows = [row for row in corpus_mod.read_jsonl(data) if row.norm_text]
+    rows = [row for row in _normalized(corpus_mod.read_jsonl(data)) if row.norm_text]
     model = encoder.fit(spec, hp, rows)
     encoder.save_model(model, out)
     print(f"trained {spec.backend_key} on {len(rows)} rows -> {out} (fingerprint {model.train_fingerprint})")
@@ -172,10 +180,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     data, out = _data(_config(args)), _require(args.out, "--out")
     model = encoder.load_model(_require(args.model, "--model"))
-    rows = corpus_mod.read_jsonl(data)
-    for row in rows:
-        if row.norm_text is None:
-            raise ConfigError(f"row {row.id!r} is not normalized; run `arahate normalize` first")
+    rows = _normalized(corpus_mod.read_jsonl(data))
     matrix = encoder.predict_proba(model, [row.norm_text for row in rows], ids=[row.id for row in rows])
     write_proba_csv(out, matrix)
     print(f"wrote probabilities for {len(rows)} rows -> {out}")
@@ -206,7 +211,7 @@ def _cmd_tune(args) -> int:
     cfg = _config(args)
     data, (spec, base_hp) = _data(cfg), _one_member(cfg, "tune", require_hyperparams=False)
     out_dir = Path(_require(args.out, "--out"))
-    rows = corpus_mod.read_jsonl(data)
+    rows = _normalized(corpus_mod.read_jsonl(data))
     grid = tune_mod.SearchGrid.from_mapping(cfg.get("tune", {}), base_hp)
     protocol = tune_mod.make_cv_protocol(fold_plan(cfg, rows, cfg.get("seed", 0)))
     best, trace = tune_mod.coordinate_search(spec, grid, rows, protocol)
@@ -239,7 +244,7 @@ def _cmd_evaluate(args) -> int:
     rows = corpus_mod.read_jsonl(data)
     if args.augment_plan:
         rows, _ = _augment_from_plan(cfg, args.augment_plan, rows)
-    folds = fold_plan(cfg, rows, seed)
+    folds = fold_plan(cfg, _normalized(rows), seed)
     metrics = cross_validate(rows, Classifier(members, **cfg.get("ensemble", {})).fit_many, folds, seed=seed)
     metrics.write_json(out_dir / "metrics.json")
     print(

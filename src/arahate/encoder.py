@@ -10,14 +10,15 @@ under a fixed seed, and fast enough to exercise the whole pipeline in tests.
 
 Its features are a pure function of the text, in one fixed geometry: 2^16
 buckets and 3-to-5-grams; ``load_model`` rejects a manifest that names
-another. ``hashed_ngram_features`` hashes a batch in blocks of whole texts,
-one numpy pass per block of at most 2^16 characters, with a table-driven
-CRC-32 that is bit-equal to ``zlib.crc32``; its transient memory is bounded
-by the block, not the batch. A per-process memo keyed by token limit keeps
-one CSR row per distinct text, so a process hashes each text once however
-many folds, grid points and ensemble members use it. The memo costs about
-one CSR row (~1 KiB for a tweet) per distinct text and is never evicted;
-its buffers grow in place, doubling when full.
+another, or weights and bias of other shapes. ``hashed_ngram_features``
+hashes a batch in blocks of whole texts, one numpy pass per block of at most
+2^16 characters, with a table-driven CRC-32 that is bit-equal to
+``zlib.crc32``, and returns a ``StepBatch`` of CSR arrays; its transient
+memory is bounded by the block, not the batch. A per-process memo keyed by
+token limit keeps one CSR row per distinct text, so a process hashes each
+text once however many folds, grid points and ensemble members use it. The
+memo costs about one CSR row (~1 KiB for a tweet) per distinct text and is
+never evicted; its buffers grow in place, doubling when full.
 
 ``fit_many`` and ``predict_proba_many`` serve many models in one call, and
 ``fit`` and ``predict_proba`` are their one-model cases. The toy backend
@@ -28,7 +29,8 @@ Work that depends only on an epoch's order runs once per epoch: where each
 row's entries lie, where its model's weights start, and every step's loss
 per model, summed at the epoch's end from each row's loss. A step copies its
 rows, numbers the columns they touch, gathers and updates those weights.
-Fit and predict read the memo alike and build no scipy matrix:
+``StepBatch`` is the one CSR type from hashing to the step, and a run
+builds no scipy matrix. Fit and predict read the memo alike:
 ``_row_spans`` finds rows and ``_copy_rows`` copies them into a
 ``StepBatch`` of CSR arrays with scipy's compiled ``csr_row_index``, the
 kernel ``matrix[ids]`` runs, and ``_csr_product`` multiplies with
@@ -55,12 +57,12 @@ import hashlib
 import json
 import logging
 import math
+import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .corpus import LabeledText, atomic_open
@@ -246,34 +248,38 @@ def _crc32_table() -> np.ndarray:
 _CRC32_TABLE = _crc32_table()
 
 
-def hashed_ngram_features(texts: Sequence[str], max_tokens: int | None = None) -> sparse.csr_matrix:
-    """Hashed character 3-to-5-gram counts per row, with sorted bucket ids per row.
+class StepBatch(NamedTuple):
+    """A batch as the arrays of an (N, D) CSR matrix: what ``toy_forward_backward`` reads of one."""
 
-    An n-gram's bucket is ``zlib.crc32`` of its UTF-8 bytes modulo
-    ``TOY_DEFAULT_BUCKETS``, so features are stable across processes and
-    platforms. Texts shorter than a 3-gram yield an all-zero row (predictions
-    then come from the bias alone). The texts are hashed in blocks of whole
-    texts of at most ``_HASH_BLOCK_CHARS`` characters (a longer text is a
-    block of its own), so the transient arrays stay the same size however
-    large the batch is; see ``_hash_block``.
-    """
-    if max_tokens is not None:
-        texts = [_truncate(text, max_tokens) for text in texts]
-    return _hash_blocks(texts)
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
 
 
 # Characters hashed per block. A block's arrays take about 120 bytes a
 # character, so hashing holds under 8 MiB besides the features it returns.
 _HASH_BLOCK_CHARS = 2**16
+_INT32_ENTRIES = np.iinfo(np.int32).max  # stored entries an int32 index holds
 
 
-def _hash_blocks(texts: Sequence[str]) -> sparse.csr_matrix:
-    """The features of ``texts``, hashed block by block and joined into one CSR.
+def hashed_ngram_features(texts: Sequence[str], max_tokens: int | None = None) -> StepBatch:
+    """Hashed character 3-to-5-gram counts per row, with sorted bucket ids per row, as CSR arrays.
 
-    A block is a run of whole texts of at most ``_HASH_BLOCK_CHARS``
-    characters, or one longer text. A row depends only on its own text, so
-    the joined blocks equal one pass over the whole batch.
+    An n-gram's bucket is ``zlib.crc32`` of its UTF-8 bytes modulo
+    ``TOY_DEFAULT_BUCKETS``, so features are stable across processes and
+    platforms. Texts shorter than a 3-gram yield an all-zero row (predictions
+    then come from the bias alone). ``indptr`` and ``indices`` share one
+    index dtype: int32 while the entries fit, else int64.
+
+    The texts are hashed in blocks of whole texts of at most
+    ``_HASH_BLOCK_CHARS`` characters (a longer text is a block of its own),
+    so the transient arrays stay the same size however large the batch is;
+    see ``_hash_block``. A row depends only on its own text, so the joined
+    blocks equal one pass over the whole batch.
     """
+    if max_tokens is not None:
+        texts = [_truncate(text, max_tokens) for text in texts]
     lengths = np.fromiter((len(text) for text in texts), dtype=np.int64, count=len(texts))
     ends = np.cumsum(lengths)
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
@@ -288,9 +294,10 @@ def _hash_blocks(texts: Sequence[str]) -> sparse.csr_matrix:
         data.append(block_data)
         lo = hi
     np.cumsum(indptr, out=indptr)
-    return sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=(len(texts), TOY_DEFAULT_BUCKETS)
-    )
+    index = np.int32 if indptr[-1] <= _INT32_ENTRIES else np.int64
+    indices = np.concatenate(indices).astype(index, copy=False)
+    indptr = indptr.astype(index, copy=False)
+    return StepBatch(indptr, indices, np.concatenate(data), (len(texts), TOY_DEFAULT_BUCKETS))
 
 
 def _hash_block(texts: Sequence[str], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -339,7 +346,6 @@ def _ngram_cells(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
 # Per-process feature memo: token limit -> (row of each text seen so far,
 # [indptr, indices, data] buffers whose prefix holds those rows).
 _FEATURE_MEMO: dict[int | None, tuple[dict[str, int], list[np.ndarray]]] = {}
-_INT32_ENTRIES = np.iinfo(np.int32).max  # stored entries an int32 index holds
 
 
 def _memo_rows(texts: Sequence[str], max_tokens: int | None) -> tuple[StepBatch, np.ndarray]:
@@ -355,7 +361,7 @@ def _memo_rows(texts: Sequence[str], max_tokens: int | None) -> tuple[StepBatch,
     if new:
         block = hashed_ngram_features(new, max_tokens=max_tokens)
         nnz = int(buffers[0][n_rows])
-        index = np.int32 if nnz + block.nnz <= _INT32_ENTRIES else np.int64
+        index = np.int32 if nnz + len(block.data) <= _INT32_ENTRIES else np.int64
         parts = [block.indptr[1:].astype(index) + nnz, block.indices.astype(index, copy=False), block.data]
         buffers[:] = [_appended(*args) for args in zip(buffers, (n_rows + 1, nnz, nnz), parts)]
         row_of.update(zip(new, range(n_rows, n_rows + len(new))))
@@ -386,16 +392,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-class StepBatch(NamedTuple):
-    """A batch as the arrays of an (N, D) CSR matrix: what ``toy_forward_backward`` reads of one."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
-
-
-def _row_spans(matrix: sparse.csr_matrix | StepBatch, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_spans(matrix: StepBatch, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where rows ``ids`` of a CSR lie: the ids in the matrix's index dtype, each row's stored
     length, and the running offsets of their entries, the ``indptr`` of ``matrix[ids]``.
 
@@ -412,7 +409,7 @@ def _row_spans(matrix: sparse.csr_matrix | StepBatch, ids: np.ndarray) -> tuple[
     return ids, lengths, offsets
 
 
-def _copy_rows(matrix: sparse.csr_matrix | StepBatch, ids: np.ndarray, indptr: np.ndarray) -> StepBatch:
+def _copy_rows(matrix: StepBatch, ids: np.ndarray, indptr: np.ndarray) -> StepBatch:
     """Rows ``ids`` of a CSR, stacked in order, from ids and an ``indptr`` from ``_row_spans``
     (a slice of its offsets less their first value). This calls ``csr_row_index``, the kernel
     ``matrix[ids]`` runs, with no scipy matrix built."""
@@ -421,7 +418,7 @@ def _copy_rows(matrix: sparse.csr_matrix | StepBatch, ids: np.ndarray, indptr: n
     return StepBatch(indptr, indices.astype(indptr.dtype, copy=False), data, (len(ids), matrix.shape[1]))
 
 
-def _take_rows(matrix: sparse.csr_matrix | StepBatch, ids: np.ndarray) -> StepBatch:
+def _take_rows(matrix: StepBatch, ids: np.ndarray) -> StepBatch:
     """Rows ``ids`` of a CSR, stacked in order: bit for bit the arrays of ``matrix[ids]``."""
     ids, _, offsets = _row_spans(matrix, ids)
     return _copy_rows(matrix, ids, offsets)
@@ -469,46 +466,34 @@ def _csr_product(batch: StepBatch, dense: np.ndarray, transpose: bool = False) -
 
 
 def toy_forward_backward(
-    params: ToyParams, features, labels: Sequence[int], owner: np.ndarray | None = None
-) -> tuple[float | np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Mean softmax cross-entropy over a batch plus its analytic gradient.
+    params: ToyParams, features: StepBatch, labels: Sequence[int], owner: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Softmax cross-entropy of each row of a stacked batch of several models, plus its analytic gradient.
 
-    ``features`` is an (N, D) ``StepBatch`` of hashed n-gram counts, or any
-    matrix scipy can make a CSR of (it is converted once, on entry);
-    ``labels`` are class indices. Returns (loss, (grad_weights, grad_bias)).
-
-    Several models step at once when ``owner`` gives each row's model index:
-    ``params.bias`` is then one (K,) row per model, each model's rows are
+    ``features`` is an (N, D) ``StepBatch`` of hashed n-gram counts,
+    ``labels`` are class indices and ``owner`` gives each row's model index:
+    ``params.bias`` is one (K,) row per model, each model's rows are
     contiguous and in model order, and models own disjoint weight columns.
+    Returns (each row's loss, (grad_weights, grad_bias)).
+
     Every model's batch is its own rows: grad_bias is one row per model,
     summed over that model's rows alone, so each model gets bit for bit the
-    gradient a batch of its rows alone gets. A stacked call returns each
-    row's loss in place of the mean, which its caller takes per model with
-    ``_run_sums``, and leaves the non-finite check to its caller, which
-    fails only the model that turned non-finite.
+    gradient a batch of its rows alone gets. Its caller takes the loss per
+    model with ``_run_sums`` and checks each model for non-finite values.
     """
-    if not isinstance(features, StepBatch):
-        features = sparse.csr_matrix(features, dtype=float)
     y = np.asarray(labels, dtype=int)
     n = features.shape[0]
-    if owner is None:
-        if not (np.isfinite(params.weights).all() and np.isfinite(params.bias).all()):
-            raise EncoderError("non-finite model parameters")
-        owner = np.zeros(n, dtype=int)
     if n == 0:
         raise EncoderError("empty batch")
-    bias = params.bias.reshape(-1, N_CLASSES)
-    sizes = np.bincount(owner, minlength=len(bias))
-    probs = _softmax(_csr_product(features, params.weights.T) + bias[owner])
+    sizes = np.bincount(owner, minlength=len(params.bias))
+    probs = _softmax(_csr_product(features, params.weights.T) + params.bias[owner])
     nll = -np.log(probs[np.arange(n), y])
     grad_out = probs
     grad_out[np.arange(n), y] -= 1.0
     grad_out /= sizes[owner, None]
     grad_weights = _csr_product(features, grad_out, transpose=True).T
-    grad_bias = np.zeros_like(bias)
+    grad_bias = np.zeros_like(params.bias)
     np.add.at(grad_bias, owner, grad_out)  # row by row in order, as a sum over one model's rows
-    if params.bias.ndim == 1:
-        return float(_run_sums(nll, [n])[0] / n), (grad_weights, grad_bias[0])
     return nll, (grad_weights, grad_bias)
 
 
@@ -568,6 +553,8 @@ def _validate_training_rows(train: Sequence[LabeledText]) -> None:
         raise EncoderError("training set covers a single class; need at least two")
 
 
+# The arrays of a saved toy model and their shapes.
+_TOY_SHAPES = {"weights": (N_CLASSES, TOY_DEFAULT_BUCKETS), "bias": (N_CLASSES,)}
 # The manifest lines of the toy backend's one feature geometry.
 _TOY_GEOMETRY = {
     "n_buckets": str(TOY_DEFAULT_BUCKETS),
@@ -740,8 +727,16 @@ class ToyBackend:
         geometry = {key: manifest.get(key) for key in _TOY_GEOMETRY}
         if geometry != _TOY_GEOMETRY:
             raise EncoderError(f"{directory}: feature geometry {geometry} is not the toy backend's {_TOY_GEOMETRY}")
-        blob = np.load(directory / ARTIFACT_WEIGHTS)
-        return _model_from_manifest(manifest, ToyParams(weights=blob["weights"], bias=blob["bias"]))
+        path = directory / ARTIFACT_WEIGHTS
+        try:
+            with np.load(path) as blob:
+                arrays = {name: blob[name] for name in _TOY_SHAPES}
+        except (OSError, EOFError, ValueError, TypeError, KeyError, zipfile.BadZipFile) as exc:
+            raise EncoderError(f"{path}: not a toy weights archive: {exc}") from None
+        for name, shape in _TOY_SHAPES.items():
+            if arrays[name].shape != shape:
+                raise EncoderError(f"{path}: {name} of shape {arrays[name].shape}, not {shape}")
+        return _model_from_manifest(directory, manifest, ToyParams(**arrays))
 
 
 class PretrainedBackend:
@@ -884,7 +879,7 @@ class PretrainedBackend:
             )
         except Exception as exc:
             raise BackendWeightsError(f"cannot load weights from {directory}: {exc}") from exc
-        return _model_from_manifest(manifest, (tokenizer, net))
+        return _model_from_manifest(directory, manifest, (tokenizer, net))
 
 
 _BACKENDS: dict[str, ToyBackend | PretrainedBackend] = {
@@ -998,17 +993,19 @@ def _read_manifest(directory: Path) -> dict[str, str]:
     return manifest
 
 
-def _model_from_manifest(manifest: dict[str, str], params) -> TrainedModel:
-    spec = EncoderSpec(
-        backend_key=manifest["backend"],
-        max_sequence_tokens=int(manifest["max_sequence_tokens"]),
-    )
-    return TrainedModel(
-        spec=spec,
-        hyperparams=HyperParams.from_mapping(manifest),
-        params=params,
-        train_fingerprint=manifest["fingerprint"],
-    )
+def _model_from_manifest(directory: Path, manifest: dict[str, str], params) -> TrainedModel:
+    try:
+        spec = EncoderSpec(backend_key=manifest["backend"], max_sequence_tokens=int(manifest["max_sequence_tokens"]))
+        return TrainedModel(
+            spec=spec,
+            hyperparams=HyperParams.from_mapping(manifest),
+            params=params,
+            train_fingerprint=manifest["fingerprint"],
+        )
+    except KeyError as exc:
+        raise EncoderError(f"{directory / ARTIFACT_MANIFEST}: no {exc.args[0]} line") from None
+    except (ValueError, ConfigError) as exc:
+        raise EncoderError(f"{directory / ARTIFACT_MANIFEST}: {exc}") from None
 
 
 def save_model(model: TrainedModel, directory: str | Path) -> Path:

@@ -1,4 +1,4 @@
-"""Shared fixtures: separable synthetic corpora and small file helpers.
+"""Shared fixtures: separable synthetic corpora, small file helpers and the toy step's scipy oracles.
 
 The synthetic corpus gives each class a disjoint Arabic letter pool, so the
 classes have disjoint character n-grams and a linear model separates them
@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from arahate.corpus import LabeledText, write_jsonl
+from arahate.encoder import StepBatch, ToyParams, toy_forward_backward
 from arahate.labels import LABEL_ORDER, Label
 
 CLASS_LETTERS = {
@@ -89,3 +91,24 @@ def stopword_file(tmp_path: Path) -> Path:
     path = tmp_path / "stopwords.txt"
     path.write_text("من\nفي\nعن\nعلى\nإلى\nو\n", encoding="utf-8")
     return path
+
+
+def as_csr(batch: StepBatch) -> sparse.csr_matrix:
+    """The scipy CSR matrix of a ``StepBatch``'s arrays: the oracle the toy backend's CSR code is checked against."""
+    return sparse.csr_matrix((batch.data, batch.indices, batch.indptr), shape=batch.shape)
+
+
+def step_batch(dense) -> StepBatch:
+    """The ``StepBatch`` of the CSR matrix scipy makes of a dense (N, D) array."""
+    matrix = sparse.csr_matrix(dense, dtype=float)
+    return StepBatch(matrix.indptr, matrix.indices, matrix.data, matrix.shape)
+
+
+def one_model_step(params: ToyParams, features, labels) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Mean loss and gradients of one model on dense (N, D) features: a one-model stacked ``toy_forward_backward``.
+
+    The bias is passed as a one-row view, so writes into ``params.bias`` reach the call.
+    """
+    stacked = ToyParams(weights=params.weights, bias=params.bias[None])
+    losses, (grad_w, grad_b) = toy_forward_backward(stacked, step_batch(features), labels, np.zeros(len(labels), int))
+    return float(losses.mean()), (grad_w, grad_b[0])

@@ -20,14 +20,14 @@ from arahate.augment import AugmentPlan, build_augmented_corpus
 from arahate.classifiers import Classifier
 from arahate.cli import main
 from arahate.corpus import DatasetDescriptor, LabeledText, write_jsonl
-from arahate.encoder import EncoderSpec, HyperParams, ToyParams, toy_forward_backward
+from arahate.encoder import EncoderSpec, HyperParams, ToyParams
 from arahate.ensemble import average_vote, majority_vote
 from arahate.evaluate import ConfusionMatrix, aggregate, per_class_metrics, stratified_folds
 from arahate.labels import LABEL_INDEX, LABEL_ORDER, Label
 from arahate.normalize import NormalizationConfig, normalize_text
 from arahate.tune import SearchGrid, coordinate_search, make_cv_protocol
 
-from conftest import class_text, load_golden_cases, make_separable_corpus
+from conftest import class_text, load_golden_cases, make_separable_corpus, one_model_step
 from test_ensemble import one_hotish, oracle_majority, pm
 from test_evaluate import oracle_metrics, random_instance
 from test_normalize import GOLDEN_FILE, GOLDEN_STOPWORDS, random_strings
@@ -162,7 +162,7 @@ class TestAcceptance:
             params = ToyParams(weights=rng.normal(size=(5, n_buckets)), bias=rng.normal(size=5))
             features = np.abs(rng.normal(size=(int(rng.integers(2, 7)), n_buckets)))
             labels = rng.integers(0, 5, size=features.shape[0])
-            _, (grad_w, grad_b) = toy_forward_backward(params, features, labels)
+            _, (grad_w, grad_b) = one_model_step(params, features, labels)
             h = 1e-6
             for arr, grad in ((params.weights, grad_w), (params.bias, grad_b)):
                 it = np.nditer(arr, flags=["multi_index"])
@@ -170,16 +170,16 @@ class TestAcceptance:
                     idx = it.multi_index
                     original = arr[idx]
                     arr[idx] = original + h
-                    up, _ = toy_forward_backward(params, features, labels)
+                    up, _ = one_model_step(params, features, labels)
                     arr[idx] = original - h
-                    down, _ = toy_forward_backward(params, features, labels)
+                    down, _ = one_model_step(params, features, labels)
                     arr[idx] = original
                     fd = (up - down) / (2 * h)
                     rel = abs(fd - grad[idx]) / max(abs(fd), abs(grad[idx]), 1e-4)
                     worst = max(worst, rel)
         zero = ToyParams(weights=np.zeros((5, 11)), bias=np.zeros(5))
         features = np.abs(np.random.default_rng(1).normal(size=(4, 11)))
-        zero_loss, _ = toy_forward_backward(zero, features, [0, 1, 2, 3])
+        zero_loss, _ = one_model_step(zero, features, [0, 1, 2, 3])
         zero_ok = abs(zero_loss - np.log(5)) <= 1e-9
         ok = worst < 1e-4 and zero_ok
         report(

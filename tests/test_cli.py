@@ -14,6 +14,7 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -95,6 +96,14 @@ BAD_REGISTRIES = {
                  "registry.yaml: not UTF-8 text"),
     "label-map-list": (b"- key: ext\n  path: ext.jsonl\n  label_map: [GH]\n", "'ext': label_map must be a mapping"),
     "hate-only-string": (b'- key: ext\n  path: ext.jsonl\n  hate_only: "false"\n', "'ext': hate_only must be true or false"),
+}
+
+# Faults of a saved toy model, and the text of each one's error at load.
+MODEL_FAULTS = {
+    "weights-shape": "weights of shape (5, 100)",
+    "bias-shape": "bias of shape (3,)",
+    "not-npz": "weights.npz",
+    "manifest-key": "max_sequence_tokens",
 }
 
 HP = {"epochs": 1, "batch_size": 8, "learning_rate": 0.1}
@@ -1000,6 +1009,55 @@ class TestMalformedInputs:
         hp = tmp_path / "hp.yaml"
         hp.write_text("epochs: 1\nbatch_size: 8\nlearning_rate: 0.1\n")
         return hp
+
+    @pytest.mark.parametrize("fault", MODEL_FAULTS)
+    def test_malformed_model_artifact(self, tmp_path, corpus_file, fault, capsys):
+        model = tmp_path / "model"
+        argv = ["train", "--data", str(corpus_file), "--backend", "toy", "--hp", str(self._hp(tmp_path))]
+        assert main([*argv, "--out", str(model)]) == 0
+        blob = dict(np.load(model / "weights.npz"))
+        if fault == "weights-shape":
+            blob["weights"] = blob["weights"][:, :100]
+        elif fault == "bias-shape":
+            blob["bias"] = blob["bias"][:3]
+        if fault == "not-npz":
+            (model / "weights.npz").write_bytes(b"not an npz archive")
+        else:
+            np.savez(model / "weights.npz", **blob)
+        if fault == "manifest-key":
+            manifest = (model / "manifest.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+            (model / "manifest.txt").write_text(
+                "".join(line for line in manifest if not line.startswith("max_sequence_tokens=")), encoding="utf-8"
+            )
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--model", str(model), "--data", str(corpus_file), "--out", str(out)]) == 2
+        error = self._error(capsys)
+        assert MODEL_FAULTS[fault] in error and error.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "tune", "evaluate"])
+    def test_unnormalized_rows_are_validation_error(self, tmp_path, corpus_file, command, capsys):
+        hp = ["--hp", str(self._hp(tmp_path))]
+        raw = tmp_path / "raw.jsonl"
+        rows = read_jsonl(corpus_file)
+        write_jsonl(raw, [replace(row, norm_text=None) if i == 7 else row for i, row in enumerate(rows)])
+        argv = {
+            "train": ["train", "--backend", "toy", *hp],
+            "tune": ["tune", "--backend", "toy", "--folds", "5"],
+            "evaluate": ["evaluate", "--backend", "toy", *hp, "--folds", "5"],
+        }[command]
+        assert main([*argv, "--data", str(raw), "--out", str(tmp_path / "out")]) == 1
+        error = self._error(capsys)
+        assert f"row {rows[7].id!r} is not normalized; run `arahate normalize` first" in error
+        assert not (tmp_path / "out").exists()
+
+    def test_train_drops_rows_normalized_to_empty(self, tmp_path, corpus_file, capsys):
+        rows = read_jsonl(corpus_file)
+        data = tmp_path / "data.jsonl"
+        write_jsonl(data, [replace(row, norm_text="") if i == 7 else row for i, row in enumerate(rows)])
+        argv = ["train", "--data", str(data), "--backend", "toy", "--hp", str(self._hp(tmp_path))]
+        assert main([*argv, "--out", str(tmp_path / "model")]) == 0
+        assert f"on {len(rows) - 1} rows" in capsys.readouterr().out
 
     def test_normalize_input_not_utf8(self, tmp_path, capsys):
         source = tmp_path / "latin1.jsonl"

@@ -35,7 +35,7 @@ from arahate.encoder import (
 )
 from arahate.labels import LABEL_INDEX, LABEL_ORDER, Label
 
-from conftest import class_text, class_word, make_separable_corpus
+from conftest import as_csr, class_text, class_word, make_separable_corpus, one_model_step, step_batch
 
 TOY = EncoderSpec("toy")
 HP = HyperParams(epochs=5, batch_size=8, learning_rate=0.1, seed=1)
@@ -60,9 +60,9 @@ def finite_difference(params: ToyParams, features, labels, h=1e-6):
             idx = it.multi_index
             original = arr[idx]
             arr[idx] = original + h
-            up, _ = toy_forward_backward(params, features, labels)
+            up, _ = one_model_step(params, features, labels)
             arr[idx] = original - h
-            down, _ = toy_forward_backward(params, features, labels)
+            down, _ = one_model_step(params, features, labels)
             arr[idx] = original
             grad[idx] = (up - down) / (2 * h)
         grads.append(grad)
@@ -134,13 +134,13 @@ class TestToyForwardBackward:
         rng = np.random.default_rng(0)
         features, labels = random_batch(rng)
         params = ToyParams(weights=np.zeros((5, 17)), bias=np.zeros(5))
-        loss, _ = toy_forward_backward(params, features, labels)
+        loss, _ = one_model_step(params, features, labels)
         assert loss == pytest.approx(np.log(5), abs=1e-12)
 
     def test_perfect_prediction_zero_loss(self):
         params = ToyParams(weights=np.zeros((5, 3)), bias=np.array([1e4, 0, 0, 0, 0.0]))
         features = np.zeros((1, 3))
-        loss, _ = toy_forward_backward(params, features, [0])
+        loss, _ = one_model_step(params, features, [0])
         assert loss == 0.0
 
     def test_gradient_matches_finite_differences(self):
@@ -149,7 +149,7 @@ class TestToyForwardBackward:
             rng = np.random.default_rng(seed)
             params = random_params(rng)
             features, labels = random_batch(rng)
-            _, analytic = toy_forward_backward(params, features, labels)
+            _, analytic = one_model_step(params, features, labels)
             numeric = finite_difference(params, features, labels)
             worst = max(worst, max_relative_error(analytic, numeric))
         assert worst < 1e-4
@@ -157,18 +157,13 @@ class TestToyForwardBackward:
     def test_gradient_matches_on_sparse_features(self):
         rng = np.random.default_rng(99)
         texts = ["".join(rng.choice(list("ابجدهو"), size=8)) for _ in range(4)]
-        features = hashed_ngram_features(texts)
+        features = as_csr(hashed_ngram_features(texts))
         features = features[:, np.unique(features.indices)].toarray()  # the buckets the texts touch
         labels = rng.integers(0, 5, size=4)
         params = random_params(rng, features.shape[1])
-        _, analytic = toy_forward_backward(params, features, labels)
+        _, analytic = one_model_step(params, features, labels)
         numeric = finite_difference(params, features, labels)
         assert max_relative_error(analytic, numeric) < 1e-4
-
-    def test_non_finite_params_rejected(self):
-        params = ToyParams(weights=np.full((5, 3), np.nan), bias=np.zeros(5))
-        with pytest.raises(EncoderError, match="non-finite"):
-            toy_forward_backward(params, np.zeros((1, 3)), [0])
 
 
 @st.composite
@@ -196,7 +191,7 @@ class TestCsrProduct:
     )
     def test_equals_scipy_matmul_bit_for_bit(self, case):
         batch, x, g = case
-        matrix = sparse.csr_matrix((batch.data, batch.indices, batch.indptr), shape=batch.shape)
+        matrix = as_csr(batch)
         for actual, expected in (
             (encoder._csr_product(batch, x), matrix @ x),
             (encoder._csr_product(batch, g, transpose=True), matrix.T @ g),
@@ -226,24 +221,26 @@ class TestCsrProduct:
 def csr_and_row_ids(draw):
     """A CSR with empty rows and unsorted columns, and ids to take: repeated, unsorted, or none.
 
-    Past 2^31 columns scipy stores int64 index arrays, below it int32.
+    Past 2^31 columns the index arrays are int64, below it int32, as scipy stores them.
     """
     n_rows, n_cols = draw(st.integers(1, 10)), draw(st.sampled_from([30, 2**31 + 30]))
     rows = [draw(st.lists(st.integers(0, n_cols - 1), unique=True, max_size=6)) for _ in range(n_rows)]
-    indptr = np.cumsum([0] + [len(row) for row in rows])
-    indices = np.asarray([col for row in rows for col in row], dtype=np.int64)
+    index = np.int64 if n_cols > 2**31 else np.int32
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(index)
+    indices = np.asarray([col for row in rows for col in row], dtype=index)
     data = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=len(indices))
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
-    return matrix, np.asarray(draw(st.lists(st.integers(0, n_rows - 1), max_size=15)), dtype=np.int64)
+    batch = encoder.StepBatch(indptr, indices, data, (n_rows, n_cols))
+    return batch, np.asarray(draw(st.lists(st.integers(0, n_rows - 1), max_size=15)), dtype=np.int64)
 
 
 class TestTakeRows:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(csr_and_row_ids())
     def test_equals_scipy_row_indexing_bit_for_bit(self, case):
-        matrix, ids = case
-        assert matrix.indices.dtype == (np.int64 if matrix.shape[1] > 2**31 else np.int32)
-        taken, expected = encoder._take_rows(matrix, ids), matrix[ids]
+        batch, ids = case
+        matrix = as_csr(batch)
+        assert matrix.indices.dtype == batch.indices.dtype
+        taken, expected = encoder._take_rows(batch, ids), matrix[ids]
         assert taken.shape == expected.shape
         for name in ("indptr", "indices", "data"):
             actual, want = getattr(taken, name), getattr(expected, name)
@@ -261,7 +258,7 @@ class TestTakeRows:
     def test_row_id_out_of_range_raises(self, bad_id):
         # The kernel would read outside the matrix's arrays.
         with pytest.raises(IndexError):
-            encoder._take_rows(sparse.csr_matrix(np.eye(3)), np.array([0, bad_id]))
+            encoder._take_rows(step_batch(np.eye(3)), np.array([0, bad_id]))
 
 
 # Run lengths on both sides of numpy's pairwise-summation blocks (8 and 128 items).
@@ -378,7 +375,7 @@ class TestFeaturization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert_same_csr(features[-3:], per_ngram_features(texts[-3:]))
+        assert_same_csr(as_csr(features)[-3:], per_ngram_features(texts[-3:]))
         assert peak < 3 * (features.data.nbytes + features.indices.nbytes + features.indptr.nbytes)
 
     def test_memo_rows_match_oracle(self, fresh_memo):
@@ -452,25 +449,25 @@ class TestFeaturization:
 
     def test_deterministic_across_calls(self):
         texts = ["نص عربي قصير", "اخر"]
-        a = hashed_ngram_features(texts).toarray()
-        b = hashed_ngram_features(texts).toarray()
+        a = as_csr(hashed_ngram_features(texts)).toarray()
+        b = as_csr(hashed_ngram_features(texts)).toarray()
         assert np.array_equal(a, b)
 
     def test_short_text_zero_row(self):
-        row = hashed_ngram_features(["اب"]).toarray()
+        row = as_csr(hashed_ngram_features(["اب"])).toarray()
         assert row.sum() == 0
 
     def test_colliding_ngrams_share_a_cell(self):
         # The trigrams "ازي" and "ذبا" both hash to bucket 54023.
         features = hashed_ngram_features(["ازي ذبا"])
-        assert features[0, 54023] == 2.0
+        assert as_csr(features)[0, 54023] == 2.0
         assert_same_csr(features, per_ngram_features(["ازي ذبا"]))
 
     def test_truncation_limits_tokens(self):
         long_text = " ".join(["كلمه"] * 50)
         short = hashed_ngram_features([" ".join(["كلمه"] * 3)], max_tokens=3)
         truncated = hashed_ngram_features([long_text], max_tokens=3)
-        assert np.array_equal(short.toarray(), truncated.toarray())
+        assert np.array_equal(as_csr(short).toarray(), as_csr(truncated).toarray())
 
 
 class TestFit:
@@ -516,7 +513,7 @@ def dense_reference_fit(hp: HyperParams, rows):
     feature rows, not from ``toy_forward_backward``. The bias gradient adds
     the batch's rows one by one, in row order, as a model's own step does.
     """
-    features = hashed_ngram_features([row.norm_text for row in rows], max_tokens=TOY.max_sequence_tokens)
+    features = as_csr(hashed_ngram_features([row.norm_text for row in rows], max_tokens=TOY.max_sequence_tokens))
     y = np.asarray([LABEL_INDEX[row.label] for row in rows])
     weights, bias = np.zeros((5, features.shape[1])), np.zeros(5)
     rng = np.random.default_rng(hp.seed)
@@ -585,7 +582,7 @@ class TestSparseStep:
     def test_each_step_sees_only_its_batch_buckets(self, monkeypatch):
         widths = []
 
-        def spy(params, features, labels, owner=None):
+        def spy(params, features, labels, owner):
             widths.append((params.weights.shape[1], features.shape[1], np.unique(features.indices).size))
             return toy_forward_backward(params, features, labels, owner)
 
@@ -643,7 +640,7 @@ class TestPredictProba:
         for trained in (model, load_model(tmp_path)):  # compact, then dense
             params = trained.params
             features = hashed_ngram_features(texts, trained.spec.max_sequence_tokens)
-            logits = np.asarray(features @ params.dense_weights().T) + params.bias
+            logits = np.asarray(as_csr(features) @ params.dense_weights().T) + params.bias
             exp = np.exp(logits - logits.max(axis=1, keepdims=True))
             expected = exp / exp.sum(axis=1, keepdims=True)
             assert encoder.predict_proba(trained, texts).probs.tobytes() == expected.tobytes()

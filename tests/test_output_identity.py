@@ -1,0 +1,112 @@
+"""Output identity: tiny benchmark runs write the bytes of a committed table.
+
+The tiny seed-3 inputs of every benchmark workload are generated with
+``perfbench/gen.py`` (imported as CI imports it) and run in-process. The
+SHA-256 of every file in each run directory must match
+``tests/data/run_identity.tsv``, so a change that moves any output bit fails
+here. An intended output change is an edit of that table; rewrite it with
+``PYTHONPATH=src python tests/test_output_identity.py``.
+
+The run id hashes the absolute input paths, so the places that carry it or a
+path are masked:
+
+- the run directory's name ``run-<id>``;
+- ``stages/*.ok`` (each holds the run id) and ``manifest.json`` (run id,
+  resolved config and input paths) are skipped;
+- ``metrics.json``'s ``config_hash`` and the run row of ``report/tables.md``
+  have the run id replaced by ``RUN_ID``.
+
+Two input directories give equal bytes everywhere else.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+from scipy.sparse import _compressed
+
+from arahate import encoder
+from arahate.config import load_config
+from arahate.pipeline import run_experiment
+
+REPO = Path(__file__).resolve().parent.parent
+TABLE = Path(__file__).resolve().parent / "data" / "run_identity.tsv"
+SEED = 3
+SKIPPED = ("manifest.json", "stages/")
+RUN_ID_FILES = ("metrics.json", "report/tables.md")
+
+
+def _gen():
+    sys.path.insert(0, str(REPO / "perfbench"))
+    try:
+        import gen
+    finally:
+        sys.path.remove(str(REPO / "perfbench"))
+    return gen
+
+
+def run_hashes(root: Path) -> dict[tuple[str, str], str]:
+    """(workload, file) -> SHA-256 of every unmasked file of each tiny workload's run under ``root``."""
+    gen = _gen()
+    hashes = {}
+    for workload in gen.WORKLOADS:
+        config = gen.generate(workload, SEED, root / workload / "inputs", tiny=True)
+        run_dir = run_experiment(load_config(config), root / workload / "runs")
+        run_id = run_dir.name.removeprefix("run-").encode()
+        for path in sorted(run_dir.rglob("*")):
+            name = path.relative_to(run_dir).as_posix()
+            if not path.is_file() or name.startswith(SKIPPED):
+                continue
+            content = path.read_bytes()
+            if name in RUN_ID_FILES:
+                content = content.replace(run_id, b"RUN_ID")
+            hashes[workload, name] = hashlib.sha256(content).hexdigest()
+    return hashes
+
+
+def read_table() -> dict[tuple[str, str], str]:
+    rows = (line.split("\t") for line in TABLE.read_text(encoding="utf-8").splitlines() if line)
+    return {(workload, name): digest for workload, name, digest in rows}
+
+
+@pytest.fixture(scope="module")
+def traced_runs(tmp_path_factory):
+    """The runs' hashes, and how many scipy sparse matrices the runs constructed."""
+    calls = []
+    init = _compressed._cs_matrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoder, "_FEATURE_MEMO", {})  # every text is hashed in these runs
+        patch.setattr(_compressed._cs_matrix, "__init__", counting_init)
+        hashes = run_hashes(tmp_path_factory.mktemp("identity"))
+    return hashes, calls
+
+
+def test_tiny_runs_match_identity_table(traced_runs):
+    hashes, _ = traced_runs
+    expected = read_table()
+    assert sorted(hashes) == sorted(expected), "the runs write other files than the table lists"
+    changed = ["/".join(key) for key, digest in hashes.items() if expected[key] != digest]
+    assert not changed, f"output bytes changed: {changed}"
+
+
+def test_runs_construct_no_scipy_sparse_matrix(traced_runs):
+    _, calls = traced_runs
+    assert calls == []
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        table = run_hashes(Path(scratch))
+    lines = (f"{workload}\t{name}\t{digest}\n" for (workload, name), digest in sorted(table.items()))
+    TABLE.write_text("".join(lines), encoding="utf-8")
+    print(f"wrote {len(table)} hashes to {TABLE}")

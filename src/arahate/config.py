@@ -129,6 +129,8 @@ def read_yaml(path: str | Path, what: str, shape=None):
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"{what} not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"{what} {path}: not a file")
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError:

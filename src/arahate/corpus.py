@@ -154,6 +154,8 @@ def _iter_delimited(path: Path, delimiter: str):
 
 def _iter_records(path: Path, format: str):
     """(line number, values of _RECORD_FIELDS, None where absent) per row of a JSONL, CSV or TSV file."""
+    if not path.is_file():
+        raise CorpusError(f"{path}: not a file")
     try:
         if format == "jsonl":
             yield from _iter_jsonl(path)

@@ -36,7 +36,11 @@ builds no scipy matrix. Fit and predict read the memo alike:
 kernel ``matrix[ids]`` runs, and ``_csr_product`` multiplies with
 ``csr_matvecs`` and ``csc_matvecs``, the kernels ``@`` runs for a CSR
 matrix, or its transpose, times a 2-D array: rows and products are bit for
-bit scipy's. The group's models share one
+bit scipy's. The three kernels come from scipy's compiled ``_sparsetools``
+module, which ``_load_sparsetools`` loads straight from its extension file,
+so importing this module never runs ``scipy.sparse``'s package init; when
+that file is not found or does not load, it falls back to
+``from scipy.sparse import _sparsetools``. The group's models share one
 column space, the buckets any of its rows touch, and each owns a block of
 one float64 weight matrix: about 6 MiB for the ten folds of a 500-row
 cross-validation. A trained model keeps only its block (weights for its
@@ -54,16 +58,19 @@ weights.
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import json
 import logging
 import math
+import os
 import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import _sparsetools
 
 from .corpus import LabeledText, atomic_open
 from .ensemble import ProbabilityMatrix
@@ -71,6 +78,44 @@ from .errors import ArahateError, ConfigError
 from .labels import LABEL_INDEX, N_CLASSES
 
 log = logging.getLogger(__name__)
+
+_SPARSETOOLS = "scipy.sparse._sparsetools"
+
+
+def _load_sparsetools() -> ModuleType:
+    """scipy's compiled ``_sparsetools`` module, loaded straight from its extension file.
+
+    The module needs only numpy's C API, but importing it the ordinary way
+    first runs ``scipy.sparse``'s package init, which imports far more of
+    scipy and numpy than three kernels use and was about half of every
+    command's start-up. ``find_spec`` locates the ``scipy`` package without
+    importing it; the file is ``sparse/_sparsetools`` plus one of this
+    interpreter's extension suffixes, loaded under scipy's own module name.
+    When no such file exists or it fails to load, the ordinary import is the
+    fallback.
+    """
+    spec = importlib.util.find_spec("scipy")
+    locations = (spec.submodule_search_locations if spec is not None else None) or ()
+    candidates = (
+        os.path.join(location, "sparse", "_sparsetools" + suffix)
+        for location in locations
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    )
+    path = next(filter(os.path.isfile, candidates), None)
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader(_SPARSETOOLS, path)
+        try:
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SPARSETOOLS, loader))
+            loader.exec_module(module)
+            return module
+        except ImportError:
+            log.debug("loading %s failed; importing scipy.sparse instead", path, exc_info=True)
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+_sparsetools = _load_sparsetools()
 
 DEFAULT_MAX_TOKENS = 512
 # epochs, batch size, learning rate for fields a hyperparameter mapping omits

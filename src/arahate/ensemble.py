@@ -160,22 +160,27 @@ def read_proba_csv(path: str | Path) -> ProbabilityMatrix:
     path = Path(path)
     if not path.exists():
         raise VoteError(f"probability cache not found: {path}")
+    if not path.is_file():
+        raise VoteError(f"probability cache {path}: not a file")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != PROBA_CSV_HEADER:
-            raise VoteError(f"{path}: unexpected header {header!r}")
         ids = []
         rows = []
-        for record in reader:
-            if len(record) != len(PROBA_CSV_HEADER):
-                raise VoteError(f"{path}: malformed row {record!r}")
-            ids.append(record[0])
-            try:
-                rows.append([float(v) for v in record[1:]])
-            except ValueError:
-                raise VoteError(
-                    f"{path} line {reader.line_num}: probabilities must be numbers, got {record[1:]!r}"
-                ) from None
+        try:
+            header = next(reader, None)
+            if header != PROBA_CSV_HEADER:
+                raise VoteError(f"{path}: unexpected header {header!r}")
+            for record in reader:
+                if len(record) != len(PROBA_CSV_HEADER):
+                    raise VoteError(f"{path}: malformed row {record!r}")
+                ids.append(record[0])
+                try:
+                    rows.append([float(v) for v in record[1:]])
+                except ValueError:
+                    raise VoteError(
+                        f"{path} line {reader.line_num}: probabilities must be numbers, got {record[1:]!r}"
+                    ) from None
+        except UnicodeDecodeError:
+            raise VoteError(f"{path}: not UTF-8 text") from None
     probs = np.asarray(rows, dtype=float) if rows else np.zeros((0, N_CLASSES))
     return ProbabilityMatrix(ids=ids, probs=probs)

@@ -134,6 +134,8 @@ class NormalizationConfig:
         path = Path(stopword_path)
         if not path.exists():
             raise NormalizeError(f"stopword file not found: {path}")
+        if not path.is_file():
+            raise NormalizeError(f"stopword file {path}: not a file")
         try:
             lines = path.read_text(encoding="utf-8").splitlines()
         except UnicodeDecodeError:

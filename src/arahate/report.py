@@ -67,7 +67,12 @@ def load_baselines(path: str | Path | None = None) -> BaselineTable:
         path = Path(path)
         if not path.exists():
             raise ReportError(f"baseline file not found: {path}")
-        text = path.read_text(encoding="utf-8")
+        if not path.is_file():
+            raise ReportError(f"baseline file {path}: not a file")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ReportError(f"baseline file {path}: not UTF-8 text") from None
     try:
         return _baseline_table(json.loads(text))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or label

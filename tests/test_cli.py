@@ -1065,6 +1065,34 @@ class TestMalformedInputs:
         assert main(["normalize", "--in", str(source), "--out", str(tmp_path / "norm.jsonl")]) == 2
         assert f"{source}: not UTF-8 text" in self._error(capsys)
 
+    @pytest.mark.parametrize(
+        "case",
+        ["vote-cache-not-utf8", "vote-cache-directory", "run-config-directory", "normalize-in-directory",
+         "stopwords-directory", "baselines-directory", "baselines-not-utf8"],
+    )
+    def test_input_path_not_a_readable_file(self, tmp_path, corpus_file, case, capsys):
+        directory = tmp_path / "inputs"
+        directory.mkdir()
+        good = write_caches(tmp_path, ["x"], names=("good",))[0]
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(Path(good).read_bytes().replace(b"x,", "caf\u00e9,".encode("latin-1")))
+        argv, code, message = {
+            "vote-cache-not-utf8": (["vote", "--caches", str(latin1), good], 2, f"{latin1}: not UTF-8 text"),
+            "vote-cache-directory": (["vote", "--caches", str(directory), good], 2,
+                                     f"probability cache {directory}: not a file"),
+            "run-config-directory": (["run", "--config", str(directory)], 1, f"config file {directory}: not a file"),
+            "normalize-in-directory": (["normalize", "--in", str(directory)], 2, f"{directory}: not a file"),
+            "stopwords-directory": (["normalize", "--in", str(corpus_file), "--stopwords", str(directory)], 2,
+                                    f"stopword file {directory}: not a file"),
+            "baselines-directory": (["report", "--baselines", str(directory)], 2,
+                                    f"baseline file {directory}: not a file"),
+            "baselines-not-utf8": (["report", "--baselines", str(latin1)], 2,
+                                   f"baseline file {latin1}: not UTF-8 text"),
+        }[case]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == code
+        error = self._error(capsys)
+        assert message in error and error.count("\n") == 1
+
     def test_stopword_file_not_utf8(self, tmp_path, corpus_file, capsys):
         stopwords = tmp_path / "latin1.txt"
         stopwords.write_bytes("caf\u00e9\n".encode("latin-1"))

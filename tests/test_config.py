@@ -67,7 +67,12 @@ def test_error_names_the_place(data, message):
     assert str(err.value) == message
 
 
-def test_cli_and_load_config_run_without_jsonschema(tmp_path):
+def load_config_in_a_fresh_interpreter(tmp_path, check: str) -> None:
+    """Import ``arahate.cli``, load a tiny config and exit with ``check``, in a new interpreter.
+
+    The suite itself imports jsonschema and scipy.sparse, so only a new
+    process shows what the CLI's start-up imports.
+    """
     (tmp_path / "base.jsonl").write_text("")
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump({
@@ -79,8 +84,20 @@ def test_cli_and_load_config_run_without_jsonschema(tmp_path):
         "import sys, arahate.cli\n"
         "from arahate.config import load_config\n"
         "load_config(sys.argv[1])\n"
-        "sys.exit('jsonschema' in sys.modules)\n"
+        f"sys.exit({check})\n"
     )
     src = Path(arahate.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     subprocess.run([sys.executable, "-c", code, str(config)], env=env, check=True, timeout=120)
+
+
+def test_cli_and_load_config_run_without_jsonschema(tmp_path):
+    load_config_in_a_fresh_interpreter(tmp_path, "'jsonschema' in sys.modules")
+
+
+def test_cli_start_up_skips_scipy_sparse_package_init(tmp_path):
+    # The toy trainer's kernels load from their extension file; scipy.sparse's
+    # package init, and numpy.f2py that it pulls in, stay out.
+    load_config_in_a_fresh_interpreter(
+        tmp_path, "[name for name in ('scipy.sparse', 'numpy.f2py') if name in sys.modules] or None"
+    )

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import importlib.machinery
 import math
 import sys
 import tracemalloc
 import zlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -259,6 +261,54 @@ class TestTakeRows:
         # The kernel would read outside the matrix's arrays.
         with pytest.raises(IndexError):
             encoder._take_rows(step_batch(np.eye(3)), np.array([0, bad_id]))
+
+
+class TestSparsetoolsLoader:
+    """The kernels load from scipy's extension file, and from ``scipy.sparse`` when that file does not load."""
+
+    @staticmethod
+    def kernel_outputs(module, index) -> list[bytes]:
+        rng = np.random.default_rng(5)
+        matrix = sparse.random(7, 40, density=0.2, format="csr", random_state=6)
+        indptr, indices = matrix.indptr.astype(index), matrix.indices.astype(index)
+        ids = np.array([3, 0, 6, 3], dtype=index)
+        lengths = indptr[ids + 1] - indptr[ids]
+        taken_indices, taken_data = np.empty(lengths.sum(), dtype=index), np.empty(lengths.sum())
+        module.csr_row_index(len(ids), ids, indptr, indices, matrix.data, taken_indices, taken_data)
+        x, g = rng.normal(size=(40, 3)), rng.normal(size=(7, 3))
+        product, transposed = np.zeros((7, 3)), np.zeros((40, 3))
+        module.csr_matvecs(7, 40, 3, indptr, indices, matrix.data, x.ravel(), product.ravel())
+        module.csc_matvecs(40, 7, 3, indptr, indices, matrix.data, g.ravel(), transposed.ravel())
+        return [taken_indices.tobytes(), taken_data.tobytes(), product.tobytes(), transposed.tobytes()]
+
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    def test_direct_load_computes_what_scipy_sparse_does(self, monkeypatch, index):
+        from scipy.sparse import _sparsetools
+
+        # With scipy.sparse made unimportable, only the direct load can succeed.
+        monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+        direct = encoder._load_sparsetools()
+        assert direct.__name__ == "scipy.sparse._sparsetools"
+        assert self.kernel_outputs(direct, index) == self.kernel_outputs(_sparsetools, index)
+
+    def test_falls_back_when_no_file_is_found(self, monkeypatch):
+        from scipy.sparse import _sparsetools
+
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+        assert encoder._load_sparsetools() is _sparsetools
+
+    def test_falls_back_when_the_file_does_not_load(self, monkeypatch):
+        from scipy.sparse import _sparsetools
+
+        attempts = []
+
+        def refuse(loader, spec):
+            attempts.append(loader.path)
+            raise ImportError("refused")
+
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "create_module", refuse)
+        assert encoder._load_sparsetools() is _sparsetools
+        assert len(attempts) == 1 and Path(attempts[0]).parent.name == "sparse"
 
 
 # Run lengths on both sides of numpy's pairwise-summation blocks (8 and 128 items).

@@ -298,6 +298,8 @@ def load_registry(path: str | Path) -> list[DatasetDescriptor]:
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"registry file not found: {path}")
+    if not path.is_file():
+        raise CorpusError(f"registry {path}: not a file")
     try:
         data = yaml.safe_load(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError:

@@ -15,10 +15,14 @@ hashes a batch in blocks of whole texts, one numpy pass per block of at most
 2^16 characters, with a table-driven CRC-32 that is bit-equal to
 ``zlib.crc32``, and returns a ``StepBatch`` of CSR arrays; its transient
 memory is bounded by the block, not the batch. A per-process memo keyed by
-token limit keeps one CSR row per distinct text, so a process hashes each
-text once however many folds, grid points and ensemble members use it. The
-memo costs about one CSR row (~1 KiB for a tweet) per distinct text and is
-never evicted; its buffers grow in place, doubling when full.
+token limit keeps one CSR row per distinct text a fit has read, so a fit's
+rows are hashed once however many folds, grid points and ensemble members
+read them. Only fits fill it: prediction reads the rows it holds and hashes
+the texts it lacks block by block, without storing them. The memo costs
+about one CSR row (~1 KiB for a tweet) per text and is never evicted; its
+buffers grow in place, doubling when full. After a seed-1 augment-vote
+benchmark run it holds the 1,145 texts the fits read (1.1 MiB), where it
+held all 21,940 texts the run predicted (22.2 MiB) when prediction filled it.
 
 ``fit_many`` and ``predict_proba_many`` serve many models in one call, and
 ``fit`` and ``predict_proba`` are their one-model cases. The toy backend
@@ -46,8 +50,9 @@ one float64 weight matrix: about 6 MiB for the ten folds of a 500-row
 cross-validation. A trained model keeps only its block (weights for its
 sorted bucket ids ``cols``) and expands to every bucket only when saved.
 Each model gets bit for bit the weights, bias and losses its own fit gets,
-and one that turns non-finite fails alone. The models of a group predict
-with one row copy and one product, their weights side by side.
+and one that turns non-finite fails alone. Prediction reads its texts in
+chunks, once per token limit, and the models of a group score each chunk
+with one product, their weights side by side.
 
 Three pretrained encoder slots sit in the backend table by name; their
 weights are fetched by the run environment (never vendored), so using them
@@ -68,7 +73,7 @@ import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import ModuleType
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -325,24 +330,35 @@ def hashed_ngram_features(texts: Sequence[str], max_tokens: int | None = None) -
     """
     if max_tokens is not None:
         texts = [_truncate(text, max_tokens) for text in texts]
-    lengths = np.fromiter((len(text) for text in texts), dtype=np.int64, count=len(texts))
-    ends = np.cumsum(lengths)
+    lengths = _char_lengths(texts)
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
     indices, data = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
-    lo = 0
-    while lo < len(texts):
-        before = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, before + _HASH_BLOCK_CHARS, side="right")))
+    for lo, hi in _blocks(lengths):
         row_cells, block_indices, block_data = _hash_block(texts[lo:hi], lengths[lo:hi])
         indptr[lo + 1 : hi + 1] = row_cells
         indices.append(block_indices)
         data.append(block_data)
-        lo = hi
     np.cumsum(indptr, out=indptr)
     index = np.int32 if indptr[-1] <= _INT32_ENTRIES else np.int64
     indices = np.concatenate(indices).astype(index, copy=False)
     indptr = indptr.astype(index, copy=False)
     return StepBatch(indptr, indices, np.concatenate(data), (len(texts), TOY_DEFAULT_BUCKETS))
+
+
+def _char_lengths(texts: Sequence[str]) -> np.ndarray:
+    return np.fromiter((len(text) for text in texts), dtype=np.int64, count=len(texts))
+
+
+def _blocks(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
+    """``(lo, hi)`` of each run of consecutive texts of at most ``_HASH_BLOCK_CHARS`` characters in all;
+    a longer text is a run of its own."""
+    ends = np.cumsum(lengths)
+    lo = 0
+    while lo < len(lengths):
+        before = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + _HASH_BLOCK_CHARS, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 def _hash_block(texts: Sequence[str], lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -388,16 +404,18 @@ def _ngram_cells(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
     return np.concatenate(keys)
 
 
-# Per-process feature memo: token limit -> (row of each text seen so far,
-# [indptr, indices, data] buffers whose prefix holds those rows).
+# Per-process feature memo: token limit -> (row of each text a fit has
+# read, [indptr, indices, data] buffers whose prefix holds those rows).
+# Fits fill it; prediction only reads it.
 _FEATURE_MEMO: dict[int | None, tuple[dict[str, int], list[np.ndarray]]] = {}
 
 
 def _memo_rows(texts: Sequence[str], max_tokens: int | None) -> tuple[StepBatch, np.ndarray]:
     """The memo's rows as read-only CSR arrays and each text's row in them, after hashing the texts it lacks.
 
-    A fill writes only after the stored rows, so arrays returned earlier keep
-    their values. Index arrays are int32 while the entries fit, else int64.
+    This is the memo's one writer. A fill writes only after the stored rows,
+    so arrays returned earlier keep their values. Index arrays are int32
+    while the entries fit, else int64.
     """
     empty = [np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0)]
     row_of, buffers = _FEATURE_MEMO.setdefault(max_tokens, ({}, empty))
@@ -410,13 +428,50 @@ def _memo_rows(texts: Sequence[str], max_tokens: int | None) -> tuple[StepBatch,
         parts = [block.indptr[1:].astype(index) + nnz, block.indices.astype(index, copy=False), block.data]
         buffers[:] = [_appended(*args) for args in zip(buffers, (n_rows + 1, nnz, nnz), parts)]
         row_of.update(zip(new, range(n_rows, n_rows + len(new))))
-        n_rows += len(new)
+    ids = np.fromiter((row_of[text] for text in texts), dtype=np.int64, count=len(texts))
+    return _memo_view(row_of, buffers), ids
+
+
+def _memo_view(row_of: dict[str, int], buffers: list[np.ndarray]) -> StepBatch:
+    """The stored rows of one token limit's memo as read-only CSR arrays."""
+    n_rows = len(row_of)
     indptr, indices, data = buffers
     views = [indptr[: n_rows + 1], indices[: indptr[n_rows]], data[: indptr[n_rows]]]
     for view in views:
         view.flags.writeable = False
-    ids = np.fromiter((row_of[text] for text in texts), dtype=np.int64, count=len(texts))
-    return StepBatch(*views, (n_rows, TOY_DEFAULT_BUCKETS)), ids
+    return StepBatch(*views, (n_rows, TOY_DEFAULT_BUCKETS))
+
+
+def _predict_batches(
+    texts: Sequence[str], max_tokens: int | None
+) -> Iterator[tuple[np.ndarray, StepBatch, np.ndarray | None]]:
+    """``(positions, batch, rows)`` per chunk of ``texts``: row ``rows[i]`` of ``batch`` (row ``i`` where
+    ``rows`` is None) holds the features of ``texts[positions[i]]``.
+
+    Texts the memo holds are copied from it in one chunk. The others are
+    hashed, each distinct one once, one block of at most
+    ``_HASH_BLOCK_CHARS`` characters at a time, and never stored.
+    """
+    row_of, buffers = _FEATURE_MEMO.get(max_tokens, ({}, []))
+    known, ids, unseen, new_of = [], [], [], []
+    new: dict[str, int] = {}  # each distinct unseen text -> its row among them
+    for position, text in enumerate(texts):
+        row = row_of.get(text)
+        if row is None:
+            unseen.append(position)
+            new_of.append(new.setdefault(text, len(new)))
+        else:
+            known.append(position)
+            ids.append(row)
+    if known:
+        yield np.array(known), _take_rows(_memo_view(row_of, buffers), ids), None
+    # The unseen positions in the order of their texts' rows, so each block's are one run.
+    new_of = np.array(new_of, dtype=np.int64)
+    order = np.argsort(new_of, kind="stable")
+    new_of, unseen, new = new_of[order], np.array(unseen, dtype=np.int64)[order], list(new)
+    for lo, hi in _blocks(_char_lengths(new)):
+        run = slice(*np.searchsorted(new_of, [lo, hi]).tolist())
+        yield unseen[run], hashed_ngram_features(new[lo:hi], max_tokens=max_tokens), new_of[run] - lo
 
 
 def _appended(buffer: np.ndarray, filled: int, part: np.ndarray) -> np.ndarray:
@@ -651,7 +706,9 @@ class ToyBackend:
         features, text_rows = _memo_rows([row.norm_text for train in trains for row in train], spec.max_sequence_tokens)
         rows = np.split(text_rows, np.cumsum([len(train) for train in trains])[:-1])
         touched = np.zeros(TOY_DEFAULT_BUCKETS, dtype=bool)
-        touched[_take_rows(features, np.unique(text_rows)).indices] = True
+        read = np.zeros(features.shape[0], dtype=bool)
+        read[text_rows] = True
+        touched[_take_rows(features, np.flatnonzero(read)).indices] = True
         cols = np.flatnonzero(touched)
         width = len(cols)
         column = np.cumsum(touched, dtype=np.int32) - 1  # bucket -> its column in every block
@@ -734,31 +791,50 @@ class ToyBackend:
         return [failed.get(i) or model(i) for i in range(len(entries))]
 
     def predict_proba_arrays(self, models: Sequence[TrainedModel], texts: Sequence[str]) -> list[np.ndarray]:
-        """Each model's probabilities; the models of one ``cols`` array and token limit make one product.
-        ``csr_matvecs`` sums each output column on its own, so each model's logits are its own product's."""
-        groups: dict[tuple[int, int], list[int]] = {}
+        """Each model's probabilities; the models of one ``cols`` array and token limit make one product per chunk.
+
+        Chunks are the outer loop and groups the inner one, so each chunk's
+        rows are copied or hashed once per token limit, and the features are
+        never held for all texts at once. ``csr_matvecs`` sums each output
+        row and column on its own, so each model's logits are its own product's.
+        """
+        limits: dict[int, dict[int, list[int]]] = {}  # token limit -> id(cols) -> the group's models
         for index, model in enumerate(models):
             if not isinstance(model.params, ToyParams):
                 raise EncoderError("model was not trained by the toy backend")
-            groups.setdefault((id(model.params.cols), model.spec.max_sequence_tokens), []).append(index)
-        probs: list = [None] * len(models)
-        for indices in groups.values():
-            first = models[indices[0]]
-            batch = _take_rows(*_memo_rows(texts, first.spec.max_sequence_tokens))
-            # Buckets without a column read a trailing zero column: every count
-            # still adds its (zero) term, so the sums are the dense model's.
-            width = len(first.params.cols)
-            column = np.full(TOY_DEFAULT_BUCKETS, width, dtype=batch.indices.dtype)
-            column[first.params.cols] = np.arange(width)
-            batch = batch._replace(indices=column[batch.indices], shape=(len(texts), width + 1))
-            weights_t = np.empty((width + 1, len(indices), N_CLASSES))  # one copy of each model's weights
-            weights_t[width] = 0
-            for j, index in enumerate(indices):
-                weights_t[:width, j] = models[index].params.weights.T
-            logits = _csr_product(batch, weights_t.reshape(width + 1, -1)).reshape(len(texts), len(indices), N_CLASSES)
-            for j, index in enumerate(indices):
-                probs[index] = _softmax(logits[:, j] + models[index].params.bias)
-        return probs
+            limits.setdefault(model.spec.max_sequence_tokens, {}).setdefault(id(model.params.cols), []).append(index)
+        logits = np.empty((len(texts), N_CLASSES * len(models)))
+        slot = [0] * len(models)  # each model's logits are columns slot * K to (slot + 1) * K
+        filled = 0
+        for max_tokens, groups in limits.items():
+            blocks = []  # per group: bucket -> column table, stacked weights and its logit columns
+            for indices in groups.values():
+                cols = models[indices[0]].params.cols
+                # Buckets without a column read a trailing zero column: every count
+                # still adds its (zero) term, so the sums are the dense model's.
+                column = np.full(TOY_DEFAULT_BUCKETS, len(cols), dtype=np.int32)
+                column[cols] = np.arange(len(cols))
+                weights_t = np.empty((len(cols) + 1, len(indices), N_CLASSES))  # one copy of each model's weights
+                weights_t[len(cols)] = 0
+                for j, index in enumerate(indices):
+                    weights_t[: len(cols), j] = models[index].params.weights.T
+                    slot[index] = filled + j
+                out = slice(N_CLASSES * filled, N_CLASSES * (filled + len(indices)))
+                blocks.append((column, weights_t.reshape(len(cols) + 1, -1), out))
+                filled += len(indices)
+            for positions, batch, rows in _predict_batches(texts, max_tokens):
+                for column, weights_t, out in blocks:
+                    remapped = batch._replace(
+                        indices=column[batch.indices].astype(batch.indptr.dtype, copy=False),
+                        shape=(batch.shape[0], len(weights_t)),
+                    )
+                    product = _csr_product(remapped, weights_t)
+                    logits[positions, out] = product if rows is None else product[rows]
+                del batch, remapped, product  # freed before the next chunk is read
+        return [
+            _softmax(logits[:, N_CLASSES * slot[i] : N_CLASSES * (slot[i] + 1)] + model.params.bias)
+            for i, model in enumerate(models)
+        ]
 
     artifacts = (ARTIFACT_WEIGHTS, ARTIFACT_MANIFEST)  # what ``save`` writes
 

@@ -152,8 +152,8 @@ def write_proba_csv(path: str | Path, matrix: ProbabilityMatrix) -> None:
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(PROBA_CSV_HEADER)
-        for i, row_id in enumerate(matrix.ids):
-            writer.writerow([row_id] + [repr(float(p)) for p in matrix.probs[i]])
+        # csv writes each float as its repr.
+        writer.writerows([row_id, *probs] for row_id, probs in zip(matrix.ids, matrix.probs.tolist()))
 
 
 def read_proba_csv(path: str | Path) -> ProbabilityMatrix:

@@ -199,7 +199,8 @@ class _CodePointTable:
         astral = codes > 0xFFFF
         unseen = (out == _UNSEEN) & ~astral
         if unseen.any():
-            new = np.unique(codes[unseen])
+            # The sorted distinct codes, found without np.unique, which loads numpy.ma.
+            new = np.flatnonzero(np.bincount(codes[unseen]))
             self._bmp[new] = np.array([self._value(code) for code in new.tolist()], dtype=np.uint32)
             out[unseen] = self._bmp[codes[unseen]]
         if astral.any():

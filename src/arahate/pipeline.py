@@ -79,7 +79,7 @@ class ExperimentRun:
             except ArahateError as exc:
                 self._registry_error = exc
         self.input_hashes = {
-            path: _sha256_file(Path(path)) if Path(path).exists() else None
+            path: _sha256_file(Path(path)) if Path(path).is_file() else None
             for path in self._input_paths()
         }
         self.run_id = config_hash(cfg, self.seed, __version__, self.input_hashes)
@@ -96,7 +96,7 @@ class ExperimentRun:
     # --- config helpers -------------------------------------------------
 
     def _input_paths(self) -> list[str]:
-        """Every file a stage reads; a missing one is hashed as None and fails its stage."""
+        """Every file a stage reads; a missing one or a non-file is hashed as None and fails its stage."""
         paths = self.cfg["paths"]
         inputs = [paths["data"]] + ([paths["stopwords"]] if paths.get("stopwords") else [])
         if self.cfg.get("augment", {}).get("enabled"):

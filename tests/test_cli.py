@@ -1093,6 +1093,35 @@ class TestMalformedInputs:
         error = self._error(capsys)
         assert message in error and error.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "case", ["run-data", "run-stopwords", "run-registry", "run-baselines", "augment-plan-registry"]
+    )
+    def test_run_input_directory_is_one_error_line(self, tmp_path, corpus_file, case, capsys):
+        directory = tmp_path / "inputs"
+        directory.mkdir()
+        config = write_config(tmp_path, read_jsonl(corpus_file), augment=augment_section(write_registry(tmp_path)))
+        cfg = yaml.safe_load(config.read_text(encoding="utf-8"))
+        if case == "run-registry":
+            cfg["augment"]["registry"] = str(directory)
+        elif case == "run-baselines":
+            cfg["report"] = {"enabled": True, "baselines": str(directory)}
+        elif case != "augment-plan-registry":
+            cfg["paths"][case.removeprefix("run-")] = str(directory)
+        config.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(f"registry: {directory}\npseudo_sources: [ext]\n" + LABELER, encoding="utf-8")
+        argv = ["run", "--config", str(config)]
+        if case == "augment-plan-registry":
+            argv = ["augment", "--base", str(corpus_file), "--plan", str(plan)]
+        message = {
+            "run-data": f"{directory}: not a file",
+            "run-stopwords": f"stopword file {directory}: not a file",
+            "run-baselines": f"baseline file {directory}: not a file",
+        }
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        error = self._error(capsys)
+        assert message.get(case, f"registry {directory}: not a file") in error and error.count("\n") == 1
+
     def test_stopword_file_not_utf8(self, tmp_path, corpus_file, capsys):
         stopwords = tmp_path / "latin1.txt"
         stopwords.write_bytes("caf\u00e9\n".encode("latin-1"))

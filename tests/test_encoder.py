@@ -377,6 +377,21 @@ def fresh_memo(monkeypatch):
     monkeypatch.setattr(encoder, "_FEATURE_MEMO", {})
 
 
+def tweet_length_texts(chars: int) -> list[str]:
+    """Random Arabic texts of 40 to 139 characters, at least ``chars`` in all."""
+    rng = np.random.default_rng(13)
+    letters = np.array(list("ابتثجحخدذرزسشصضطظعغفقكلمنهوي "))
+    texts, total = [], 0
+    while total < chars:
+        texts.append("".join(rng.choice(letters, size=int(rng.integers(40, 140)))))
+        total += len(texts[-1])
+    return texts
+
+
+def features_nbytes(features) -> int:
+    return features.data.nbytes + features.indices.nbytes + features.indptr.nbytes
+
+
 @pytest.fixture
 def hashed_texts(monkeypatch, fresh_memo):
     """Every text handed to hashed_ngram_features, in call order."""
@@ -413,12 +428,7 @@ class TestFeaturization:
     def test_peak_memory_bounded_by_blocks(self):
         # Tweet-length Arabic texts filling at least four blocks: hashing them
         # must not hold much more than the matrix it returns.
-        rng = np.random.default_rng(13)
-        letters = np.array(list("ابتثجحخدذرزسشصضطظعغفقكلمنهوي "))
-        texts, chars = [], 0
-        while chars < 4 * encoder._HASH_BLOCK_CHARS:
-            texts.append("".join(rng.choice(letters, size=int(rng.integers(40, 140)))))
-            chars += len(texts[-1])
+        texts = tweet_length_texts(4 * encoder._HASH_BLOCK_CHARS)
         tracemalloc.start()
         try:
             features = hashed_ngram_features(texts)
@@ -426,7 +436,7 @@ class TestFeaturization:
         finally:
             tracemalloc.stop()
         assert_same_csr(as_csr(features)[-3:], per_ngram_features(texts[-3:]))
-        assert peak < 3 * (features.data.nbytes + features.indices.nbytes + features.indptr.nbytes)
+        assert peak < 3 * features_nbytes(features)
 
     def test_memo_rows_match_oracle(self, fresh_memo):
         texts = ["نص عربي قصير", "اب", "نص عربي قصير", "كلمه " * 6, "اخر"]
@@ -734,18 +744,109 @@ class TestPredictProbaMany:
             assert matrix.ids == alone.ids == [str(i) for i in range(len(texts))]
             assert matrix.probs.tobytes() == alone.probs.tobytes()
 
-    def test_a_group_takes_its_rows_once(self, model_pool, monkeypatch):
+    def test_a_group_takes_its_rows_once(self, model_pool, small_blocks, monkeypatch):
+        # Known texts are copied from the memo in one take per token limit,
+        # however many groups share the limit; unseen texts are never taken.
+        store_some(MIXED_TEXTS)
         calls = []
 
         def spy(matrix, ids):
-            calls.append(len(ids))
+            calls.append(list(ids))
             return take_rows(matrix, ids)
 
         take_rows = encoder._take_rows
         monkeypatch.setattr(encoder, "_take_rows", spy)
-        encoder.predict_proba_many(model_pool, PREDICT_TEXTS)
-        # The lockstep group of three, one of its models again under token limit 3, then three models alone.
-        assert calls == [len(PREDICT_TEXTS)] * 5
+        encoder.predict_proba_many(model_pool, MIXED_TEXTS)
+        expected = []
+        # Token limits in the order the models first name them: 512 (three
+        # groups), 3 (one group, nothing stored) and 2 (one group).
+        for limit in dict.fromkeys(model.spec.max_sequence_tokens for model in model_pool):
+            row_of = memo_rows_of(limit)
+            ids = [row_of[text] for text in MIXED_TEXTS if text in row_of]
+            if ids:
+                expected.append(ids)
+        assert calls == expected and len(expected) == 2
+
+
+# Duplicates, "", sub-trigram texts and one text longer than a block of BLOCK_CHARS.
+MIXED_TEXTS = PREDICT_TEXTS + ["كلمه " * 12] + PREDICT_TEXTS[::3]
+BLOCK_CHARS = 40
+
+
+@pytest.fixture
+def small_blocks(monkeypatch, fresh_memo):
+    """An empty memo and short blocks, so a few texts span several."""
+    monkeypatch.setattr(encoder, "_HASH_BLOCK_CHARS", BLOCK_CHARS)
+
+
+def store_some(texts):
+    """Store some texts under two of model_pool's three token limits (512 and 2), none under 3."""
+    encoder._memo_rows(texts[::2], TOY.max_sequence_tokens)
+    encoder._memo_rows(texts[1::3], 2)
+
+
+def memo_rows_of(limit) -> dict[str, int]:
+    return encoder._FEATURE_MEMO.get(limit, ({}, []))[0]
+
+
+class TestPredictUnseen:
+    def test_prediction_leaves_the_memo_unchanged(self, model_pool, small_blocks):
+        store_some(MIXED_TEXTS)
+
+        def snapshot():
+            memo = encoder._FEATURE_MEMO.items()
+            return {limit: (dict(row_of), [array.copy() for array in buffers]) for limit, (row_of, buffers) in memo}
+
+        before = snapshot()
+        encoder.predict_proba_many(model_pool, MIXED_TEXTS + ["نص لم يره احد", "اخر جديد"])
+        after = snapshot()
+        assert before.keys() == after.keys() == {TOY.max_sequence_tokens, 2}
+        for limit, (row_of, buffers) in before.items():
+            assert after[limit][0] == row_of
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(after[limit][1], buffers))
+
+    def test_equals_the_memo_path_bit_for_bit(self, model_pool, small_blocks):
+        store_some(MIXED_TEXTS)
+        mixed = encoder.predict_proba_many(model_pool, MIXED_TEXTS)
+        for limit in {model.spec.max_sequence_tokens for model in model_pool}:
+            encoder._memo_rows(MIXED_TEXTS, limit)
+        stored = encoder.predict_proba_many(model_pool, MIXED_TEXTS)
+        assert [matrix.probs.tobytes() for matrix in mixed] == [matrix.probs.tobytes() for matrix in stored]
+
+    def test_each_unseen_text_is_hashed_once_per_token_limit(self, model_pool, small_blocks, monkeypatch):
+        store_some(MIXED_TEXTS)
+        hashed = []
+
+        def spy(texts, max_tokens=None):
+            hashed.extend((max_tokens, text) for text in texts)
+            return hashed_ngram_features(texts, max_tokens)
+
+        monkeypatch.setattr(encoder, "hashed_ngram_features", spy)
+        encoder.predict_proba_many(model_pool, MIXED_TEXTS)
+        limits = {model.spec.max_sequence_tokens for model in model_pool}
+        expected = [
+            (limit, text) for limit in limits for text in dict.fromkeys(MIXED_TEXTS) if text not in memo_rows_of(limit)
+        ]
+        assert sorted(hashed) == sorted(expected)
+        # Three groups share the default limit, and each of its unseen texts was hashed once for all of them.
+        assert len({id(m.params.cols) for m in model_pool if m.spec.max_sequence_tokens == TOY.max_sequence_tokens}) == 3
+
+    def test_peak_memory_bounded_by_one_block(self, model, fresh_memo):
+        # Unseen tweet-length texts filling at least four blocks: predicting them
+        # holds about one block's hashing, not the features of every text.
+        texts = tweet_length_texts(4 * encoder._HASH_BLOCK_CHARS)
+        _, hi = next(encoder._blocks(encoder._char_lengths(texts)))
+        tracemalloc.start()
+        try:
+            hashed_ngram_features(texts[:hi])
+            one_block = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            probs = encoder.predict_proba(model, texts).probs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (len(texts), 5) and hi < len(texts) / 3
+        assert peak < one_block + features_nbytes(hashed_ngram_features(texts)) / 4
 
 
 class TestPersistence:

@@ -22,6 +22,8 @@ Two input directories give equal bytes everywhere else.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -100,6 +102,27 @@ def test_tiny_runs_match_identity_table(traced_runs):
 def test_runs_construct_no_scipy_sparse_matrix(traced_runs):
     _, calls = traced_runs
     assert calls == []
+
+
+def test_tiny_desk_run_never_loads_numpy_ma(tmp_path):
+    # np.unique without counts checks np.ma.is_masked, which imports numpy.ma
+    # (about 10 ms); the run finds distinct values without it. numpy 1.x
+    # imports numpy.ma with numpy itself, so there is nothing to keep out.
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+    def fresh(code: str, *args) -> str:
+        argv = [sys.executable, "-c", f"import sys\n{code}\nprint('numpy.ma' in sys.modules)", *map(str, args)]
+        return subprocess.run(argv, env=env, check=True, capture_output=True, text=True, timeout=300).stdout.strip()
+
+    if fresh("import numpy") == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    config = _gen().generate("desk", SEED, tmp_path / "inputs", tiny=True)
+    code = (
+        "from arahate.config import load_config\n"
+        "from arahate.pipeline import run_experiment\n"
+        "run_experiment(load_config(sys.argv[1]), sys.argv[2])"
+    )
+    assert fresh(code, config, tmp_path / "runs") == "False"
 
 
 if __name__ == "__main__":

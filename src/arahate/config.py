@@ -22,11 +22,10 @@ import os
 from pathlib import Path
 from typing import Mapping
 
-import yaml
-
 from . import encoder
 from .augment import AugmentPlan
 from .classifiers import Classifier
+from .corpus import load_yaml
 from .ensemble import ensemble_policy
 from .errors import ConfigError
 from .evaluate import FoldPlan, stratified_folds
@@ -126,18 +125,7 @@ def check_shape(data, shape, what: str, path: tuple = ()) -> None:
 
 def read_yaml(path: str | Path, what: str, shape=None):
     """Parse a YAML/JSON file (an empty one reads as {}) and check it against ``shape`` if given."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{what} not found: {path}")
-    if not path.is_file():
-        raise ConfigError(f"{what} {path}: not a file")
-    try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise ConfigError(f"{what} {path}: not UTF-8 text") from None
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{what} is not valid YAML/JSON: {exc}") from None
-    data = {} if data is None else data
+    data = load_yaml(path, what, ConfigError)
     if shape is not None:
         check_shape(data, shape, f"{what} {path}")
     return data

@@ -6,6 +6,11 @@ with fields ``id``, ``text``, ``label`` and ``source``; ``norm_text`` and
 CSV/TSV sources are adapted into the same row type at load time via a
 DatasetDescriptor that declares how external label strings map onto the
 taxonomy (or that they are discarded).
+
+This module also holds the one way the package opens files. Every input file
+is read through ``open_input``, which raises the reader's own error, naming
+the file, for a path that is missing, is not a file or is not UTF-8 text.
+Every output file is written through ``atomic_open``.
 """
 
 from __future__ import annotations
@@ -108,61 +113,46 @@ class DatasetDescriptor:
             ) from None
 
 
-def _iter_jsonl(path: Path):
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path} line {line_no}: invalid JSON ({exc})") from None
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path} line {line_no}: expected a JSON object")
-            yield line_no, tuple(map(record.get, _RECORD_FIELDS))
+def _iter_jsonl(fh: IO[str], path: Path):
+    for line_no, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path} line {line_no}: invalid JSON ({exc})") from None
+        if not isinstance(record, dict):
+            raise CorpusError(f"{path} line {line_no}: expected a JSON object")
+        yield line_no, tuple(map(record.get, _RECORD_FIELDS))
 
 
-def _iter_delimited(path: Path, delimiter: str):
-    """(line number, fields) per row, by csv.DictReader's rules.
+def _iter_delimited(fh: IO[str], path: Path, delimiter: str):
+    """(line number, fields) per row of a file opened with ``newline=""``, by csv.DictReader's rules.
 
     Blank lines are skipped, a short row reads None for its missing fields,
     extra fields are ignored, and of two columns with the same name the last
     wins. A header-position map picks the fields from plain ``csv.reader``
     rows, without a dict per row.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            return
-        column = {name: index for index, name in enumerate(header)}
-        missing = set(_RECORD_FIELDS[:3]) - column.keys()
-        if missing:
-            raise CorpusError(f"{path}: missing required columns {sorted(missing)}")
-        width = len(header)
-        # An absent column reads the None appended at index ``width``.
-        pick = operator.itemgetter(*(column.get(name, width) for name in _RECORD_FIELDS))
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                row = row[:width] + [None] * (width - len(row))
-            row.append(None)
-            # The reader has consumed the header as line 1.
-            yield reader.line_num, pick(row)
-
-
-def _iter_records(path: Path, format: str):
-    """(line number, values of _RECORD_FIELDS, None where absent) per row of a JSONL, CSV or TSV file."""
-    if not path.is_file():
-        raise CorpusError(f"{path}: not a file")
-    try:
-        if format == "jsonl":
-            yield from _iter_jsonl(path)
-        else:
-            yield from _iter_delimited(path, "\t" if format == "tsv" else ",")
-    except UnicodeDecodeError:
-        raise CorpusError(f"{path}: not UTF-8 text") from None
+    reader = csv.reader(fh, delimiter=delimiter)
+    header = next(reader, None)
+    if header is None:
+        return
+    column = {name: index for index, name in enumerate(header)}
+    missing = set(_RECORD_FIELDS[:3]) - column.keys()
+    if missing:
+        raise CorpusError(f"{path}: missing required columns {sorted(missing)}")
+    width = len(header)
+    # An absent column reads the None appended at index ``width``.
+    pick = operator.itemgetter(*(column.get(name, width) for name in _RECORD_FIELDS))
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            row = row[:width] + [None] * (width - len(row))
+        row.append(None)
+        # The reader has consumed the header as line 1.
+        yield reader.line_num, pick(row)
 
 
 def load_dataset(descriptor: DatasetDescriptor) -> list[LabeledText]:
@@ -172,40 +162,42 @@ def load_dataset(descriptor: DatasetDescriptor) -> list[LabeledText]:
     rows, unmapped label strings, empty texts and duplicate ids.
     """
     path = Path(descriptor.path)
-    if not path.exists():
-        raise CorpusError(f"dataset {descriptor.key!r}: file not found: {path}")
     rows: list[LabeledText] = []
     seen_ids: set[str] = set()
     discarded = 0
     dropped_non_hate = 0
-    for line_no, (row_id, text, external, source, norm_text, origin) in _iter_records(path, descriptor.format):
-        for key, value in zip(_RECORD_FIELDS, (row_id, text, external)):
-            if value in (None, ""):
-                raise CorpusError(f"{path} line {line_no}: missing or empty field {key!r}")
-        label = descriptor.map_label(str(external), line_no)
-        if label is None:
-            discarded += 1
-            continue
-        if descriptor.hate_only and label == Label.NH:
-            dropped_non_hate += 1
-            continue
-        row_id = str(row_id)
-        if row_id in seen_ids:
-            raise CorpusError(f"{path} line {line_no}: duplicate id {row_id!r}")
-        seen_ids.add(row_id)
-        try:
-            rows.append(
-                LabeledText(
-                    id=row_id,
-                    raw_text=str(text),
-                    label=label,
-                    source=str(source or descriptor.key),
-                    norm_text=norm_text,
-                    origin=str(origin or "gold"),
+    delimiter = {"csv": ",", "tsv": "\t"}.get(descriptor.format)
+    newline = None if delimiter is None else ""
+    with open_input(path, f"dataset {descriptor.key!r} file", CorpusError, newline) as fh:
+        records = _iter_jsonl(fh, path) if delimiter is None else _iter_delimited(fh, path, delimiter)
+        for line_no, (row_id, text, external, source, norm_text, origin) in records:
+            for key, value in zip(_RECORD_FIELDS, (row_id, text, external)):
+                if value in (None, ""):
+                    raise CorpusError(f"{path} line {line_no}: missing or empty field {key!r}")
+            label = descriptor.map_label(str(external), line_no)
+            if label is None:
+                discarded += 1
+                continue
+            if descriptor.hate_only and label == Label.NH:
+                dropped_non_hate += 1
+                continue
+            row_id = str(row_id)
+            if row_id in seen_ids:
+                raise CorpusError(f"{path} line {line_no}: duplicate id {row_id!r}")
+            seen_ids.add(row_id)
+            try:
+                rows.append(
+                    LabeledText(
+                        id=row_id,
+                        raw_text=str(text),
+                        label=label,
+                        source=str(source or descriptor.key),
+                        norm_text=norm_text,
+                        origin=str(origin or "gold"),
+                    )
                 )
-            )
-        except CorpusError as exc:
-            raise CorpusError(f"{path} line {line_no}: {exc}") from None
+            except CorpusError as exc:
+                raise CorpusError(f"{path} line {line_no}: {exc}") from None
     if discarded or dropped_non_hate:
         log.info(
             "dataset %s: kept %d rows, discarded %d by label_map, dropped %d non-hate (hate_only)",
@@ -288,6 +280,50 @@ def write_json(path: str | Path, data) -> None:
         fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+@contextmanager
+def open_input(
+    path: str | Path, what: str, error: type[ArahateError], newline: str | None = None
+) -> Iterator[IO[str]]:
+    """Open the input file ``path`` as UTF-8 text for the block to read.
+
+    Every way the file cannot be read as text raises ``error`` naming it as
+    ``what``: a missing path, a path that is not a file, and bytes the block
+    reads that are not UTF-8.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise error(f"{what} not found: {path}")
+    if not path.is_file():
+        raise error(f"{what} {path}: not a file")
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise error(f"{what} {path}: not UTF-8 text") from None
+
+
+def read_input(path: str | Path, what: str, error: type[ArahateError]) -> str:
+    """The whole text of the input file ``path``, read through ``open_input``."""
+    with open_input(path, what, error) as fh:
+        return fh.read()
+
+
+def load_yaml(path: str | Path, what: str, error: type[ArahateError]):
+    """Parse a YAML (or JSON) input file; an empty one reads as {}."""
+    text = read_input(path, what, error)
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        # One line: a parse error's problem and place, else the error's text with its line breaks folded.
+        mark = getattr(exc, "problem_mark", None)
+        if mark is not None and exc.problem:
+            reason = f"{exc.problem} at line {mark.line + 1}, column {mark.column + 1}"
+        else:
+            reason = " ".join(str(exc).split())
+        raise error(f"{what} {path} is not valid YAML/JSON: {reason}") from None
+    return {} if data is None else data
+
+
 def load_registry(path: str | Path) -> list[DatasetDescriptor]:
     """Load a declarative dataset registry (YAML or JSON).
 
@@ -296,16 +332,7 @@ def load_registry(path: str | Path) -> list[DatasetDescriptor]:
     file's directory.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"registry file not found: {path}")
-    if not path.is_file():
-        raise CorpusError(f"registry {path}: not a file")
-    try:
-        data = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError:
-        raise CorpusError(f"registry {path}: not UTF-8 text") from None
-    except yaml.YAMLError as exc:
-        raise CorpusError(f"registry {path} is not valid YAML/JSON: {exc}") from None
+    data = load_yaml(path, "registry", CorpusError)
     entries = data.get("datasets") if isinstance(data, dict) else data
     if not isinstance(entries, list):
         raise CorpusError(f"{path}: expected a list of dataset entries")
@@ -314,22 +341,22 @@ def load_registry(path: str | Path) -> list[DatasetDescriptor]:
     for entry in entries:
         if not isinstance(entry, dict) or "key" not in entry or "path" not in entry:
             raise CorpusError(f"{path}: every registry entry needs at least 'key' and 'path'")
-        if entry["key"] in seen_keys:
-            raise CorpusError(f"{path}: duplicate dataset key {entry['key']!r}")
-        seen_keys.add(entry["key"])
+        key, dataset_path = entry["key"], entry["path"]
+        if not isinstance(key, str) or not isinstance(dataset_path, str):
+            raise CorpusError(f"{path}: registry entry {entry!r}: 'key' and 'path' must be strings")
+        if key in seen_keys:
+            raise CorpusError(f"{path}: duplicate dataset key {key!r}")
+        seen_keys.add(key)
         label_map = entry.get("label_map") or IDENTITY_LABEL_MAP
         if not isinstance(label_map, dict):
-            raise CorpusError(f"{path}: dataset {entry['key']!r}: label_map must be a mapping, not {label_map!r}")
+            raise CorpusError(f"{path}: dataset {key!r}: label_map must be a mapping, not {label_map!r}")
         hate_only = entry.get("hate_only", False)
         if not isinstance(hate_only, bool):
-            raise CorpusError(f"{path}: dataset {entry['key']!r}: hate_only must be true or false, not {hate_only!r}")
-        dataset_path = Path(entry["path"])
-        if not dataset_path.is_absolute():
-            dataset_path = path.parent / dataset_path
+            raise CorpusError(f"{path}: dataset {key!r}: hate_only must be true or false, not {hate_only!r}")
         descriptors.append(
             DatasetDescriptor(
-                key=str(entry["key"]),
-                path=str(dataset_path),
+                key=key,
+                path=str(path.parent / dataset_path),
                 format=str(entry.get("format", "jsonl")),
                 label_map=dict(label_map),
                 hate_only=hate_only,

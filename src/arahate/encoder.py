@@ -77,7 +77,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import LabeledText, atomic_open
+from .corpus import LabeledText, atomic_open, read_input
 from .ensemble import ProbabilityMatrix
 from .errors import ArahateError, ConfigError
 from .labels import LABEL_INDEX, N_CLASSES
@@ -1103,11 +1103,8 @@ def _write_manifest(directory: Path, model: TrainedModel, extra: dict[str, str])
 
 
 def _read_manifest(directory: Path) -> dict[str, str]:
-    path = directory / ARTIFACT_MANIFEST
-    if not path.exists():
-        raise EncoderError(f"not a model artifact directory (no {ARTIFACT_MANIFEST}): {directory}")
     manifest = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line in read_input(directory / ARTIFACT_MANIFEST, "model manifest", EncoderError).splitlines():
         if line and "=" in line:
             key, value = line.split("=", 1)
             manifest[key] = value

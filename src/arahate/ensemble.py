@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import atomic_open
+from .corpus import atomic_open, open_input
 from .errors import ArahateError, ConfigError
 from .labels import LABEL_ORDER, N_CLASSES, Label
 
@@ -157,30 +157,22 @@ def write_proba_csv(path: str | Path, matrix: ProbabilityMatrix) -> None:
 
 
 def read_proba_csv(path: str | Path) -> ProbabilityMatrix:
-    path = Path(path)
-    if not path.exists():
-        raise VoteError(f"probability cache not found: {path}")
-    if not path.is_file():
-        raise VoteError(f"probability cache {path}: not a file")
-    with open(path, encoding="utf-8", newline="") as fh:
+    ids = []
+    rows = []
+    with open_input(path, "probability cache", VoteError, newline="") as fh:
         reader = csv.reader(fh)
-        ids = []
-        rows = []
-        try:
-            header = next(reader, None)
-            if header != PROBA_CSV_HEADER:
-                raise VoteError(f"{path}: unexpected header {header!r}")
-            for record in reader:
-                if len(record) != len(PROBA_CSV_HEADER):
-                    raise VoteError(f"{path}: malformed row {record!r}")
-                ids.append(record[0])
-                try:
-                    rows.append([float(v) for v in record[1:]])
-                except ValueError:
-                    raise VoteError(
-                        f"{path} line {reader.line_num}: probabilities must be numbers, got {record[1:]!r}"
-                    ) from None
-        except UnicodeDecodeError:
-            raise VoteError(f"{path}: not UTF-8 text") from None
+        header = next(reader, None)
+        if header != PROBA_CSV_HEADER:
+            raise VoteError(f"{path}: unexpected header {header!r}")
+        for record in reader:
+            if len(record) != len(PROBA_CSV_HEADER):
+                raise VoteError(f"{path}: malformed row {record!r}")
+            ids.append(record[0])
+            try:
+                rows.append([float(v) for v in record[1:]])
+            except ValueError:
+                raise VoteError(
+                    f"{path} line {reader.line_num}: probabilities must be numbers, got {record[1:]!r}"
+                ) from None
     probs = np.asarray(rows, dtype=float) if rows else np.zeros((0, N_CLASSES))
     return ProbabilityMatrix(ids=ids, probs=probs)

@@ -50,10 +50,8 @@ class ClassMetrics(NamedTuple):
     f1: float
 
 
-@dataclass(frozen=True)
-class Aggregates:
+class Aggregates(NamedTuple):
     macro_f1: float
-    micro_f1: float | None
     weighted_f1: float
 
 
@@ -145,37 +143,19 @@ def per_class_metrics(cm: ConfusionMatrix) -> dict[Label, ClassMetrics]:
     return out
 
 
-def aggregate(
-    per_class: Mapping[Label, ClassMetrics | float], supports: Mapping[Label, int]
-) -> Aggregates:
-    """Macro / micro / weighted aggregates on whatever scale the inputs use.
-
-    Accepts full ClassMetrics or bare F1 values. Micro is pooled true
-    positives over total support, which needs recall, so it is None when only
-    F1 numbers are supplied.
-    """
-    f1s: dict[Label, float] = {}
-    recalls: dict[Label, float] = {}
-    for label, value in per_class.items():
-        if isinstance(value, ClassMetrics):
-            f1s[label] = value.f1
-            recalls[label] = value.recall
-        else:
-            f1s[label] = float(value)
-    if not f1s:
+def aggregate(f1: Mapping[Label, float], supports: Mapping[Label, int]) -> Aggregates:
+    """Macro and weighted F1 of per-class F1 values, on whatever scale the values use."""
+    if not f1:
         raise EvaluationError("aggregate needs at least one per-class entry")
     try:
-        total = sum(supports[label] for label in f1s)
+        total = sum(supports[label] for label in f1)
     except KeyError as exc:
         raise EvaluationError(f"missing support for class {exc}") from None
     if total <= 0:
         raise EvaluationError("total support must be positive")
-    macro = sum(f1s.values()) / len(f1s)
-    weighted = sum(f1s[label] * supports[label] for label in f1s) / total
-    micro = None
-    if len(recalls) == len(f1s):
-        micro = sum(recalls[label] * supports[label] for label in recalls) / total
-    return Aggregates(macro_f1=macro, micro_f1=micro, weighted_f1=weighted)
+    macro = sum(f1.values()) / len(f1)
+    weighted = sum(f1[label] * supports[label] for label in f1) / total
+    return Aggregates(macro_f1=macro, weighted_f1=weighted)
 
 
 @dataclass(frozen=True)
@@ -191,11 +171,14 @@ class Scores:
     def of(cls, cm: ConfusionMatrix, supports: Mapping[Label, int]) -> "Scores":
         """The scores of one confusion matrix; ``supports`` are its gold row counts."""
         per_class = per_class_metrics(cm)
-        agg = aggregate(per_class, supports)
+        agg = aggregate({label: m.f1 for label, m in per_class.items()}, supports)
+        # Micro is pooled true positives over the total support.
+        total = sum(supports[label] for label in per_class)
+        micro = sum(m.recall * supports[label] for label, m in per_class.items()) / total
         return cls(
             per_class={label: ClassMetrics(*(v * 100 for v in m)) for label, m in per_class.items()},
             macro_f1=agg.macro_f1 * 100,
-            micro_f1=(agg.micro_f1 or 0.0) * 100,
+            micro_f1=micro * 100,
             weighted_f1=agg.weighted_f1 * 100,
         )
 

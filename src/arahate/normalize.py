@@ -59,7 +59,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import LabeledText
+from .corpus import LabeledText, read_input
 from .errors import ArahateError, ConfigError
 
 log = logging.getLogger(__name__)
@@ -131,15 +131,7 @@ class NormalizationConfig:
         )
         if stopword_path is None:
             return base
-        path = Path(stopword_path)
-        if not path.exists():
-            raise NormalizeError(f"stopword file not found: {path}")
-        if not path.is_file():
-            raise NormalizeError(f"stopword file {path}: not a file")
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError:
-            raise NormalizeError(f"stopword file {path}: not UTF-8 text") from None
+        lines = read_input(stopword_path, "stopword file", NormalizeError).splitlines()
         words: set[str] = set()
         # Same rule chain as the texts so stopwords written with alef
         # variants or diacritics still match after unification.

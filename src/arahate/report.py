@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .corpus import atomic_open
+from .corpus import atomic_open, read_input
 from .errors import ArahateError
 from .evaluate import aggregate
 from .labels import LABEL_ORDER, Label
@@ -64,15 +64,7 @@ def load_baselines(path: str | Path | None = None) -> BaselineTable:
     if path is None:
         text = resources.files("arahate").joinpath("data/baselines.json").read_text("utf-8")
     else:
-        path = Path(path)
-        if not path.exists():
-            raise ReportError(f"baseline file not found: {path}")
-        if not path.is_file():
-            raise ReportError(f"baseline file {path}: not a file")
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise ReportError(f"baseline file {path}: not UTF-8 text") from None
+        text = read_input(path, "baseline file", ReportError)
     try:
         return _baseline_table(json.loads(text))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or label
@@ -90,11 +82,16 @@ def _baseline_table(data: dict) -> BaselineTable:
             return None if value is None else round(float(value) * factor, 6)
 
         for entry in group["rows"]:
+            # Every class needs an F1 number: the flags recompute the aggregates from all five.
+            f1 = {Label(name): round(float(value) * factor, 6) for name, value in entry["f1"].items()}
+            missing = [label.value for label in LABEL_ORDER if label not in f1]
+            if missing:
+                raise KeyError(f"row {entry['system']!r} has no F1 for {missing}")
             rows.append(
                 TableRow(
                     system=entry["system"],
                     group=group["name"],
-                    f1={Label(name): convert(v) for name, v in entry["f1"].items()},
+                    f1=f1,
                     macro=convert(entry.get("macro")),
                     micro=convert(entry.get("micro")),
                     weighted=convert(entry.get("weighted")),
@@ -108,10 +105,9 @@ def _baseline_table(data: dict) -> BaselineTable:
 
 def load_run_metrics(run_dir: str | Path) -> dict:
     path = Path(run_dir) / "metrics.json"
-    if not path.exists():
-        raise ReportError(f"run {run_dir} has no metrics.json")
+    text = read_input(path, "run metrics file", ReportError)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
     except ValueError as exc:
         raise ReportError(f"{path} is not valid JSON: {exc}") from None
 

@@ -96,7 +96,16 @@ BAD_REGISTRIES = {
                  "registry.yaml: not UTF-8 text"),
     "label-map-list": (b"- key: ext\n  path: ext.jsonl\n  label_map: [GH]\n", "'ext': label_map must be a mapping"),
     "hate-only-string": (b'- key: ext\n  path: ext.jsonl\n  hate_only: "false"\n', "'ext': hate_only must be true or false"),
+    "path-number": (b"- {key: a, path: 5}\n", "registry.yaml: registry entry {'key': 'a', 'path': 5}: "),
+    "path-null": (b"- {key: a, path: null}\n", "registry.yaml: registry entry {'key': 'a', 'path': None}: "),
+    "key-list": (b"- {key: [1], path: x.jsonl}\n", "registry.yaml: registry entry {'key': [1], 'path': 'x.jsonl'}: "),
 }
+
+# A baseline file of one row with every class's F1.
+BASELINE_ROW = json.dumps({
+    "supports": {"NH": 80, "GH": 10, "Re": 5, "Ra": 3, "Se": 2},
+    "groups": [{"name": "g", "rows": [{"system": "s", "f1": {"NH": 90.0, "GH": 60.0, "Re": 80.0, "Ra": 50.0, "Se": 70.0}}]}],
+})
 
 # Faults of a saved toy model, and the text of each one's error at load.
 MODEL_FAULTS = {
@@ -1001,7 +1010,8 @@ class TestMalformedInputs:
                                                        augment=augment_section(tmp_path / "registry.yaml")))],
         }[command]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 2
-        assert message in self._error(capsys)
+        error = self._error(capsys)
+        assert message in error and error.count("\n") == 1
         if command == "run":
             assert len(list((tmp_path / "out").glob("run-*/stages/normalize.failed"))) == 1
 
@@ -1066,29 +1076,43 @@ class TestMalformedInputs:
         assert f"{source}: not UTF-8 text" in self._error(capsys)
 
     @pytest.mark.parametrize(
-        "case",
-        ["vote-cache-not-utf8", "vote-cache-directory", "run-config-directory", "normalize-in-directory",
-         "stopwords-directory", "baselines-directory", "baselines-not-utf8"],
+        "reader, kind",
+        [pytest.param(reader, kind, id=f"{reader}-{kind}")
+         for reader in ("vote-cache", "run-config", "normalize-in", "stopwords", "baselines", "plan-registry",
+                        "report-runs", "predict-model")
+         for kind in ("missing", "directory", "not-utf8")],
     )
-    def test_input_path_not_a_readable_file(self, tmp_path, corpus_file, case, capsys):
-        directory = tmp_path / "inputs"
-        directory.mkdir()
+    def test_input_path_not_a_readable_file(self, tmp_path, corpus_file, reader, kind, capsys):
         good = write_caches(tmp_path, ["x"], names=("good",))[0]
-        latin1 = tmp_path / "latin1.csv"
-        latin1.write_bytes(Path(good).read_bytes().replace(b"x,", "caf\u00e9,".encode("latin-1")))
-        argv, code, message = {
-            "vote-cache-not-utf8": (["vote", "--caches", str(latin1), good], 2, f"{latin1}: not UTF-8 text"),
-            "vote-cache-directory": (["vote", "--caches", str(directory), good], 2,
-                                     f"probability cache {directory}: not a file"),
-            "run-config-directory": (["run", "--config", str(directory)], 1, f"config file {directory}: not a file"),
-            "normalize-in-directory": (["normalize", "--in", str(directory)], 2, f"{directory}: not a file"),
-            "stopwords-directory": (["normalize", "--in", str(corpus_file), "--stopwords", str(directory)], 2,
-                                    f"stopword file {directory}: not a file"),
-            "baselines-directory": (["report", "--baselines", str(directory)], 2,
-                                    f"baseline file {directory}: not a file"),
-            "baselines-not-utf8": (["report", "--baselines", str(latin1)], 2,
-                                   f"baseline file {latin1}: not UTF-8 text"),
-        }[case]
+        latin1 = Path(good).read_bytes().replace(b"x,", "caf\u00e9,".encode("latin-1"))
+        # report --runs and predict --model read a file of a fixed name in the directory they are given.
+        name = {"report-runs": "metrics.json", "predict-model": "manifest.txt"}.get(reader)
+        value = tmp_path / "given"
+        if name:
+            value.mkdir()
+        path = value / name if name else value
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(latin1)
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(f"registry: {path}\npseudo_sources: [ext]\n" + LABELER, encoding="utf-8")
+        data = str(corpus_file)
+        argv, code, what = {
+            "vote-cache": (["vote", "--caches", str(path), good], 2, "probability cache"),
+            "run-config": (["run", "--config", str(path)], 1, "config file"),
+            "normalize-in": (["normalize", "--in", str(path)], 2, "dataset 'given' file"),
+            "stopwords": (["normalize", "--in", data, "--stopwords", str(path)], 2, "stopword file"),
+            "baselines": (["report", "--baselines", str(path)], 2, "baseline file"),
+            "plan-registry": (["augment", "--base", data, "--plan", str(plan)], 2, "registry"),
+            "report-runs": (["report", "--runs", str(value)], 2, "run metrics file"),
+            "predict-model": (["predict", "--model", str(value), "--data", data], 2, "model manifest"),
+        }[reader]
+        message = {
+            "missing": f"{what} not found: {path}",
+            "directory": f"{what} {path}: not a file",
+            "not-utf8": f"{what} {path}: not UTF-8 text",
+        }[kind]
         assert main([*argv, "--out", str(tmp_path / "out")]) == code
         error = self._error(capsys)
         assert message in error and error.count("\n") == 1
@@ -1143,10 +1167,24 @@ class TestMalformedInputs:
         assert f"{path}: not UTF-8 text" in self._error(capsys)
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [("run", "--config"), ("tune", "--grid"), ("train", "--hp"), ("augment", "--plan")],
+    )
+    def test_settings_file_not_yaml(self, tmp_path, corpus_file, command, flag, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("run_name: [unclosed\n", encoding="utf-8")
+        data = str(corpus_file)
+        inputs = {"run": [], "augment": ["--base", data]}.get(command, ["--backend", "toy", "--data", data])
+        assert main([command, flag, str(path), *inputs, "--out", str(tmp_path / "out")]) == 1
+        error = self._error(capsys)
+        assert f"{path} is not valid YAML/JSON: " in error and "line 2, column 1" in error and error.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "flag, content",
         [("--baselines", "{not json"), ("--baselines", '{"groups": []}'), ("--runs", "{not json"),
-         ("--runs", '{"per_class": {}}')],
-        ids=["baselines-json", "baselines-keys", "runs-json", "runs-keys"],
+         ("--runs", '{"per_class": {}}'), ("--baselines", BASELINE_ROW.replace('"Se": 70.0', '"Se": null')),
+         ("--baselines", BASELINE_ROW.replace(', "Se": 70.0', ""))],
+        ids=["baselines-json", "baselines-keys", "runs-json", "runs-keys", "baselines-f1-null", "baselines-f1-absent"],
     )
     def test_report_input_malformed(self, tmp_path, flag, content, capsys):
         run_dir = tmp_path / "run"

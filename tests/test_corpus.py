@@ -163,7 +163,8 @@ class TestLoadDataset:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh, delimiter=delimiter)
             expected = [(reader.line_num, tuple(map(record.get, corpus_mod._RECORD_FIELDS))) for record in reader]
-        assert list(corpus_mod._iter_delimited(path, delimiter)) == expected
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert list(corpus_mod._iter_delimited(fh, path, delimiter)) == expected
 
     def test_base_scale_corpus_matches_declared_counts(self, tmp_path):
         # Synthetic corpus mirroring the published class counts (11634 rows).

@@ -18,6 +18,7 @@ from arahate.evaluate import (
     ClassMetrics,
     ConfusionMatrix,
     EvaluationError,
+    Scores,
     aggregate,
     cross_validate,
     per_class_metrics,
@@ -151,7 +152,7 @@ class TestAggregate:
         agg = aggregate(per, TABLE_SUPPORTS)
         assert agg.macro_f1 == pytest.approx(72.66, abs=0.01)
         assert agg.weighted_f1 == pytest.approx(85.48, abs=0.02)
-        assert agg.micro_f1 is None  # not derivable from F1 alone
+        assert not hasattr(agg, "micro_f1")  # not derivable from F1 alone
 
     def test_published_augmented_row(self):
         per = {Label.NH: 92.41, Label.GH: 63.27, Label.Re: 83.50, Label.Ra: 57.25, Label.Se: 72.58}
@@ -172,7 +173,7 @@ class TestAggregate:
             cm = ConfusionMatrix.from_pairs(gold, predicted)
             ours = per_class_metrics(cm)
             supports = {label: int(cm.counts[LABEL_INDEX[label]].sum()) for label in LABEL_ORDER}
-            agg = aggregate(ours, supports)
+            agg = aggregate({label: m.f1 for label, m in ours.items()}, supports)
             o_per, o_supports, o_macro, o_micro, o_weighted = oracle_metrics(gold, predicted)
             assert supports == o_supports
             for label in LABEL_ORDER:
@@ -180,7 +181,7 @@ class TestAggregate:
                 assert ours[label].recall == pytest.approx(o_per[label][1], abs=1e-9)
                 assert ours[label].f1 == pytest.approx(o_per[label][2], abs=1e-9)
             assert agg.macro_f1 == pytest.approx(o_macro, abs=1e-9)
-            assert agg.micro_f1 == pytest.approx(o_micro, abs=1e-9)
+            assert Scores.of(cm, supports).micro_f1 / 100 == pytest.approx(o_micro, abs=1e-9)
             assert agg.weighted_f1 == pytest.approx(o_weighted, abs=1e-9)
 
     def test_micro_equals_accuracy(self):
@@ -189,9 +190,8 @@ class TestAggregate:
             gold, predicted = random_instance(rng)
             cm = ConfusionMatrix.from_pairs(gold, predicted)
             supports = {label: int(cm.counts[LABEL_INDEX[label]].sum()) for label in LABEL_ORDER}
-            agg = aggregate(per_class_metrics(cm), supports)
             accuracy = sum(g == p for g, p in zip(gold, predicted)) / len(gold)
-            assert agg.micro_f1 == pytest.approx(accuracy, abs=1e-9)
+            assert Scores.of(cm, supports).micro_f1 / 100 == pytest.approx(accuracy, abs=1e-9)
 
     def test_macro_and_weighted_bounded_by_extremes(self):
         rng = np.random.default_rng(18)
@@ -200,7 +200,7 @@ class TestAggregate:
             cm = ConfusionMatrix.from_pairs(gold, predicted)
             per = per_class_metrics(cm)
             supports = {label: int(cm.counts[LABEL_INDEX[label]].sum()) for label in LABEL_ORDER}
-            agg = aggregate(per, supports)
+            agg = aggregate({label: m.f1 for label, m in per.items()}, supports)
             f1s = [m.f1 for m in per.values()]
             assert min(f1s) - 1e-12 <= agg.macro_f1 <= max(f1s) + 1e-12
             assert min(f1s) - 1e-12 <= agg.weighted_f1 <= max(f1s) + 1e-12
@@ -221,15 +221,13 @@ class TestAggregateProperties:
         supports = {label: int(cm.counts[i].sum()) for i, label in enumerate(LABEL_ORDER)}
         f1 = {label: per[label].f1 for label in LABEL_ORDER}
         total = sum(supports.values())
-        full = aggregate(per, supports)
-        bare = aggregate(f1, supports)
-        assert full.macro_f1 == pytest.approx(math.fsum(f1.values()) / 5, abs=1e-12)
-        assert full.weighted_f1 == pytest.approx(
+        agg = aggregate(f1, supports)
+        assert agg.macro_f1 == pytest.approx(math.fsum(f1.values()) / 5, abs=1e-12)
+        assert agg.weighted_f1 == pytest.approx(
             math.fsum(f1[label] * supports[label] for label in LABEL_ORDER) / total, abs=1e-12
         )
-        assert (bare.macro_f1, bare.weighted_f1, bare.micro_f1) == (full.macro_f1, full.weighted_f1, None)
-        assert full.micro_f1 == pytest.approx(np.trace(cm.counts) / total, abs=1e-12)
-        assert min(f1.values()) - 1e-12 <= full.weighted_f1 <= max(f1.values()) + 1e-12
+        assert Scores.of(cm, supports).micro_f1 / 100 == pytest.approx(np.trace(cm.counts) / total, abs=1e-12)
+        assert min(f1.values()) - 1e-12 <= agg.weighted_f1 <= max(f1.values()) + 1e-12
 
 
 class _ConstantModel:

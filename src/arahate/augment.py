@@ -37,7 +37,7 @@ class AugmentPlanError(AugmentError, ConfigError):
 class AugmentPlan:
     """Which sources to merge directly, which to pseudo-label, and how.
 
-    The labeler is trained on the base corpus by ``build_augmented_corpus``:
+    ``build_augmented_corpus`` trains the labeler, if there are pseudo sources:
     one member gives a single fine-tuned model, several a voting ensemble.
     """
 
@@ -208,26 +208,28 @@ def build_augmented_corpus(
 ) -> tuple[list[LabeledText], AugmentReport]:
     """Full augmentation pipeline over an already-normalized base corpus.
 
-    Merges the direct sources, trains the plan's labeler on the base corpus,
-    pseudo-labels the rest, and returns base + additions with source-qualified
-    ids. Gold rows are carried over verbatim; deduplication on normalized text
-    happens inside ``direct_merge`` and ``pseudo_label``, so the per-source
-    report counts every dropped row.
+    Merges the direct sources, trains the plan's labeler on the base corpus
+    and pseudo-labels the rest (only then is a labeler needed), and returns
+    base + additions with source-qualified ids. Gold rows are carried over
+    verbatim; deduplication on normalized text happens inside
+    ``direct_merge`` and ``pseudo_label``, so the per-source report counts
+    every dropped row.
     """
     for key in (*plan.direct_sources, *plan.pseudo_sources):
         if key not in datasets:
             raise AugmentError(f"plan references unknown dataset key {key!r}")
     merged, direct_counts = direct_merge(base, [datasets[key] for key in plan.direct_sources])
 
-    if plan.labeler is None:
-        raise AugmentError("plan declares no labeler")
-    plan.labeler.fit([row for row in base if row.norm_text])
-
-    pseudo_rows, report = pseudo_label(
-        plan.labeler,
-        [(key, datasets[key][1]) for key in plan.pseudo_sources],
-        plan,
-        known_norm_texts={row.norm_text for row in merged},
-    )
+    pseudo_rows, report = [], AugmentReport()
+    if plan.pseudo_sources:
+        if plan.labeler is None:
+            raise AugmentError("plan declares no labeler")
+        plan.labeler.fit([row for row in base if row.norm_text])
+        pseudo_rows, report = pseudo_label(
+            plan.labeler,
+            [(key, datasets[key][1]) for key in plan.pseudo_sources],
+            plan,
+            known_norm_texts={row.norm_text for row in merged},
+        )
     report.per_source.update(direct_counts)
     return corpus_mod.merge([merged, pseudo_rows]), report

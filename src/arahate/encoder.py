@@ -18,11 +18,11 @@ memory is bounded by the block, not the batch. A per-process memo keyed by
 token limit keeps one CSR row per distinct text a fit has read, so a fit's
 rows are hashed once however many folds, grid points and ensemble members
 read them. Only fits fill it: prediction reads the rows it holds and hashes
-the texts it lacks block by block, without storing them. The memo costs
-about one CSR row (~1 KiB for a tweet) per text and is never evicted; its
-buffers grow in place, doubling when full. After a seed-1 augment-vote
-benchmark run it holds the 1,145 texts the fits read (1.1 MiB), where it
-held all 21,940 texts the run predicted (22.2 MiB) when prediction filled it.
+the texts it lacks in their order, block by block, without storing them.
+The memo costs about one CSR row (~1 KiB for a tweet) per text and is never
+evicted: one read-only ``StepBatch`` per token limit, which each fill
+replaces, copying the stored rows once. A seed-1 augment-vote benchmark
+run fills it twice, with the 1,145 texts its fits read (1.1 MiB).
 
 ``fit_many`` and ``predict_proba_many`` serve many models in one call, and
 ``fit`` and ``predict_proba`` are their one-model cases. The toy backend
@@ -405,85 +405,53 @@ def _ngram_cells(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
 
 
 # Per-process feature memo: token limit -> (row of each text a fit has
-# read, [indptr, indices, data] buffers whose prefix holds those rows).
-# Fits fill it; prediction only reads it.
-_FEATURE_MEMO: dict[int | None, tuple[dict[str, int], list[np.ndarray]]] = {}
+# read, read-only CSR arrays of those rows). Fits fill it; prediction only reads it.
+_FEATURE_MEMO: dict[int | None, tuple[dict[str, int], StepBatch]] = {}
 
 
 def _memo_rows(texts: Sequence[str], max_tokens: int | None) -> tuple[StepBatch, np.ndarray]:
     """The memo's rows as read-only CSR arrays and each text's row in them, after hashing the texts it lacks.
 
-    This is the memo's one writer. A fill writes only after the stored rows,
+    This is the memo's one writer. A fill builds new arrays, the stored rows
+    and then the new texts' rows, and stores them in place of the old ones,
     so arrays returned earlier keep their values. Index arrays are int32
     while the entries fit, else int64.
     """
-    empty = [np.zeros(1, np.int32), np.zeros(0, np.int32), np.zeros(0)]
-    row_of, buffers = _FEATURE_MEMO.setdefault(max_tokens, ({}, empty))
-    n_rows = len(row_of)
+    row_of, stored = _FEATURE_MEMO.get(max_tokens, ({}, None))
     new = [text for text in dict.fromkeys(texts) if text not in row_of]
-    if new:
+    if new or stored is None:
         block = hashed_ngram_features(new, max_tokens=max_tokens)
-        nnz = int(buffers[0][n_rows])
-        index = np.int32 if nnz + len(block.data) <= _INT32_ENTRIES else np.int64
-        parts = [block.indptr[1:].astype(index) + nnz, block.indices.astype(index, copy=False), block.data]
-        buffers[:] = [_appended(*args) for args in zip(buffers, (n_rows + 1, nnz, nnz), parts)]
-        row_of.update(zip(new, range(n_rows, n_rows + len(new))))
+        if stored is not None:  # the first fill stores the hashed rows as they are
+            nnz = len(stored.data)
+            index = np.int32 if nnz + len(block.data) <= _INT32_ENTRIES else np.int64
+            parts = (block.indptr[1:].astype(index) + nnz, block.indices.astype(index, copy=False), block.data)
+            arrays = [np.concatenate(pair) for pair in zip(stored, parts)]  # int32 and int64 join as int64
+            block = StepBatch(*arrays, (len(row_of) + len(new), TOY_DEFAULT_BUCKETS))
+        for array in block[:3]:
+            array.flags.writeable = False
+        row_of.update(zip(new, range(len(row_of), block.shape[0])))
+        _FEATURE_MEMO[max_tokens] = row_of, block
     ids = np.fromiter((row_of[text] for text in texts), dtype=np.int64, count=len(texts))
-    return _memo_view(row_of, buffers), ids
+    return _FEATURE_MEMO[max_tokens][1], ids
 
 
-def _memo_view(row_of: dict[str, int], buffers: list[np.ndarray]) -> StepBatch:
-    """The stored rows of one token limit's memo as read-only CSR arrays."""
-    n_rows = len(row_of)
-    indptr, indices, data = buffers
-    views = [indptr[: n_rows + 1], indices[: indptr[n_rows]], data[: indptr[n_rows]]]
-    for view in views:
-        view.flags.writeable = False
-    return StepBatch(*views, (n_rows, TOY_DEFAULT_BUCKETS))
+def _predict_batches(texts: Sequence[str], max_tokens: int | None) -> Iterator[tuple[np.ndarray, StepBatch]]:
+    """``(positions, batch)`` per chunk of ``texts``: row ``i`` of ``batch`` holds the features of
+    ``texts[positions[i]]``.
 
-
-def _predict_batches(
-    texts: Sequence[str], max_tokens: int | None
-) -> Iterator[tuple[np.ndarray, StepBatch, np.ndarray | None]]:
-    """``(positions, batch, rows)`` per chunk of ``texts``: row ``rows[i]`` of ``batch`` (row ``i`` where
-    ``rows`` is None) holds the features of ``texts[positions[i]]``.
-
-    Texts the memo holds are copied from it in one chunk. The others are
-    hashed, each distinct one once, one block of at most
-    ``_HASH_BLOCK_CHARS`` characters at a time, and never stored.
+    Texts the memo holds are copied from it in one chunk. The others follow
+    in their order, hashed one block of at most ``_HASH_BLOCK_CHARS``
+    characters at a time, and are never stored.
     """
-    row_of, buffers = _FEATURE_MEMO.get(max_tokens, ({}, []))
-    known, ids, unseen, new_of = [], [], [], []
-    new: dict[str, int] = {}  # each distinct unseen text -> its row among them
-    for position, text in enumerate(texts):
-        row = row_of.get(text)
-        if row is None:
-            unseen.append(position)
-            new_of.append(new.setdefault(text, len(new)))
-        else:
-            known.append(position)
-            ids.append(row)
+    row_of, stored = _FEATURE_MEMO.get(max_tokens, ({}, None))
+    rows = [row_of.get(text) for text in texts]
+    known = [position for position, row in enumerate(rows) if row is not None]
     if known:
-        yield np.array(known), _take_rows(_memo_view(row_of, buffers), ids), None
-    # The unseen positions in the order of their texts' rows, so each block's are one run.
-    new_of = np.array(new_of, dtype=np.int64)
-    order = np.argsort(new_of, kind="stable")
-    new_of, unseen, new = new_of[order], np.array(unseen, dtype=np.int64)[order], list(new)
+        yield np.array(known), _take_rows(stored, [rows[position] for position in known])
+    unseen = np.array([position for position, row in enumerate(rows) if row is None], dtype=np.int64)
+    new = [texts[position] for position in unseen]
     for lo, hi in _blocks(_char_lengths(new)):
-        run = slice(*np.searchsorted(new_of, [lo, hi]).tolist())
-        yield unseen[run], hashed_ngram_features(new[lo:hi], max_tokens=max_tokens), new_of[run] - lo
-
-
-def _appended(buffer: np.ndarray, filled: int, part: np.ndarray) -> np.ndarray:
-    """``buffer`` with ``part`` written after its first ``filled`` items; where it lacks the room or
-    ``part``'s dtype, a copy with room for as many items again, whose pages stay unused until written."""
-    end = filled + len(part)
-    if end > len(buffer) or buffer.dtype != part.dtype:
-        grown = np.empty(2 * end, part.dtype)
-        grown[:filled] = buffer[:filled]
-        buffer = grown
-    buffer[filled:end] = part
-    return buffer
+        yield unseen[lo:hi], hashed_ngram_features(new[lo:hi], max_tokens=max_tokens)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -795,8 +763,9 @@ class ToyBackend:
 
         Chunks are the outer loop and groups the inner one, so each chunk's
         rows are copied or hashed once per token limit, and the features are
-        never held for all texts at once. ``csr_matvecs`` sums each output
-        row and column on its own, so each model's logits are its own product's.
+        never held for all texts at once; each product fills the logits at its
+        chunk's positions. ``csr_matvecs`` sums each output row and column on
+        its own, so each model's logits are its own product's.
         """
         limits: dict[int, dict[int, list[int]]] = {}  # token limit -> id(cols) -> the group's models
         for index, model in enumerate(models):
@@ -822,15 +791,14 @@ class ToyBackend:
                 out = slice(N_CLASSES * filled, N_CLASSES * (filled + len(indices)))
                 blocks.append((column, weights_t.reshape(len(cols) + 1, -1), out))
                 filled += len(indices)
-            for positions, batch, rows in _predict_batches(texts, max_tokens):
+            for positions, batch in _predict_batches(texts, max_tokens):
                 for column, weights_t, out in blocks:
                     remapped = batch._replace(
                         indices=column[batch.indices].astype(batch.indptr.dtype, copy=False),
                         shape=(batch.shape[0], len(weights_t)),
                     )
-                    product = _csr_product(remapped, weights_t)
-                    logits[positions, out] = product if rows is None else product[rows]
-                del batch, remapped, product  # freed before the next chunk is read
+                    logits[positions, out] = _csr_product(remapped, weights_t)
+                del batch, remapped  # freed before the next chunk is read
         return [
             _softmax(logits[:, N_CLASSES * slot[i] : N_CLASSES * (slot[i] + 1)] + model.params.bias)
             for i, model in enumerate(models)

@@ -73,6 +73,8 @@ def load_baselines(path: str | Path | None = None) -> BaselineTable:
 
 def _baseline_table(data: dict) -> BaselineTable:
     supports = {Label(name): int(n) for name, n in data["supports"].items()}
+    if len(supports) < len(LABEL_ORDER):  # the flags recompute the aggregates with all five
+        raise KeyError(f"supports lack {[label.value for label in LABEL_ORDER if label not in supports]}")
     rows = []
     for group in data["groups"]:
         unit_scale = group.get("scale") == "unit"
@@ -116,14 +118,16 @@ def _row_from_run(run_dir: str | Path) -> TableRow:
     metrics = load_run_metrics(run_dir)
     try:
         per_class = metrics["per_class"]
-        aggregates = metrics["aggregates"]
+        macro, micro, weighted = (metrics["aggregates"].get(f"{name}_f1") for name in ("macro", "micro", "weighted"))
+        if any(value is not None and type(value) not in (int, float) for value in (macro, micro, weighted)):
+            raise TypeError(f"aggregates {macro!r}, {micro!r}, {weighted!r} are not all numbers or null")
         return TableRow(
             system=Path(run_dir).name,
             group="runs",
             f1={label: float(per_class[label.value]["f1"]) for label in LABEL_ORDER},
-            macro=aggregates.get("macro_f1"),
-            micro=aggregates.get("micro_f1"),
-            weighted=aggregates.get("weighted_f1"),
+            macro=macro,
+            micro=micro,
+            weighted=weighted,
             supports={label: int(metrics["supports"][label.value]) for label in LABEL_ORDER},
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

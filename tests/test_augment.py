@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from arahate import corpus, encoder
 from arahate.augment import (
     AugmentError,
     AugmentPlan,
@@ -245,6 +246,25 @@ class TestBuildAugmentedCorpus:
                 "discarded_low_confidence", 0
             )
             assert entry["added"] + discards == len(rows)
+
+    def test_direct_only_plan_needs_no_labeler(self, base):
+        datasets = self._datasets(base)
+        plan = AugmentPlan(direct_sources=("rel",))
+        merged, report = build_augmented_corpus(base, plan, datasets)
+        expected, counts = direct_merge(base, [datasets["rel"]])
+        assert merged == corpus.merge([expected]) and report.per_source == counts
+        assert report.added_direct == 20 and not any(report.pseudo_counts.values())
+
+    def test_direct_only_plan_fits_no_labeler(self, base, monkeypatch):
+        monkeypatch.setattr(encoder, "fit_many", lambda *args: pytest.fail("a direct-only plan fitted its labeler"))
+        plan = AugmentPlan(direct_sources=("rel",), labeler=Classifier([(SPEC, HP)], mode="single"))
+        merged, _ = build_augmented_corpus(base, plan, self._datasets(base))
+        assert len(merged) == len(base) + 20 and plan.labeler.models is None
+
+    def test_pseudo_sources_without_a_labeler_rejected(self, base):
+        plan = AugmentPlan(direct_sources=("rel",), pseudo_sources=("ext",))
+        with pytest.raises(AugmentError, match="plan declares no labeler"):
+            build_augmented_corpus(base, plan, self._datasets(base))
 
     def test_unknown_source_key_rejected(self, base):
         plan = AugmentPlan(

@@ -106,6 +106,11 @@ BASELINE_ROW = json.dumps({
     "supports": {"NH": 80, "GH": 10, "Re": 5, "Ra": 3, "Se": 2},
     "groups": [{"name": "g", "rows": [{"system": "s", "f1": {"NH": 90.0, "GH": 60.0, "Re": 80.0, "Ra": 50.0, "Se": 70.0}}]}],
 })
+RUN_METRICS = json.dumps({
+    "per_class": {label: {"f1": 50.0} for label in ("NH", "GH", "Re", "Ra", "Se")},
+    "supports": {"NH": 80, "GH": 10, "Re": 5, "Ra": 3, "Se": 2},
+    "aggregates": {"macro_f1": 50.0, "micro_f1": 50.0, "weighted_f1": 50.0},
+})
 
 # Faults of a saved toy model, and the text of each one's error at load.
 MODEL_FAULTS = {
@@ -1183,8 +1188,11 @@ class TestMalformedInputs:
         "flag, content",
         [("--baselines", "{not json"), ("--baselines", '{"groups": []}'), ("--runs", "{not json"),
          ("--runs", '{"per_class": {}}'), ("--baselines", BASELINE_ROW.replace('"Se": 70.0', '"Se": null')),
-         ("--baselines", BASELINE_ROW.replace(', "Se": 70.0', ""))],
-        ids=["baselines-json", "baselines-keys", "runs-json", "runs-keys", "baselines-f1-null", "baselines-f1-absent"],
+         ("--baselines", BASELINE_ROW.replace(', "Se": 70.0', "")),
+         ("--runs", RUN_METRICS.replace('"macro_f1": 50.0', '"macro_f1": "x"')),
+         ("--baselines", BASELINE_ROW.replace(', "Se": 2', ""))],
+        ids=["baselines-json", "baselines-keys", "runs-json", "runs-keys", "baselines-f1-null", "baselines-f1-absent",
+             "runs-aggregate-string", "baselines-supports-absent"],
     )
     def test_report_input_malformed(self, tmp_path, flag, content, capsys):
         run_dir = tmp_path / "run"
@@ -1194,6 +1202,14 @@ class TestMalformedInputs:
         value = run_dir if flag == "--runs" else path
         assert main(["report", flag, str(value), "--out", str(tmp_path / "tables.md")]) == 2
         assert str(path) in self._error(capsys)
+
+    def test_report_inputs_the_malformed_cases_break_are_valid(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "metrics.json").write_text(RUN_METRICS, encoding="utf-8")
+        (tmp_path / "baselines.json").write_text(BASELINE_ROW, encoding="utf-8")
+        argv = ["report", "--runs", str(run_dir), "--baselines", str(tmp_path / "baselines.json")]
+        assert main([*argv, "--out", str(tmp_path / "tables.md")]) == 0
 
 
 # A noisy corpus (every other row takes the next class's label), so members

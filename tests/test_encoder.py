@@ -450,11 +450,11 @@ class TestFeaturization:
         assert features.data.flags.writeable
 
     @pytest.mark.parametrize("int32_entries", [np.iinfo(np.int32).max, 300])
-    def test_memo_grows_in_place_across_doublings(self, monkeypatch, fresh_memo, int32_entries):
-        # The buffers start empty, so fills grow them again and again; a low int32 limit promotes the index arrays.
+    def test_memo_fills_keep_earlier_arrays(self, monkeypatch, fresh_memo, int32_entries):
+        # Each fill stores new read-only arrays; a low int32 limit promotes the index arrays.
         monkeypatch.setattr(encoder, "_INT32_ENTRIES", int32_entries)
         rng = np.random.default_rng(3)
-        row_of, earlier, capacities = {}, [], set()
+        row_of, earlier = {}, []
         for size in (1, 2, 3, 5, 8, 13):
             batch = [class_text(LABEL_ORDER[i % 5], rng) for i in range(size)] + ["", "اب"] + list(row_of)[:2]
             view, rows = encoder._memo_rows(batch, None)
@@ -467,26 +467,10 @@ class TestFeaturization:
             for old, values in earlier:
                 assert all(np.array_equal(array, value) for array, value in zip(old[:3], values))
             earlier.append((view, [array.copy() for array in view[:3]]))
-            capacities.add(len(encoder._FEATURE_MEMO[None][1][1]))
-        assert len(capacities) >= 4
         assert sorted(row_of.values()) == list(range(len(row_of)))
         index = np.int32 if len(view.data) <= int32_entries else np.int64
         assert view.indptr.dtype == view.indices.dtype == index
         assert earlier[0][0].indptr.dtype == np.int32
-
-    def test_memo_fill_allocates_only_its_rows(self, fresh_memo):
-        rng = np.random.default_rng(17)
-        texts = [class_text(LABEL_ORDER[i % 5], rng, (6, 12)) for i in range(3000)]
-        # A fill that grows the buffers leaves room for as much again, so the next few texts fit.
-        view, _ = encoder._memo_rows(texts, None)
-        memo_bytes = sum(array.nbytes for array in view[:3])
-        tracemalloc.start()
-        try:
-            encoder._memo_rows(texts[:100] + ["كلمه اخرى جديده", "سطر ثالث جديد"], None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < memo_bytes / 20
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(text=st.text(st.sampled_from(" \t\n\u3000\xa0ab"), max_size=14), max_tokens=st.integers(1, 6))
@@ -770,6 +754,8 @@ class TestPredictProbaMany:
 
 # Duplicates, "", sub-trigram texts and one text longer than a block of BLOCK_CHARS.
 MIXED_TEXTS = PREDICT_TEXTS + ["كلمه " * 12] + PREDICT_TEXTS[::3]
+# Two texts store_some never stores, repeated at scattered positions across several blocks, among texts it stores.
+DUPLICATE_TEXTS = MIXED_TEXTS[:5] + ["نص لم يره احد", "اخر جديد", "نص لم يره احد", "qwxz vbnk"] * 5
 BLOCK_CHARS = 40
 
 
@@ -795,23 +781,25 @@ class TestPredictUnseen:
 
         def snapshot():
             memo = encoder._FEATURE_MEMO.items()
-            return {limit: (dict(row_of), [array.copy() for array in buffers]) for limit, (row_of, buffers) in memo}
+            return {limit: (dict(row_of), [array.copy() for array in stored[:3]]) for limit, (row_of, stored) in memo}
 
         before = snapshot()
         encoder.predict_proba_many(model_pool, MIXED_TEXTS + ["نص لم يره احد", "اخر جديد"])
         after = snapshot()
         assert before.keys() == after.keys() == {TOY.max_sequence_tokens, 2}
-        for limit, (row_of, buffers) in before.items():
+        for limit, (row_of, arrays) in before.items():
             assert after[limit][0] == row_of
-            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(after[limit][1], buffers))
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(after[limit][1], arrays))
 
     def test_equals_the_memo_path_bit_for_bit(self, model_pool, small_blocks):
-        store_some(MIXED_TEXTS)
-        mixed = encoder.predict_proba_many(model_pool, MIXED_TEXTS)
-        for limit in {model.spec.max_sequence_tokens for model in model_pool}:
-            encoder._memo_rows(MIXED_TEXTS, limit)
-        stored = encoder.predict_proba_many(model_pool, MIXED_TEXTS)
-        assert [matrix.probs.tobytes() for matrix in mixed] == [matrix.probs.tobytes() for matrix in stored]
+        for texts in (MIXED_TEXTS, DUPLICATE_TEXTS):
+            encoder._FEATURE_MEMO.clear()
+            store_some(MIXED_TEXTS)
+            mixed = encoder.predict_proba_many(model_pool, texts)
+            for limit in {model.spec.max_sequence_tokens for model in model_pool}:
+                encoder._memo_rows(texts, limit)
+            stored = encoder.predict_proba_many(model_pool, texts)
+            assert [matrix.probs.tobytes() for matrix in mixed] == [matrix.probs.tobytes() for matrix in stored]
 
     def test_each_unseen_text_is_hashed_once_per_token_limit(self, model_pool, small_blocks, monkeypatch):
         store_some(MIXED_TEXTS)
@@ -824,10 +812,10 @@ class TestPredictUnseen:
         monkeypatch.setattr(encoder, "hashed_ngram_features", spy)
         encoder.predict_proba_many(model_pool, MIXED_TEXTS)
         limits = {model.spec.max_sequence_tokens for model in model_pool}
-        expected = [
-            (limit, text) for limit in limits for text in dict.fromkeys(MIXED_TEXTS) if text not in memo_rows_of(limit)
-        ]
+        # Every position of a text the memo lacks, duplicates included; no text the memo holds.
+        expected = [(limit, text) for limit in limits for text in MIXED_TEXTS if text not in memo_rows_of(limit)]
         assert sorted(hashed) == sorted(expected)
+        assert not any(text in memo_rows_of(limit) for limit, text in hashed)
         # Three groups share the default limit, and each of its unseen texts was hashed once for all of them.
         assert len({id(m.params.cols) for m in model_pool if m.spec.max_sequence_tokens == TOY.max_sequence_tokens}) == 3
 

@@ -12,13 +12,13 @@ and duplicates. Gold rows are never mutated or relabelled.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import corpus as corpus_mod
 from .classifiers import Classifier
-from .corpus import DatasetDescriptor, LabeledText
+from .corpus import DatasetDescriptor, LabeledText, checked_row
 from .errors import ArahateError, ConfigError
 from .labels import HATE_LABELS, Label
 
@@ -135,7 +135,7 @@ def direct_merge(
             if row.norm_text in seen:
                 continue
             seen.add(row.norm_text)
-            merged.append(replace(row, label=Label.Re, origin="direct_merge"))
+            merged.append(checked_row(row.id, row.raw_text, Label.Re, row.source, row.norm_text, "direct_merge"))
             added += 1
         per_source[descriptor.key] = {
             "kind": "direct",
@@ -178,7 +178,7 @@ def pseudo_label(
             "discarded_duplicates": 0,
         }
         labels, confidence = labeler.predict_with_confidence([row.norm_text for row in rows])
-        for row, label, top_p in zip(rows, labels, confidence):
+        for row, label, top_p in zip(rows, labels, confidence.tolist()):
             if row.norm_text in seen:
                 counters["discarded_duplicates"] += 1
                 continue
@@ -189,7 +189,8 @@ def pseudo_label(
                 counters["discarded_low_confidence"] += 1
                 continue
             seen.add(row.norm_text)
-            new_rows.append(replace(row, label=label, origin="pseudo"))
+            # An NH prediction was dropped above, so the pseudo row passes LabeledText's checks.
+            new_rows.append(checked_row(row.id, row.raw_text, label, row.source, row.norm_text, "pseudo"))
             counters["added"] += 1
             counters["pseudo_counts"][label.value] += 1
         report.per_source[key] = counters

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import encoder
 from .corpus import LabeledText
-from .ensemble import average_vote, ensemble_policy, majority_vote
+from .ensemble import average_vote, ensemble_policy, majority_winners
 from .errors import ArahateError
-from .labels import LABEL_INDEX, Label
+from .labels import LABEL_ORDER, Label
 
 
 class NotFittedError(ArahateError):
@@ -79,12 +79,12 @@ class Classifier:
         if not texts:
             return [], np.zeros(0)
         if self.mode == "majority":
-            labels = majority_vote(matrices)
+            winners = majority_winners(matrices)
             # Hard voting has no combined distribution; confidence is the mean
             # probability the members assign to the winning class.
             stacked = np.stack([m.probs for m in matrices])  # (M, N, K)
-            cols = np.asarray([LABEL_INDEX[label] for label in labels])
-            return labels, stacked[:, np.arange(len(labels)), cols].mean(axis=0)
+            labels = [LABEL_ORDER[i] for i in winners.tolist()]
+            return labels, stacked[:, np.arange(len(labels)), winners].mean(axis=0)
         if self.mode == "average":
             labels, combined = average_vote(matrices, self.weights)
         else:

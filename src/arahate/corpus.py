@@ -7,6 +7,19 @@ CSV/TSV sources are adapted into the same row type at load time via a
 DatasetDescriptor that declares how external label strings map onto the
 taxonomy (or that they are discarded).
 
+The row contract. A ``LabeledText`` has a non-empty ``raw_text``, a known
+``origin``, and no pseudo-labelled NH; ``LabeledText(...)`` checks all three
+for every caller. ``load_dataset`` checks each outside record: the required
+fields are present and non-empty, the label maps, no id repeats, the origin
+is known, no pseudo-labelled row is NH, and ``norm_text`` is a string or
+absent. It then builds the row with ``checked_row``, which runs no check
+again. The other paths that build rows with ``checked_row`` copy a checked
+row and change only fields they know pass: normalization sets
+``norm_text``, ``merge`` qualifies the id, ``augment.direct_merge`` relabels
+to Re with origin ``direct_merge``, and ``augment.pseudo_label`` relabels
+with origin ``pseudo`` only rows not predicted NH. So no path skips a check
+that an outside record needs.
+
 This module also holds the one way the package opens files. Every input file
 is read through ``open_input``, which raises the reader's own error, naming
 the file, for a path that is missing, is not a file or is not UTF-8 text.
@@ -21,7 +34,7 @@ import logging
 import operator
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import IO, Iterator
@@ -63,20 +76,35 @@ class LabeledText:
     origin: str = "gold"
 
     def __post_init__(self) -> None:
-        if not self.raw_text:
-            raise CorpusError(f"row {self.id!r}: raw_text must be non-empty")
-        if self.origin not in ORIGINS:
-            raise CorpusError(f"row {self.id!r}: unknown origin {self.origin!r}")
-        if self.origin == "pseudo" and self.label == Label.NH:
-            raise CorpusError(f"row {self.id!r}: pseudo-labelled rows may not carry NH")
+        fault = _row_fault(self.id, self.raw_text, self.label, self.origin)
+        if fault is not None:
+            raise CorpusError(fault)
 
-    def with_norm_text(self, norm_text: str) -> "LabeledText":
-        """This row with ``norm_text`` set; no field it checks changes, so it is not checked again."""
-        row = object.__new__(LabeledText)
-        # Every field, in __init__'s order, so rows keep sharing one key table.
-        row.id, row.raw_text, row.label, row.source = self.id, self.raw_text, self.label, self.source
-        row.norm_text, row.origin = norm_text, self.origin
-        return row
+
+def _row_fault(row_id: str, raw_text: str, label: Label, origin: str) -> str | None:
+    """Why ``LabeledText`` rejects a row with these fields, or None if it accepts it."""
+    if not raw_text:
+        return f"row {row_id!r}: raw_text must be non-empty"
+    if origin not in ORIGINS:
+        return f"row {row_id!r}: unknown origin {origin!r}"
+    if origin == "pseudo" and label == Label.NH:
+        return f"row {row_id!r}: pseudo-labelled rows may not carry NH"
+    return None
+
+
+def checked_row(
+    row_id: str, raw_text: str, label: Label, source: str, norm_text: str | None, origin: str
+) -> LabeledText:
+    """A ``LabeledText`` of fields that already pass its checks, built without running them again.
+
+    The caller vouches for the fields: see the row contract in the module docstring.
+    """
+    row = object.__new__(LabeledText)
+    # Every field, in __init__'s order, so rows keep sharing one key table.
+    row.id, row.raw_text, row.label, row.source, row.norm_text, row.origin = (
+        row_id, raw_text, label, source, norm_text, origin
+    )
+    return row
 
 
 @dataclass
@@ -159,7 +187,9 @@ def load_dataset(descriptor: DatasetDescriptor) -> list[LabeledText]:
     """Load one dataset file, mapping labels and dropping declared discards.
 
     Raises CorpusError (with a line number where possible) for unparseable
-    rows, unmapped label strings, empty texts and duplicate ids.
+    rows, missing or empty required fields, unmapped label strings, duplicate
+    ids, unknown origins, pseudo-labelled NH rows and a ``norm_text`` that is
+    not a string.
     """
     path = Path(descriptor.path)
     rows: list[LabeledText] = []
@@ -171,33 +201,31 @@ def load_dataset(descriptor: DatasetDescriptor) -> list[LabeledText]:
     with open_input(path, f"dataset {descriptor.key!r} file", CorpusError, newline) as fh:
         records = _iter_jsonl(fh, path) if delimiter is None else _iter_delimited(fh, path, delimiter)
         for line_no, (row_id, text, external, source, norm_text, origin) in records:
-            for key, value in zip(_RECORD_FIELDS, (row_id, text, external)):
-                if value in (None, ""):
-                    raise CorpusError(f"{path} line {line_no}: missing or empty field {key!r}")
+            # A truthy value is neither None nor "": only a falsy one needs the per-field check.
+            if not (row_id and text and external):
+                for key, value in zip(_RECORD_FIELDS, (row_id, text, external)):
+                    if value in (None, ""):
+                        raise CorpusError(f"{path} line {line_no}: missing or empty field {key!r}")
             label = descriptor.map_label(str(external), line_no)
             if label is None:
                 discarded += 1
                 continue
-            if descriptor.hate_only and label == Label.NH:
+            if descriptor.hate_only and label is Label.NH:
                 dropped_non_hate += 1
                 continue
             row_id = str(row_id)
             if row_id in seen_ids:
                 raise CorpusError(f"{path} line {line_no}: duplicate id {row_id!r}")
             seen_ids.add(row_id)
-            try:
-                rows.append(
-                    LabeledText(
-                        id=row_id,
-                        raw_text=str(text),
-                        label=label,
-                        source=str(source or descriptor.key),
-                        norm_text=norm_text,
-                        origin=str(origin or "gold"),
-                    )
+            # LabeledText's checks; its raw_text one always passes, as str() of a required field is non-empty.
+            origin = str(origin or "gold")
+            if origin not in ORIGINS or origin == "pseudo" and label is Label.NH:
+                raise CorpusError(f"{path} line {line_no}: {_row_fault(row_id, str(text), label, origin)}")
+            if not (norm_text is None or isinstance(norm_text, str)):
+                raise CorpusError(
+                    f"{path} line {line_no}: row {row_id!r}: norm_text must be a string, not {norm_text!r}"
                 )
-            except CorpusError as exc:
-                raise CorpusError(f"{path} line {line_no}: {exc}") from None
+            rows.append(checked_row(row_id, str(text), label, str(source or descriptor.key), norm_text, origin))
     if discarded or dropped_non_hate:
         log.info(
             "dataset %s: kept %d rows, discarded %d by label_map, dropped %d non-hate (hate_only)",
@@ -227,7 +255,7 @@ def merge(corpora: list[list[LabeledText]]) -> list[LabeledText]:
         if qualified in seen_ids:
             raise CorpusError(f"id collision after qualification: {qualified!r}")
         seen_ids.add(qualified)
-        out.append(replace(row, id=qualified))
+        out.append(checked_row(qualified, row.raw_text, row.label, row.source, row.norm_text, row.origin))
     return out
 
 

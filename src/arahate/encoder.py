@@ -328,9 +328,10 @@ def hashed_ngram_features(texts: Sequence[str], max_tokens: int | None = None) -
     see ``_hash_block``. A row depends only on its own text, so the joined
     blocks equal one pass over the whole batch.
     """
-    if max_tokens is not None:
-        texts = [_truncate(text, max_tokens) for text in texts]
     lengths = _char_lengths(texts)
+    if max_tokens is not None and lengths.max(initial=0) > 2 * max_tokens:  # else _truncate keeps every text
+        texts = [_truncate(text, max_tokens) for text in texts]
+        lengths = _char_lengths(texts)
     indptr = np.zeros(len(texts) + 1, dtype=np.int64)
     indices, data = [np.zeros(0, dtype=np.int32)], [np.zeros(0)]
     for lo, hi in _blocks(lengths):
@@ -346,7 +347,7 @@ def hashed_ngram_features(texts: Sequence[str], max_tokens: int | None = None) -
 
 
 def _char_lengths(texts: Sequence[str]) -> np.ndarray:
-    return np.fromiter((len(text) for text in texts), dtype=np.int64, count=len(texts))
+    return np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
 
 
 def _blocks(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -444,14 +445,15 @@ def _predict_batches(texts: Sequence[str], max_tokens: int | None) -> Iterator[t
     characters at a time, and are never stored.
     """
     row_of, stored = _FEATURE_MEMO.get(max_tokens, ({}, None))
-    rows = [row_of.get(text) for text in texts]
+    rows = list(map(row_of.get, texts))
     known = [position for position, row in enumerate(rows) if row is not None]
     if known:
         yield np.array(known), _take_rows(stored, [rows[position] for position in known])
-    unseen = np.array([position for position, row in enumerate(rows) if row is None], dtype=np.int64)
+    unseen = [position for position, row in enumerate(rows) if row is None]
     new = [texts[position] for position in unseen]
+    positions = np.array(unseen, dtype=np.int64)
     for lo, hi in _blocks(_char_lengths(new)):
-        yield unseen[lo:hi], hashed_ngram_features(new[lo:hi], max_tokens=max_tokens)
+        yield positions[lo:hi], hashed_ngram_features(new[lo:hi], max_tokens=max_tokens)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -1036,7 +1038,7 @@ def predict_proba_many(
 ) -> list[ProbabilityMatrix]:
     """Each model's N x 5 class probabilities of the same texts, in model order, from one call per backend."""
     texts = list(texts)
-    ids = [str(i) for i in range(len(texts))] if ids is None else list(ids)
+    ids = list(map(str, range(len(texts)))) if ids is None else list(ids)
     matrices: list = [None] * len(models)
     for key in dict.fromkeys(model.spec.backend_key for model in models):
         indices = [i for i, model in enumerate(models) if model.spec.backend_key == key]

@@ -54,12 +54,13 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass
+from itertools import filterfalse
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import LabeledText, read_input
+from .corpus import LabeledText, checked_row, read_input
 from .errors import ArahateError, ConfigError
 
 log = logging.getLogger(__name__)
@@ -245,11 +246,8 @@ def normalize_texts(texts: Sequence[str], cfg: NormalizationConfig) -> list[str]
         codes = _ARABIC(codes)
     # Character stripping can expose new standalone RT tokens ("1RT" -> "RT");
     # filtering tokens keeps the rule-1 guarantee and preserves idempotence.
-    drop = cfg.stopwords | {"RT"}
-    return [
-        " ".join(token for token in row.split() if token not in drop)
-        for row in _decode(codes).split(SEPARATOR)
-    ]
+    drop = (cfg.stopwords | {"RT"}).__contains__
+    return [" ".join(filterfalse(drop, row.split())) for row in _decode(codes).split(SEPARATOR)]
 
 
 def normalize_text(raw: str, cfg: NormalizationConfig | None = None) -> str:
@@ -265,7 +263,10 @@ def normalize_corpus(
     Downstream stages treat an empty norm_text as "exclude from training".
     """
     norms = normalize_texts([row.raw_text for row in corpus], cfg or NormalizationConfig())
-    out = [row.with_norm_text(norm) for row, norm in zip(corpus, norms)]
+    out = [
+        checked_row(row.id, row.raw_text, row.label, row.source, norm, row.origin)
+        for row, norm in zip(corpus, norms)
+    ]
     empty = norms.count("")
     if empty:
         log.info(

@@ -27,6 +27,11 @@ CLASS_LETTERS = {
 }
 
 
+def row_fields(row: LabeledText) -> tuple:
+    """A row's type and its attributes in ``vars()`` order: what two equal rows share."""
+    return type(row), list(vars(row).items())
+
+
 def load_golden_cases(path: Path) -> list[tuple[str, str]]:
     """Read a golden-test corpus: TSV lines of raw text -> expected output."""
     cases = []

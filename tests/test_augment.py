@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from arahate.corpus import DatasetDescriptor, LabeledText
 from arahate.encoder import EncoderSpec, HyperParams
 from arahate.labels import HATE_LABELS, Label
 
-from conftest import class_text
+from conftest import class_text, row_fields
 
 SPEC = EncoderSpec("toy")
 HP = HyperParams(epochs=5, batch_size=8, learning_rate=0.1, seed=1)
@@ -55,7 +57,29 @@ def fitted_labeler(base):
     return Classifier([(SPEC, HP)]).fit(base)
 
 
+class FixedLabeler:
+    """A labeler that predicts the given labels, each with confidence 0.9."""
+
+    def __init__(self, labels: list[Label]):
+        self.labels = labels
+
+    def predict_with_confidence(self, texts):
+        return self.labels[: len(texts)], np.full(len(texts), 0.9)
+
+
 class TestDirectMerge:
+    def test_rows_equal_replace_copies(self, base):
+        rows = [
+            LabeledText(id=f"r{i}", raw_text=text, label=label, source="rel", norm_text=text, origin=origin)
+            for i, (text, label, origin) in enumerate(
+                [("نص 0", Label.GH, "gold"), ("نص 1", Label.Se, "pseudo"), ("نص 2", Label.NH, "direct_merge")]
+            )
+        ]
+        merged, _ = direct_merge(base, [(hate_descriptor(), rows)])
+        assert [row_fields(row) for row in merged] == [row_fields(row) for row in base] + [
+            row_fields(replace(row, label=Label.Re, origin="direct_merge")) for row in rows
+        ]
+
     def test_rows_arrive_with_re_label_and_origin(self, base):
         rows = source_rows(Label.Re, 12, seed=31, key="rel")
         merged, counts = direct_merge(base, [(hate_descriptor(), rows)])
@@ -162,6 +186,20 @@ class TestPseudoLabel:
         rows = source_rows(Label.Ra, 2, seed=39, key="x")
         with pytest.raises(NotFittedError):
             pseudo_label(Classifier([(SPEC, HP)]), [("x", rows)], plan)
+
+    def test_rows_equal_replace_copies(self):
+        predicted = [Label.GH, Label.NH, Label.Se, Label.Ra, Label.Re, Label.NH]
+        rows = [
+            LabeledText(id=f"p{i}", raw_text=f"نص {i}", label=Label.GH, source="p", norm_text=f"نص {i}")
+            for i in range(len(predicted))
+        ]
+        labeler = FixedLabeler(predicted)
+        new_rows, _ = pseudo_label(labeler, [("p", rows)], AugmentPlan(pseudo_sources=("p",)))
+        assert [row_fields(row) for row in new_rows] == [
+            row_fields(replace(row, label=label, origin="pseudo"))
+            for row, label in zip(rows, predicted)
+            if label != Label.NH
+        ]
 
     def test_pseudo_rows_never_nh(self, fitted_labeler):
         plan = AugmentPlan(pseudo_sources=("mix",))

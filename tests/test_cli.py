@@ -1074,6 +1074,24 @@ class TestMalformedInputs:
         assert main([*argv, "--out", str(tmp_path / "model")]) == 0
         assert f"on {len(rows) - 1} rows" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [('"norm_text": 5', "row '7': norm_text must be a string, not 5"),
+         ('"norm_text": ["q"]', "row '7': norm_text must be a string, not ['q']"),
+         ('"text": ""', "missing or empty field 'text'")],
+        ids=["norm-text-number", "norm-text-list", "text-empty"],
+    )
+    def test_train_data_malformed(self, tmp_path, corpus_file, field, message, capsys):
+        lines = corpus_file.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[7] = '{"id": "7", "label": "GH", "norm_text": "x", "text": "x", ' + field + "}\n"  # the last key wins
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(lines), encoding="utf-8")
+        argv = ["train", "--data", str(data), "--backend", "toy", "--hp", str(self._hp(tmp_path))]
+        assert main([*argv, "--out", str(tmp_path / "model")]) == 2
+        error = self._error(capsys)
+        assert f"{data} line 8: {message}" in error and error.count("\n") == 1
+        assert not (tmp_path / "model").exists()
+
     def test_normalize_input_not_utf8(self, tmp_path, capsys):
         source = tmp_path / "latin1.jsonl"
         source.write_bytes('{"id": "1", "text": "caf\u00e9", "label": "NH"}\n'.encode("latin-1"))

@@ -7,6 +7,7 @@ import dataclasses
 import itertools
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,9 @@ from arahate.ensemble import write_proba_csv
 from arahate.report import write_report
 from arahate.tune import SearchTrace, write_trace_csv
 from arahate.labels import LABEL_ORDER, Label
+from arahate.normalize import NormalizationConfig, normalize_corpus
 
-from conftest import make_separable_corpus
+from conftest import make_separable_corpus, row_fields
 
 # Class counts of the 11634-row evaluation corpus.
 BASE_CLASS_COUNTS = {
@@ -46,6 +48,73 @@ BASE_CLASS_COUNTS = {
 
 def _write_csv(path, rows, header="id,text,label"):
     path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+
+
+ORACLE_LABEL_MAP = {"GH": "GH", "NH": "NH", "hate": "Re", "clean": "NH", "1": "Ra", "normal": "discard"}
+# Generated records: valid field values (None leaves a field out), numeric
+# ids, labels and sources included, each record with at most one fault. Ids
+# repeat now and then, and 7 and "7" are the same id.
+RECORD_FAULTS = [
+    {"id": None}, {"id": ""}, {"text": None}, {"text": ""}, {"label": None}, {"label": ""}, {"label": "weird"},
+    {"origin": "bogus"}, {"origin": 3}, {"label": "clean", "origin": "pseudo"}, {"norm_text": 5},
+    {"norm_text": ["q"]},
+]
+RECORDS = st.builds(
+    lambda record, fault: {**record, **(fault or {})},
+    st.fixed_dictionaries(
+        {
+            "id": st.one_of(st.sampled_from(["a", "b", "7"]), st.integers(0, 20)),
+            "text": st.sampled_from(["نص", "a b", 0]),
+            "label": st.sampled_from([*ORACLE_LABEL_MAP, 1]),
+            "source": st.sampled_from([None, "", "src", 5]),
+            "norm_text": st.sampled_from([None, "", "نص"]),
+            "origin": st.sampled_from([None, "", *corpus_mod.ORIGINS]),
+        }
+    ),
+    st.one_of(st.none(), st.sampled_from(RECORD_FAULTS)),
+)
+
+
+def reference_load(descriptor: DatasetDescriptor) -> list[LabeledText]:
+    """load_dataset as a plain loop: each row through LabeledText(...), then the norm_text check."""
+    path = Path(descriptor.path)
+    if descriptor.format == "jsonl":
+        with open(path, encoding="utf-8") as fh:
+            records = [(n, json.loads(line)) for n, line in enumerate(fh, start=1) if line.strip()]
+    else:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh, delimiter="," if descriptor.format == "csv" else "\t")
+            records = [(reader.line_num, record) for record in reader]
+    rows, seen_ids = [], set()
+    for line_no, record in records:
+        for key in ("id", "text", "label"):
+            if record.get(key) in (None, ""):
+                raise CorpusError(f"{path} line {line_no}: missing or empty field {key!r}")
+        label = descriptor.map_label(str(record["label"]), line_no)
+        if label is None or descriptor.hate_only and label == Label.NH:
+            continue
+        row_id = str(record["id"])
+        if row_id in seen_ids:
+            raise CorpusError(f"{path} line {line_no}: duplicate id {row_id!r}")
+        seen_ids.add(row_id)
+        norm_text = record.get("norm_text")
+        try:
+            row = LabeledText(
+                id=row_id,
+                raw_text=str(record["text"]),
+                label=label,
+                source=str(record.get("source") or descriptor.key),
+                norm_text=norm_text,
+                origin=str(record.get("origin") or "gold"),
+            )
+        except CorpusError as exc:
+            raise CorpusError(f"{path} line {line_no}: {exc}") from None
+        if not (norm_text is None or isinstance(norm_text, str)):
+            raise CorpusError(
+                f"{path} line {line_no}: row {row_id!r}: norm_text must be a string, not {norm_text!r}"
+            )
+        rows.append(row)
+    return rows
 
 
 class TestLoadDataset:
@@ -165,6 +234,37 @@ class TestLoadDataset:
             expected = [(reader.line_num, tuple(map(record.get, corpus_mod._RECORD_FIELDS))) for record in reader]
         with open(path, encoding="utf-8", newline="") as fh:
             assert list(corpus_mod._iter_delimited(fh, path, delimiter)) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        records=st.lists(st.tuples(RECORDS, st.integers(0, len(corpus_mod._RECORD_FIELDS))), max_size=6),
+        file_format=st.sampled_from(["jsonl", "csv", "tsv"]),
+        hate_only=st.booleans(),
+    )
+    def test_rows_and_errors_match_the_reference_loader(self, tmp_path_factory, records, file_format, hate_only):
+        path = tmp_path_factory.mktemp("records") / f"data.{file_format}"
+        if file_format == "jsonl":
+            # A None value leaves its field out.
+            lines = [json.dumps({k: v for k, v in record.items() if v is not None}) for record, _ in records]
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        else:
+            # A cell holds the value's string, "" for None; a row keeps its first ``width`` cells.
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh, delimiter="," if file_format == "csv" else "\t")
+                writer.writerow(corpus_mod._RECORD_FIELDS)
+                for record, width in records:
+                    writer.writerow(["" if value is None else str(value) for value in record.values()][:width])
+        descriptor = DatasetDescriptor(
+            key="k", path=str(path), format=file_format, label_map=ORACLE_LABEL_MAP, hate_only=hate_only
+        )
+        try:
+            expected = [row_fields(row) for row in reference_load(descriptor)]
+        except CorpusError as exc:
+            with pytest.raises(CorpusError) as excinfo:
+                load_dataset(descriptor)
+            assert str(excinfo.value) == str(exc)
+        else:
+            assert [row_fields(row) for row in load_dataset(descriptor)] == expected
 
     def test_base_scale_corpus_matches_declared_counts(self, tmp_path):
         # Synthetic corpus mirroring the published class counts (11634 rows).
@@ -298,17 +398,29 @@ class TestJsonlRoundTrip:
 
 class TestTypes:
     def test_pseudo_rows_may_not_be_nh(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(CorpusError, match="^row '1': pseudo-labelled rows may not carry NH$"):
             LabeledText(id="1", raw_text="نص", label=Label.NH, source="s", origin="pseudo")
 
     def test_empty_raw_text_rejected(self):
         with pytest.raises(CorpusError):
             LabeledText(id="1", raw_text="", label=Label.NH, source="s")
 
-    def test_with_norm_text_copies_every_other_field(self):
-        row = LabeledText(id="7", raw_text="نص", label=Label.Ra, source="s", norm_text="old", origin="pseudo")
-        assert row.with_norm_text("نص") == dataclasses.replace(row, norm_text="نص")
-        assert row.norm_text == "old"
+    def test_row_copies_equal_replace_copies(self):
+        rows = [
+            LabeledText(id=f"{i}", raw_text="نص", label=label, source="s", norm_text=norm, origin=origin)
+            for i, (label, norm, origin) in enumerate(
+                [(Label.Ra, "old", "pseudo"), (Label.NH, None, "gold"), (Label.Re, "", "direct_merge")]
+            )
+        ]
+        before = [row_fields(row) for row in rows]
+        normalized = normalize_corpus(rows, NormalizationConfig())
+        assert [row_fields(row) for row in normalized] == [
+            row_fields(dataclasses.replace(row, norm_text="نص")) for row in rows
+        ]
+        assert [row_fields(row) for row in merge([rows])] == [
+            row_fields(dataclasses.replace(row, id=f"s:{row.id}")) for row in rows
+        ]
+        assert [row_fields(row) for row in rows] == before
 
     def test_bad_label_map_target_rejected(self, tmp_path):
         with pytest.raises(CorpusError):

@@ -9,16 +9,16 @@ taxonomy (or that they are discarded).
 
 The row contract. A ``LabeledText`` has a non-empty ``raw_text``, a known
 ``origin``, and no pseudo-labelled NH; ``LabeledText(...)`` checks all three
-for every caller. ``load_dataset`` checks each outside record: the required
-fields are present and non-empty, the label maps, no id repeats, the origin
-is known, no pseudo-labelled row is NH, and ``norm_text`` is a string or
-absent. It then builds the row with ``checked_row``, which runs no check
-again. The other paths that build rows with ``checked_row`` copy a checked
-row and change only fields they know pass: normalization sets
-``norm_text``, ``merge`` qualifies the id, ``augment.direct_merge`` relabels
-to Re with origin ``direct_merge``, and ``augment.pseudo_label`` relabels
-with origin ``pseudo`` only rows not predicted NH. So no path skips a check
-that an outside record needs.
+for every caller. ``load_dataset`` checks each outside record: a JSON field
+is a string or a number, the required fields are present and non-empty, the
+label maps, no id repeats, the origin is known, no pseudo-labelled row is
+NH, and ``norm_text`` is a string or absent. It then builds the row with
+``checked_row``, which runs no check again. The other paths that build rows
+with ``checked_row`` copy a checked row and change only fields they know
+pass: normalization sets ``norm_text``, ``merge`` qualifies the id,
+``augment.direct_merge`` relabels to Re with origin ``direct_merge``, and
+``augment.pseudo_label`` relabels with origin ``pseudo`` only rows not
+predicted NH. So no path skips a check that an outside record needs.
 
 This module also holds the one way the package opens files. Every input file
 is read through ``open_input``, which raises the reader's own error, naming
@@ -49,6 +49,8 @@ log = logging.getLogger(__name__)
 DISCARD = "discard"
 # The fields load_dataset reads from a dataset row; the first three are required.
 _RECORD_FIELDS = ("id", "text", "label", "source", "norm_text", "origin")
+# JSON values those fields may hold, norm_text aside: a number reads as its decimal text.
+_SCALARS = frozenset({str, int, float, type(None)})
 ORIGINS = ("gold", "direct_merge", "pseudo")
 
 # Canonical label strings map onto themselves when a descriptor omits label_map.
@@ -151,7 +153,14 @@ def _iter_jsonl(fh: IO[str], path: Path):
             raise CorpusError(f"{path} line {line_no}: invalid JSON ({exc})") from None
         if not isinstance(record, dict):
             raise CorpusError(f"{path} line {line_no}: expected a JSON object")
-        yield line_no, tuple(map(record.get, _RECORD_FIELDS))
+        fields = tuple(map(record.get, _RECORD_FIELDS))
+        if not _SCALARS.issuperset(map(type, fields)):  # load_dataset checks norm_text
+            for key, value in zip(_RECORD_FIELDS, fields):
+                if type(value) not in _SCALARS and key != "norm_text":
+                    raise CorpusError(
+                        f"{path} line {line_no}: field {key!r} must be a string or a number, not {value!r}"
+                    )
+        yield line_no, fields
 
 
 def _iter_delimited(fh: IO[str], path: Path, delimiter: str):
@@ -187,9 +196,9 @@ def load_dataset(descriptor: DatasetDescriptor) -> list[LabeledText]:
     """Load one dataset file, mapping labels and dropping declared discards.
 
     Raises CorpusError (with a line number where possible) for unparseable
-    rows, missing or empty required fields, unmapped label strings, duplicate
-    ids, unknown origins, pseudo-labelled NH rows and a ``norm_text`` that is
-    not a string.
+    rows, a JSON field that is an array, an object or a boolean, missing or
+    empty required fields, unmapped label strings, duplicate ids, unknown
+    origins, pseudo-labelled NH rows and a ``norm_text`` that is not a string.
     """
     path = Path(descriptor.path)
     rows: list[LabeledText] = []
@@ -378,6 +387,12 @@ def load_registry(path: str | Path) -> list[DatasetDescriptor]:
         label_map = entry.get("label_map") or IDENTITY_LABEL_MAP
         if not isinstance(label_map, dict):
             raise CorpusError(f"{path}: dataset {key!r}: label_map must be a mapping, not {label_map!r}")
+        for external in label_map:
+            # YAML reads an unquoted OFF, yes or 0 as a boolean or a number, which no label string equals.
+            if not isinstance(external, str):
+                raise CorpusError(
+                    f"{path}: dataset {key!r}: label_map key {external!r} is not a string; quote it"
+                )
         hate_only = entry.get("hate_only", False)
         if not isinstance(hate_only, bool):
             raise CorpusError(f"{path}: dataset {key!r}: hate_only must be true or false, not {hate_only!r}")

@@ -11,18 +11,20 @@ under a fixed seed, and fast enough to exercise the whole pipeline in tests.
 Its features are a pure function of the text, in one fixed geometry: 2^16
 buckets and 3-to-5-grams; ``load_model`` rejects a manifest that names
 another, or weights and bias of other shapes. ``hashed_ngram_features``
-hashes a batch in blocks of whole texts, one numpy pass per block of at most
-2^16 characters, with a table-driven CRC-32 that is bit-equal to
-``zlib.crc32``, and returns a ``StepBatch`` of CSR arrays; its transient
-memory is bounded by the block, not the batch. A per-process memo keyed by
-token limit keeps one CSR row per distinct text a fit has read, so a fit's
-rows are hashed once however many folds, grid points and ensemble members
-read them. Only fits fill it: prediction reads the rows it holds and hashes
-the texts it lacks in their order, block by block, without storing them.
-The memo costs about one CSR row (~1 KiB for a tweet) per text and is never
-evicted: one read-only ``StepBatch`` per token limit, which each fill
-replaces, copying the stored rows once. A seed-1 augment-vote benchmark
-run fills it twice, with the 1,145 texts its fits read (1.1 MiB).
+hashes a batch in blocks of whole texts, each block at most 2^16 characters
+and 2^16 texts (or one longer text), and returns a ``StepBatch`` of CSR
+arrays; its transient memory is bounded by the block, not the batch or the
+largest code point. Its CRC-32 is bit-equal to ``zlib.crc32`` and built from
+per-character contributions, one gather per character and n-gram size, with
+no pass per byte. A per-process memo keyed by token limit keeps one CSR row
+per distinct text a fit has read, so a fit's rows are hashed once however
+many folds, grid points and ensemble members read them. Only fits fill it:
+prediction reads the rows it holds and hashes the texts it lacks in their
+order, block by block, without storing them. The memo costs about one CSR
+row (~1 KiB for a tweet) per text and is never evicted: one read-only
+``StepBatch`` per token limit, which each fill replaces, copying the stored
+rows once. A seed-1 augment-vote benchmark run fills it twice, with the
+1,145 texts its fits read (1.1 MiB).
 
 ``fit_many`` and ``predict_proba_many`` serve many models in one call, and
 ``fit`` and ``predict_proba`` are their one-model cases. The toy backend
@@ -70,6 +72,7 @@ import logging
 import math
 import os
 import zipfile
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from types import ModuleType
@@ -296,6 +299,12 @@ def _crc32_table() -> np.ndarray:
 
 
 _CRC32_TABLE = _crc32_table()
+# A character takes at most 4 UTF-8 bytes, so the characters after an
+# n-gram's first take at most 4 * (n - 1) bytes, and the n-gram 4 * n.
+_MAX_SHIFT = 4 * (max(TOY_NGRAM_SIZES) - 1)
+# zlib.crc32 of L zero bytes, for every byte length L an n-gram can have.
+_ZERO_CRC = np.array([zlib.crc32(bytes(length)) for length in range(4 * max(TOY_NGRAM_SIZES) + 1)], dtype=np.uint32)
+_BMP = 0x10000  # code points below this rank through a table of this size
 
 
 class StepBatch(NamedTuple):
@@ -307,9 +316,12 @@ class StepBatch(NamedTuple):
     shape: tuple[int, int]
 
 
-# Characters hashed per block. A block's arrays take about 120 bytes a
-# character, so hashing holds under 8 MiB besides the features it returns.
+# Characters hashed per block. A block's arrays take about 85 bytes a
+# character, so hashing holds under 6 MiB besides the features it returns.
 _HASH_BLOCK_CHARS = 2**16
+# Texts hashed per block: a cell is the 32-bit key row * buckets + bucket.
+_HASH_BLOCK_TEXTS = 2**32 // TOY_DEFAULT_BUCKETS
+_BUCKET_MASK = TOY_DEFAULT_BUCKETS - 1  # x & mask is x % buckets, as buckets is a power of two
 _INT32_ENTRIES = np.iinfo(np.int32).max  # stored entries an int32 index holds
 
 
@@ -323,10 +335,10 @@ def hashed_ngram_features(texts: Sequence[str], max_tokens: int | None = None) -
     index dtype: int32 while the entries fit, else int64.
 
     The texts are hashed in blocks of whole texts of at most
-    ``_HASH_BLOCK_CHARS`` characters (a longer text is a block of its own),
-    so the transient arrays stay the same size however large the batch is;
-    see ``_hash_block``. A row depends only on its own text, so the joined
-    blocks equal one pass over the whole batch.
+    ``_HASH_BLOCK_CHARS`` characters and ``_HASH_BLOCK_TEXTS`` texts (a longer
+    text is a block of its own), so the transient arrays stay the same size
+    however large the batch is; see ``_hash_block``. A row depends only on
+    its own text, so the joined blocks equal one pass over the whole batch.
     """
     lengths = _char_lengths(texts)
     if max_tokens is not None and lengths.max(initial=0) > 2 * max_tokens:  # else _truncate keeps every text
@@ -351,13 +363,14 @@ def _char_lengths(texts: Sequence[str]) -> np.ndarray:
 
 
 def _blocks(lengths: np.ndarray) -> Iterator[tuple[int, int]]:
-    """``(lo, hi)`` of each run of consecutive texts of at most ``_HASH_BLOCK_CHARS`` characters in all;
-    a longer text is a run of its own."""
+    """``(lo, hi)`` of each run of consecutive texts of at most ``_HASH_BLOCK_CHARS`` characters in all
+    and at most ``_HASH_BLOCK_TEXTS`` texts; a longer text is a run of its own."""
     ends = np.cumsum(lengths)
     lo = 0
     while lo < len(lengths):
         before = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, before + _HASH_BLOCK_CHARS, side="right")))
+        hi = int(np.searchsorted(ends, before + _HASH_BLOCK_CHARS, side="right"))
+        hi = max(lo + 1, min(hi, lo + _HASH_BLOCK_TEXTS))
         yield lo, hi
         lo = hi
 
@@ -368,41 +381,88 @@ def _hash_block(texts: Sequence[str], lengths: np.ndarray) -> tuple[np.ndarray, 
     rows = cells // TOY_DEFAULT_BUCKETS
     return (
         np.bincount(rows, minlength=len(texts)),
-        (cells - rows * TOY_DEFAULT_BUCKETS).astype(np.int32),
+        (cells & _BUCKET_MASK).astype(np.int32),
         counts.astype(float),
     )
 
 
 def _ngram_cells(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
-    """``row * TOY_DEFAULT_BUCKETS + bucket`` of every n-gram of ``texts``, unsorted.
+    """``row * TOY_DEFAULT_BUCKETS + bucket`` of every n-gram of ``texts``, unsorted, as uint32.
 
-    One numpy pass hashes them all: a table-driven CRC-32 (Sarwate 1988)
-    runs over every n-gram's bytes at once, and each larger size extends the
-    state of the next smaller one from the same start character, so each
-    size costs only its extra characters. Its arrays are freed on return,
-    before the cells are sorted.
+    With ``R(b)`` the CRC-32 register after bytes ``b`` from 0 (no inversion
+    before or after), ``zlib.crc32(b) == zlib.crc32(bytes(len(b))) ^ R(b)``,
+    and ``R`` is linear over GF(2) (the property behind Sarwate 1988): the
+    ``R`` of an n-gram is the XOR over its characters ``c`` of
+    ``R(utf8(c) + bytes(s))``, ``s`` the bytes after ``c`` in the n-gram.
+    ``_contributions`` tabulates that for the block's distinct characters and
+    every ``s``, so one gather per character position builds each n-gram
+    size: the n-gram starting at ``p`` is its first character's contribution
+    XOR the (n-1)-gram starting at ``p + 1``. No pass runs per byte. Its
+    arrays are freed on return, before the cells are sorted.
     """
-    data = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8)
-    # Byte offset of every character (UTF-8 lead bytes), plus the end.
-    char_bytes = np.append(np.flatnonzero((data & 0xC0) != 0x80), data.size)
-    # One candidate n-gram per start character; row_end bounds it to its row.
-    row = np.repeat(np.arange(len(texts)), lengths)
-    row_end = np.repeat(np.cumsum(lengths), lengths)
-    start = np.arange(row.size)
-    crc = np.full(row.size, 0xFFFFFFFF, dtype=np.uint32)
-    keys = [np.zeros(0, dtype=np.int64)]
-    done = 0  # characters already folded into crc
-    for n in TOY_NGRAM_SIZES:
-        keep = start + n <= row_end
-        start, row, row_end, crc = start[keep], row[keep], row_end[keep], crc[keep]
-        first, stop = char_bytes[start + done], char_bytes[start + n]
-        for offset in range(int((stop - first).max(initial=0))):
-            at = first + offset
-            step = _CRC32_TABLE[(crc ^ data.take(at, mode="clip")) & 0xFF] ^ (crc >> 8)
-            crc = np.where(at < stop, step, crc)
-        done = n
-        keys.append(row * TOY_DEFAULT_BUCKETS + (crc ^ 0xFFFFFFFF).astype(np.int64) % TOY_DEFAULT_BUCKETS)
+    if lengths.max(initial=0) < min(TOY_NGRAM_SIZES):  # no n-gram: skip the block's tables
+        return np.zeros(0, dtype=np.uint32)
+    points = np.frombuffer("".join(texts).encode("utf-32-le"), dtype=np.uint32)
+    rank, codes = _code_ranks(points)
+    table = _contributions(codes)
+    code_bytes = 1 + (codes >= 0x80) + (codes >= 0x800) + (codes >= _BMP)
+    char_bytes = code_bytes[rank]
+    # Per start: the entry of its first character for the bytes after it,
+    # the n-gram's byte length and its register; n = 1 to begin with.
+    at = rank * (_MAX_SHIFT + 1)
+    length = char_bytes
+    gram = table[at]
+    row = np.repeat(np.arange(len(texts), dtype=np.uint32) * np.uint32(TOY_DEFAULT_BUCKETS), lengths)
+    keys = [np.zeros(0, dtype=np.uint32)]
+    for n in range(2, max(TOY_NGRAM_SIZES) + 1):
+        starts = max(points.size - n + 1, 0)
+        at = at[:starts] + char_bytes[n - 1 :]
+        length = length[:starts] + char_bytes[n - 1 :]
+        gram = table[at] ^ gram[1:]
+        if n in TOY_NGRAM_SIZES:
+            key = row[:starts] | ((_ZERO_CRC[length] ^ gram) & _BUCKET_MASK)
+            keys.append(key[row[:starts] == row[n - 1 :]])  # n-grams within one row
     return np.concatenate(keys)
+
+
+def _code_ranks(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each code point's rank among the distinct ``points``, and those code points in rank order.
+
+    Code points below ``_BMP`` rank through a table of that size, and the
+    rest through ``np.unique``, so no array is sized by the largest code point.
+    """
+    astral = points >= _BMP
+    near = points[~astral] if astral.any() else points
+    seen = np.zeros(_BMP, dtype=bool)
+    seen[near] = True
+    codes = np.flatnonzero(seen)
+    table = np.empty(_BMP, dtype=np.intp)
+    table[codes] = np.arange(codes.size)
+    if near is points:
+        return table[points], codes
+    far_codes, far_rank = np.unique(points[astral], return_inverse=True)
+    rank = np.empty(points.size, dtype=np.intp)
+    rank[~astral] = table[near]
+    rank[astral] = codes.size + far_rank
+    return rank, np.concatenate([codes, far_codes])
+
+
+def _contributions(codes: np.ndarray) -> np.ndarray:
+    """Flat ``(len(codes), _MAX_SHIFT + 1)`` table: entry ``(i, s)`` is ``R(utf8(chr(codes[i])) + bytes(s))``.
+
+    ``R`` is the CRC-32 register from 0, as in ``_ngram_cells``; each column
+    advances the one before it by a zero byte.
+    """
+    register = np.fromiter(
+        (zlib.crc32(chr(code).encode("utf-8"), 0xFFFFFFFF) ^ 0xFFFFFFFF for code in codes.tolist()),
+        dtype=np.uint32,
+        count=codes.size,
+    )
+    table = np.empty((codes.size, _MAX_SHIFT + 1), dtype=np.uint32)
+    for shift in range(_MAX_SHIFT + 1):
+        table[:, shift] = register
+        register = _CRC32_TABLE[register & 0xFF] ^ (register >> 8)
+    return table.ravel()
 
 
 # Per-process feature memo: token limit -> (row of each text a fit has

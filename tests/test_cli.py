@@ -99,6 +99,8 @@ BAD_REGISTRIES = {
     "path-number": (b"- {key: a, path: 5}\n", "registry.yaml: registry entry {'key': 'a', 'path': 5}: "),
     "path-null": (b"- {key: a, path: null}\n", "registry.yaml: registry entry {'key': 'a', 'path': None}: "),
     "key-list": (b"- {key: [1], path: x.jsonl}\n", "registry.yaml: registry entry {'key': [1], 'path': 'x.jsonl'}: "),
+    "label-map-key-bool": (b"- key: ext\n  path: ext.jsonl\n  label_map: {OFF: GH, NOT_OFF: discard}\n",
+                           "'ext': label_map key False is not a string; quote it"),
 }
 
 # A baseline file of one row with every class's F1.
@@ -1078,8 +1080,9 @@ class TestMalformedInputs:
         "field, message",
         [('"norm_text": 5', "row '7': norm_text must be a string, not 5"),
          ('"norm_text": ["q"]', "row '7': norm_text must be a string, not ['q']"),
-         ('"text": ""', "missing or empty field 'text'")],
-        ids=["norm-text-number", "norm-text-list", "text-empty"],
+         ('"text": ""', "missing or empty field 'text'"),
+         ('"text": ["q"]', "field 'text' must be a string or a number, not ['q']")],
+        ids=["norm-text-number", "norm-text-list", "text-empty", "text-list"],
     )
     def test_train_data_malformed(self, tmp_path, corpus_file, field, message, capsys):
         lines = corpus_file.read_text(encoding="utf-8").splitlines(keepends=True)

@@ -57,7 +57,8 @@ ORACLE_LABEL_MAP = {"GH": "GH", "NH": "NH", "hate": "Re", "clean": "NH", "1": "R
 RECORD_FAULTS = [
     {"id": None}, {"id": ""}, {"text": None}, {"text": ""}, {"label": None}, {"label": ""}, {"label": "weird"},
     {"origin": "bogus"}, {"origin": 3}, {"label": "clean", "origin": "pseudo"}, {"norm_text": 5},
-    {"norm_text": ["q"]},
+    {"norm_text": ["q"]}, {"id": ["q"]}, {"id": False}, {"text": ["q"]}, {"text": {"q": 1}}, {"text": True},
+    {"label": ["GH"]}, {"source": {}}, {"source": True}, {"origin": []}, {"origin": False},
 ]
 RECORDS = st.builds(
     lambda record, fault: {**record, **(fault or {})},
@@ -76,7 +77,8 @@ RECORDS = st.builds(
 
 
 def reference_load(descriptor: DatasetDescriptor) -> list[LabeledText]:
-    """load_dataset as a plain loop: each row through LabeledText(...), then the norm_text check."""
+    """load_dataset as a plain loop: the JSON type check, each row through LabeledText(...), then the
+    norm_text check."""
     path = Path(descriptor.path)
     if descriptor.format == "jsonl":
         with open(path, encoding="utf-8") as fh:
@@ -87,6 +89,11 @@ def reference_load(descriptor: DatasetDescriptor) -> list[LabeledText]:
             records = [(reader.line_num, record) for record in reader]
     rows, seen_ids = [], set()
     for line_no, record in records:
+        for key in ("id", "text", "label", "source", "origin"):
+            if descriptor.format == "jsonl" and isinstance(record.get(key), (list, dict, bool)):
+                raise CorpusError(
+                    f"{path} line {line_no}: field {key!r} must be a string or a number, not {record[key]!r}"
+                )
         for key in ("id", "text", "label"):
             if record.get(key) in (None, ""):
                 raise CorpusError(f"{path} line {line_no}: missing or empty field {key!r}")

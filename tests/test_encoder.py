@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 import zlib
 from pathlib import Path
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
@@ -377,10 +378,16 @@ def fresh_memo(monkeypatch):
     monkeypatch.setattr(encoder, "_FEATURE_MEMO", {})
 
 
-def tweet_length_texts(chars: int) -> list[str]:
-    """Random Arabic texts of 40 to 139 characters, at least ``chars`` in all."""
+# Emoji, among them a flag whose tag characters run to U+E007F, and BMP
+# letters standing in for their code points in a text of equal length.
+EMOJI = ["😂", "🔥", "\U0001F3F4\U000E0067\U000E0062\U000E0065\U000E006E\U000E0067\U000E007F"]
+BMP_TWIN = str.maketrans(dict(zip("😂🔥\U0001F3F4\U000E0067\U000E0062\U000E0065\U000E006E\U000E007F", "ءآأgbenz")))
+
+
+def tweet_length_texts(chars: int, extra: Sequence[str] = ()) -> list[str]:
+    """Random texts of 40 to 139 Arabic letters or ``extra`` strings, at least ``chars`` characters in all."""
     rng = np.random.default_rng(13)
-    letters = np.array(list("ابتثجحخدذرزسشصضطظعغفقكلمنهوي "))
+    letters = np.array(list("ابتثجحخدذرزسشصضطظعغفقكلمنهوي ") + list(extra))
     texts, total = [], 0
     while total < chars:
         texts.append("".join(rng.choice(letters, size=int(rng.integers(40, 140)))))
@@ -426,17 +433,63 @@ class TestFeaturization:
             assert_same_csr(hashed_ngram_features(texts, max_tokens), per_ngram_features(texts, max_tokens))
 
     def test_peak_memory_bounded_by_blocks(self):
-        # Tweet-length Arabic texts filling at least four blocks: hashing them
-        # must not hold much more than the matrix it returns.
-        texts = tweet_length_texts(4 * encoder._HASH_BLOCK_CHARS)
+        # Tweet-length Arabic texts, without and with emoji, filling at least
+        # four blocks: hashing them must not hold much more than the matrix it returns.
+        for extra in ((), EMOJI):
+            texts = tweet_length_texts(4 * encoder._HASH_BLOCK_CHARS, extra)
+            tracemalloc.start()
+            try:
+                features = hashed_ngram_features(texts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert_same_csr(as_csr(features)[-3:], per_ngram_features(texts[-3:]))
+            assert peak < 3 * features_nbytes(features), extra
+
+    def test_astral_code_points_take_no_more_block_memory(self):
+        # A table sized by the largest code point would take megabytes for
+        # the flag's U+E007F; BMP letters in its place bound the block's peak.
+        texts = tweet_length_texts(encoder._HASH_BLOCK_CHARS, EMOJI)[:-1]
+        twin = [text.translate(BMP_TWIN) for text in texts]
+        assert list(map(len, twin)) == list(map(len, texts)) and max(map(max, twin)) < "\U00010000"
+        peaks = []
         tracemalloc.start()
         try:
-            features = hashed_ngram_features(texts)
-            peak = tracemalloc.get_traced_memory()[1]
+            for batch in (texts, twin):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                encoder._hash_block(batch, encoder._char_lengths(batch))
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
         finally:
             tracemalloc.stop()
-        assert_same_csr(as_csr(features)[-3:], per_ngram_features(texts[-3:]))
-        assert peak < 3 * features_nbytes(features)
+        assert peaks[0] < peaks[1] + 2**20
+
+    def test_more_texts_than_a_cell_key_holds(self):
+        # 70,000 empty texts make one block by characters; rows past 2^16 need a second block.
+        texts = [""] * 70_000 + ["نص عربي", "😂😍🔥 نص", "abc"]
+        assert_same_csr(hashed_ngram_features(texts), per_ngram_features(texts))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lengths=st.lists(st.integers(0, 9), max_size=30),
+        block_chars=st.integers(1, 12),
+        block_texts=st.integers(1, 6),
+    )
+    def test_blocks_are_the_longest_runs_within_both_limits(self, lengths, block_chars, block_texts):
+        with mock.patch.multiple(encoder, _HASH_BLOCK_CHARS=block_chars, _HASH_BLOCK_TEXTS=block_texts):
+            blocks = list(encoder._blocks(np.array(lengths, dtype=np.int64)))
+        ends = [0] + [hi for _, hi in blocks]
+        assert [lo for lo, _ in blocks] == ends[:-1] and ends[-1] == len(lengths)
+        for lo, hi in blocks:
+            fits = hi - lo <= block_texts and sum(lengths[lo:hi]) <= block_chars
+            assert fits or hi - lo == 1
+            longer = hi < len(lengths) and hi + 1 - lo <= block_texts and sum(lengths[lo : hi + 1]) <= block_chars
+            assert not longer
+
+    def test_blocks_hold_at_most_a_cell_key_of_texts(self):
+        assert encoder._HASH_BLOCK_TEXTS * TOY_DEFAULT_BUCKETS == 2**32
+        blocks = list(encoder._blocks(np.zeros(70_000, dtype=np.int64)))
+        assert blocks == [(0, 2**16), (2**16, 70_000)]
 
     def test_memo_rows_match_oracle(self, fresh_memo):
         texts = ["نص عربي قصير", "اب", "نص عربي قصير", "كلمه " * 6, "اخر"]

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import encoder
 from .corpus import LabeledText
-from .ensemble import average_vote, ensemble_policy, majority_winners
+from .ensemble import average_vote, ensemble_policy, majority_vote
 from .errors import ArahateError
-from .labels import LABEL_ORDER, Label
+from .labels import LABEL_INDEX, Label
 
 
 class NotFittedError(ArahateError):
@@ -79,11 +79,11 @@ class Classifier:
         if not texts:
             return [], np.zeros(0)
         if self.mode == "majority":
-            winners = majority_winners(matrices)
+            labels = majority_vote(matrices)
             # Hard voting has no combined distribution; confidence is the mean
             # probability the members assign to the winning class.
+            winners = np.fromiter(map(LABEL_INDEX.__getitem__, labels), dtype=np.intp, count=len(labels))
             stacked = np.stack([m.probs for m in matrices])  # (M, N, K)
-            labels = [LABEL_ORDER[i] for i in winners.tolist()]
             return labels, stacked[:, np.arange(len(labels)), winners].mean(axis=0)
         if self.mode == "average":
             labels, combined = average_vote(matrices, self.weights)

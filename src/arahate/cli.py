@@ -191,9 +191,10 @@ def _cmd_vote(args) -> int:
     ensemble_cfg = _config(args).get("ensemble", {})
     paths, out = _require(args.caches, "--caches"), _require(args.out, "--out")
     # vote has no single model to fall back on: without a mode it votes by majority.
-    mode, weights = ensemble_policy(
-        len(paths), ensemble_cfg.get("mode", "majority"), ensemble_cfg.get("weights")
-    )
+    mode = ensemble_cfg.get("mode", "majority")
+    if mode == "single":
+        raise ConfigError("vote has no mode 'single'; its modes are 'majority' and 'average'")
+    mode, weights = ensemble_policy(len(paths), mode, ensemble_cfg.get("weights"))
     caches = [read_proba_csv(path) for path in paths]
     if mode == "majority":
         labels = majority_vote(caches)

@@ -1,65 +1,27 @@
 """Trainable-classifier contract plus a deterministic reference backend.
 
-Every backend in the table here exposes the same two operations, each over
-many models: fine-tune them on labelled rows (``fit_many``) and give each
-an N x 5 class-probability matrix of the same texts
-(``predict_proba_arrays``). The bundled ``toy`` backend is a linear softmax
-model over hashed character 3-to-5-gram counts (2^16 buckets) trained with
-mini-batch gradient descent: no heavyweight dependencies, bit-reproducible
-under a fixed seed, and fast enough to exercise the whole pipeline in tests.
+Every backend in the table exposes the same two operations, each over many
+models: fine-tune them on labelled rows (``fit_many``) and give each an N x 5
+class-probability matrix of the same texts (``predict_proba_arrays``).
+``fit`` and ``predict_proba`` are the one-model cases. The three pretrained
+slots take their runtime and weights from the environment (the
+``pretrained`` extra), never from this package.
 
-Its features are a pure function of the text, in one fixed geometry: 2^16
-buckets and 3-to-5-grams; ``load_model`` rejects a manifest that names
-another, or weights and bias of other shapes. ``hashed_ngram_features``
-hashes a batch in blocks of whole texts, each block at most 2^16 characters
-and 2^16 texts (or one longer text), and returns a ``StepBatch`` of CSR
-arrays; its transient memory is bounded by the block, not the batch or the
-largest code point. Its CRC-32 is bit-equal to ``zlib.crc32`` and built from
-per-character contributions, one gather per character and n-gram size, with
-no pass per byte. A per-process memo keyed by token limit keeps one CSR row
-per distinct text a fit has read, so a fit's rows are hashed once however
-many folds, grid points and ensemble members read them. Only fits fill it:
-prediction reads the rows it holds and hashes the texts it lacks in their
-order, block by block, without storing them. The memo costs about one CSR
-row (~1 KiB for a tweet) per text and is never evicted: one read-only
-``StepBatch`` per token limit, which each fill replaces, copying the stored
-rows once. A seed-1 augment-vote benchmark run fills it twice, with the
-1,145 texts its fits read (1.1 MiB).
+The ``toy`` backend is a linear softmax over hashed character 3-to-5-gram
+counts in 2^16 buckets, trained by mini-batch gradient descent and
+bit-reproducible under a fixed seed. That geometry is fixed: a saved model's
+manifest names it and ``load_model`` rejects any other. An n-gram's bucket
+is ``zlib.crc32`` of its UTF-8 bytes modulo 2^16, bit for bit. Texts are
+hashed in blocks of whole texts, so transient memory is bounded by
+``_HASH_BLOCK_CHARS``, not by the batch.
 
-``fit_many`` and ``predict_proba_many`` serve many models in one call, and
-``fit`` and ``predict_proba`` are their one-model cases. The toy backend
-trains the entries of equal token limit, epochs, batch size and learning
-rate as one lockstep group: one step loop whose every step is one
-``toy_forward_backward`` call over all the group's batches of that step.
-Work that depends only on an epoch's order runs once per epoch: where each
-row's entries lie, where its model's weights start, and every step's loss
-per model, summed at the epoch's end from each row's loss. A step copies its
-rows, numbers the columns they touch, gathers and updates those weights.
-``StepBatch`` is the one CSR type from hashing to the step, and a run
-builds no scipy matrix. Fit and predict read the memo alike:
-``_row_spans`` finds rows and ``_copy_rows`` copies them into a
-``StepBatch`` of CSR arrays with scipy's compiled ``csr_row_index``, the
-kernel ``matrix[ids]`` runs, and ``_csr_product`` multiplies with
-``csr_matvecs`` and ``csc_matvecs``, the kernels ``@`` runs for a CSR
-matrix, or its transpose, times a 2-D array: rows and products are bit for
-bit scipy's. The three kernels come from scipy's compiled ``_sparsetools``
-module, which ``_load_sparsetools`` loads straight from its extension file,
-so importing this module never runs ``scipy.sparse``'s package init; when
-that file is not found or does not load, it falls back to
-``from scipy.sparse import _sparsetools``. The group's models share one
-column space, the buckets any of its rows touch, and each owns a block of
-one float64 weight matrix: about 6 MiB for the ten folds of a 500-row
-cross-validation. A trained model keeps only its block (weights for its
-sorted bucket ids ``cols``) and expands to every bucket only when saved.
-Each model gets bit for bit the weights, bias and losses its own fit gets,
-and one that turns non-finite fails alone. Prediction reads its texts in
-chunks, once per token limit, and the models of a group score each chunk
-with one product, their weights side by side.
+A per-process memo holds, per token limit, one CSR row per distinct text a
+fit has read, so a fit's rows are hashed once however many folds, grid
+points and members read them. Prediction reads it but never fills it.
 
-Three pretrained encoder slots sit in the backend table by name; their
-weights are fetched by the run environment (never vendored), so using them
-requires the ``pretrained`` extra plus network or cache access to the
-weights.
+Fits of equal token limit, epochs, batch size and learning rate train in one
+lockstep step loop. Each model gets bit for bit the weights, bias and losses
+of its own fit, and a model that turns non-finite fails alone.
 """
 
 from __future__ import annotations
@@ -95,10 +57,10 @@ def _load_sparsetools() -> ModuleType:
 
     The module needs only numpy's C API, but importing it the ordinary way
     first runs ``scipy.sparse``'s package init, which imports far more of
-    scipy and numpy than three kernels use and was about half of every
-    command's start-up. ``find_spec`` locates the ``scipy`` package without
-    importing it; the file is ``sparse/_sparsetools`` plus one of this
-    interpreter's extension suffixes, loaded under scipy's own module name.
+    scipy and numpy than three kernels use. ``find_spec`` locates the
+    ``scipy`` package without importing it; the file is
+    ``sparse/_sparsetools`` plus one of this interpreter's extension
+    suffixes, loaded under scipy's own module name.
     When no such file exists or it fails to load, the ordinary import is the
     fallback.
     """
@@ -308,7 +270,10 @@ _BMP = 0x10000  # code points below this rank through a table of this size
 
 
 class StepBatch(NamedTuple):
-    """A batch as the arrays of an (N, D) CSR matrix: what ``toy_forward_backward`` reads of one."""
+    """A batch as the arrays of an (N, D) CSR matrix: what ``toy_forward_backward`` reads of one.
+
+    The toy backend's one CSR type, from hashing to the step: it builds no scipy matrix.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -717,9 +682,12 @@ class ToyBackend:
     ) -> list[TrainedModel | EncoderError]:
         """One step loop over same-shape fits; bit for bit the models separate fits return.
 
-        Model i owns block i of one weight matrix: one column per bucket any
-        entry's rows touch. The matrix is stored transposed, one row of K
-        weights per column, so a step gathers and scatters whole rows.
+        A toy step costs more in numpy call overhead than in arithmetic, so the
+        group's models share each step's calls. Model i owns block i of one
+        weight matrix: one column per bucket any entry's rows touch. The matrix
+        is stored transposed, one row of K weights per column, so a step
+        gathers and scatters whole rows. The model has no regularizer, so a
+        bucket no row of a step touches gets a zero update and is not read.
 
         An epoch shuffles each model's rows, orders them by (step, model) so
         that each stacked step is one contiguous slice, and works out once

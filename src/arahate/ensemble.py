@@ -114,11 +114,6 @@ def majority_vote(matrices: Sequence[ProbabilityMatrix]) -> list[Label]:
     probability across models; an exact tie there falls back to the fixed
     column order (NH first).
     """
-    return [LABEL_ORDER[i] for i in majority_winners(matrices).tolist()]
-
-
-def majority_winners(matrices: Sequence[ProbabilityMatrix]) -> np.ndarray:
-    """The column in LABEL_ORDER of each row's ``majority_vote`` winner."""
     ensemble_policy(len(matrices), "majority")
     _check_aligned(matrices)
     votes = np.stack([m.probs.argmax(axis=1) for m in matrices])  # (M, N)
@@ -127,7 +122,8 @@ def majority_winners(matrices: Sequence[ProbabilityMatrix]) -> np.ndarray:
     leading = counts == counts.max(axis=1, keepdims=True)
     # Probabilities are non-negative, so -1 never wins; argmax takes the first
     # maximum, so an exact tie on the sum goes to column order.
-    return np.where(leading, prob_sum, -1.0).argmax(axis=1)
+    winners = np.where(leading, prob_sum, -1.0).argmax(axis=1)
+    return [LABEL_ORDER[i] for i in winners.tolist()]
 
 
 def average_vote(

@@ -1334,3 +1334,12 @@ class TestConfigSettings:
     def test_vote_without_a_mode_needs_two_caches(self, tmp_path):
         caches = write_caches(tmp_path, ["x"], ("a",))
         assert main(["vote", "--caches", *caches, "--out", str(tmp_path / "labels.csv")]) == 1
+
+    @pytest.mark.parametrize("n_caches", [1, 2])
+    def test_vote_rejects_the_config_single_mode(self, tmp_path, capsys, n_caches):
+        config = write_config(tmp_path, NOISY)  # ensemble.mode: single
+        caches = write_caches(tmp_path, ["x", "y"], ("a", "b")[:n_caches])
+        assert main(["vote", "--config", str(config), "--caches", *caches, "--out", str(tmp_path / "out.csv")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and all(mode in line for mode in ("'single'", "'majority'", "'average'"))
+        assert not (tmp_path / "out.csv").exists()

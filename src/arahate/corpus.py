@@ -61,7 +61,7 @@ class CorpusError(ArahateError):
     """Malformed dataset file, descriptor or merge input."""
 
 
-@dataclass
+@dataclass(slots=True)
 class LabeledText:
     """One short text with its label and provenance.
 
@@ -102,7 +102,7 @@ def checked_row(
     The caller vouches for the fields: see the row contract in the module docstring.
     """
     row = object.__new__(LabeledText)
-    # Every field, in __init__'s order, so rows keep sharing one key table.
+    # Every field: a slot left unset would raise AttributeError when read.
     row.id, row.raw_text, row.label, row.source, row.norm_text, row.origin = (
         row_id, raw_text, label, source, norm_text, origin
     )

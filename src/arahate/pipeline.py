@@ -10,16 +10,26 @@ Within one process a stage hands the corpora it writes to the stages after
 it, so a corpus file is read back only by a stage whose upstream was skipped.
 No artifact embeds wall-clock state, so identical configs, seeds and inputs
 reproduce byte-identical outputs with the toy backend.
+
+A run keeps every corpus it builds until it ends, tens of thousands of rows
+when augmentation pseudo-labels external datasets, and the cyclic garbage
+collector would scan them again and again. So ``run_experiment`` runs under
+``paused_gc``. That is safe because the rows and the stages' data hold no
+reference cycles: reference counting frees everything a run drops, and a
+cycle made anyway (a caught exception's traceback) is collected by the
+normal thresholds once the run ends.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import __version__, augment as augment_mod, corpus as corpus_mod, encoder, report as report_mod, tune as tune_mod
 from .classifiers import Classifier
@@ -39,6 +49,22 @@ class StageFailure(ArahateError):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@contextmanager
+def paused_gc() -> Iterator[None]:
+    """Turn automatic cyclic collection off for the block, then restore the caller's setting.
+
+    Collection is turned back on when the block ends, also by an exception,
+    unless the caller had already turned it off; so pauses nest.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _sha256_file(path: Path) -> str:
@@ -319,4 +345,5 @@ class ExperimentRun:
 
 
 def run_experiment(cfg: dict, out_root: str | Path, seed: int | None = None) -> Path:
-    return ExperimentRun(cfg, out_root, seed=seed).execute()
+    with paused_gc():
+        return ExperimentRun(cfg, out_root, seed=seed).execute()

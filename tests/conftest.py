@@ -8,6 +8,7 @@ norm_text == raw_text for these fixtures.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,8 @@ CLASS_LETTERS = {
 
 
 def row_fields(row: LabeledText) -> tuple:
-    """A row's type and its attributes in ``vars()`` order: what two equal rows share."""
-    return type(row), list(vars(row).items())
+    """A row's type and the (name, value) of each of its fields: what two equal rows share."""
+    return type(row), [(f.name, getattr(row, f.name)) for f in fields(row)]
 
 
 def load_golden_cases(path: Path) -> list[tuple[str, str]]:

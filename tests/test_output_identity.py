@@ -17,10 +17,17 @@ path are masked:
   have the run id replaced by ``RUN_ID``.
 
 Two input directories give equal bytes everywhere else.
+
+A run pauses automatic cyclic collection (``pipeline.paused_gc``) and hands
+the caller's setting back; ``TestPausedCollector`` checks that the pause is
+in effect, that no output byte depends on it, and that every way out of a
+run, the CLI's included, restores the setting.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import os
 import subprocess
@@ -30,9 +37,9 @@ from pathlib import Path
 import pytest
 from scipy.sparse import _compressed
 
-from arahate import encoder
+from arahate import cli, encoder, pipeline
 from arahate.config import load_config
-from arahate.pipeline import run_experiment
+from arahate.pipeline import StageFailure, paused_gc, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "data" / "run_identity.tsv"
@@ -123,6 +130,93 @@ def test_tiny_desk_run_never_loads_numpy_ma(tmp_path):
         "run_experiment(load_config(sys.argv[1]), sys.argv[2])"
     )
     assert fresh(code, config, tmp_path / "runs") == "False"
+
+
+@pytest.fixture(params=[True, False], ids=["caller-collects", "caller-paused"])
+def caller_collects(request):
+    """Automatic collection on or off as the caller had it; the process's setting is restored afterwards."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestPausedCollector:
+    def tiny_config(self, tmp_path: Path, workload: str = "augment-vote") -> Path:
+        return _gen().generate(workload, SEED, tmp_path / "inputs", tiny=True)
+
+    def test_tiny_augment_vote_run_triggers_no_collection(self, tmp_path, monkeypatch):
+        config = load_config(self.tiny_config(tmp_path))
+        monkeypatch.setattr(encoder, "_FEATURE_MEMO", {})
+        collections, enable = [], gc.enable
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        def stop_counting_and_enable():
+            # The pass the thresholds owe by now runs at the first allocation
+            # after the pause ends, inside the pause's exit or after the run.
+            if count in gc.callbacks:
+                gc.callbacks.remove(count)
+            enable()
+
+        enable()
+        monkeypatch.setattr(gc, "enable", stop_counting_and_enable)
+        gc.callbacks.append(count)
+        try:
+            run_experiment(config, tmp_path / "runs")
+        finally:
+            if count in gc.callbacks:
+                gc.callbacks.remove(count)
+        assert collections == []
+        assert gc.isenabled()
+
+    def test_run_writes_the_bytes_of_a_run_without_the_pause(self, tmp_path, monkeypatch):
+        config = load_config(self.tiny_config(tmp_path))
+        monkeypatch.setattr(encoder, "_FEATURE_MEMO", {})
+        paused = run_experiment(config, tmp_path / "paused")
+        monkeypatch.setattr(encoder, "_FEATURE_MEMO", {})
+        monkeypatch.setattr(pipeline, "paused_gc", contextlib.nullcontext)
+        collecting = run_experiment(config, tmp_path / "collecting")
+        files = sorted(p.relative_to(paused) for p in paused.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(collecting) for p in collecting.rglob("*") if p.is_file())
+        changed = [str(f) for f in files if (paused / f).read_bytes() != (collecting / f).read_bytes()]
+        assert not changed
+
+    def test_run_restores_the_callers_setting(self, tmp_path, caller_collects):
+        run_experiment(load_config(self.tiny_config(tmp_path, "desk")), tmp_path / "runs")
+        assert gc.isenabled() == caller_collects
+
+    def test_nested_pauses_restore_the_callers_setting(self, caller_collects):
+        with paused_gc():
+            with paused_gc():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() == caller_collects
+
+    def test_stage_failure_restores_the_callers_setting(self, tmp_path, caller_collects, capsys):
+        config = self.tiny_config(tmp_path, "desk")
+        (tmp_path / "inputs" / "base.jsonl").write_text("not json\n", encoding="utf-8")
+        with pytest.raises(StageFailure):
+            run_experiment(load_config(config), tmp_path / "runs")
+        assert gc.isenabled() == caller_collects
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "cli-runs")]) == 2
+        assert gc.isenabled() == caller_collects
+
+    def test_subcommands_run_paused(self, tmp_path, monkeypatch, caller_collects, capsys):
+        config = self.tiny_config(tmp_path, "desk")
+        seen, original = [], cli.normalize_corpus
+
+        def normalize_corpus(rows, cfg):
+            seen.append(gc.isenabled())
+            return original(rows, cfg)
+
+        monkeypatch.setattr(cli, "normalize_corpus", normalize_corpus)
+        out = tmp_path / "normalized.jsonl"
+        assert cli.main(["normalize", "--config", str(config), "--out", str(out)]) == 0
+        assert seen == [False]
+        assert gc.isenabled() == caller_collects
 
 
 if __name__ == "__main__":

@@ -355,7 +355,10 @@ def main(argv=None) -> int:
     try:  # --hp and --grid files are read while parsing
         args = build_parser().parse_args(argv)
         with paused_gc():
-            return args.fn(args) or 0
+            try:
+                return args.fn(args) or 0
+            finally:
+                encoder._FEATURE_MEMO.clear()  # the memo lives for one subcommand
     except ArahateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ConfigError) else 2

@@ -15,9 +15,10 @@ is ``zlib.crc32`` of its UTF-8 bytes modulo 2^16, bit for bit. Texts are
 hashed in blocks of whole texts, so transient memory is bounded by
 ``_HASH_BLOCK_CHARS``, not by the batch.
 
-A per-process memo holds, per token limit, one CSR row per distinct text a
-fit has read, so a fit's rows are hashed once however many folds, grid
-points and members read them. Prediction reads it but never fills it.
+A memo holds, per token limit, one CSR row per distinct text a fit has
+read, so a fit's rows are hashed once however many folds, grid points and
+members read them. Prediction reads it but never fills it. The memo lives
+for one run: ``run_experiment`` and each CLI subcommand empty it as they end.
 
 Fits of equal token limit, epochs, batch size and learning rate train in one
 lockstep step loop. Each model gets bit for bit the weights, bias and losses
@@ -430,7 +431,7 @@ def _contributions(codes: np.ndarray) -> np.ndarray:
     return table.ravel()
 
 
-# Per-process feature memo: token limit -> (row of each text a fit has
+# Feature memo of one run: token limit -> (row of each text a fit has
 # read, read-only CSR arrays of those rows). Fits fill it; prediction only reads it.
 _FEATURE_MEMO: dict[int | None, tuple[dict[str, int], StepBatch]] = {}
 

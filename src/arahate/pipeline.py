@@ -4,6 +4,8 @@ A run directory is addressed by a hash of its config snapshot, seed and the
 contents of every input file, so re-running an unchanged config on unchanged
 inputs resumes (completed stages are skipped via their completion markers)
 while any config change or edited input lands in a fresh directory.
+``ExperimentRun._stages()`` names every artifact path in the run directory,
+and each stage receives the paths it reads and writes as arguments.
 A stage counts as complete when its marker and all of its declared outputs
 exist; deleting an output re-executes that stage and everything downstream.
 Within one process a stage hands the corpora it writes to the stages after
@@ -28,6 +30,7 @@ import json
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -95,19 +98,26 @@ class ExperimentRun:
         self.cfg = cfg
         self.seed = seed if seed is not None else int(cfg.get("seed", 0))
         self.out_root = Path(out_root)
+        # The optional sections, each None when it is not enabled.
+        self._augment, self._tune, self._report = (
+            cfg[key] if cfg.get(key, {}).get("enabled") else None for key in ("augment", "tune", "report")
+        )
+        # Every file a stage reads; a missing one or a non-file is hashed as None and fails its stage.
+        paths = cfg["paths"]
+        inputs = [paths["data"]] + ([paths["stopwords"]] if paths.get("stopwords") else [])
         # The augment registry's datasets (none when augment is off), parsed
         # once; an unreadable registry has none, and its error fails normalize.
         self._registry: list[DatasetDescriptor] = []
         self._registry_error: ArahateError | None = None
-        if cfg.get("augment", {}).get("enabled"):
+        if self._augment is not None:
             try:
-                self._registry = corpus_mod.load_registry(cfg["augment"]["registry"])
+                self._registry = corpus_mod.load_registry(self._augment["registry"])
             except ArahateError as exc:
                 self._registry_error = exc
-        self.input_hashes = {
-            path: _sha256_file(Path(path)) if Path(path).is_file() else None
-            for path in self._input_paths()
-        }
+            inputs += [self._augment["registry"]] + [d.path for d in self._registry]
+        if self._report is not None and self._report.get("baselines"):
+            inputs.append(self._report["baselines"])
+        self.input_hashes = {path: _sha256_file(Path(path)) if Path(path).is_file() else None for path in inputs}
         self.run_id = config_hash(cfg, self.seed, __version__, self.input_hashes)
         self.run_dir = self.out_root / f"run-{self.run_id}"
         self._stage_status: dict[str, str] = {}
@@ -121,70 +131,24 @@ class ExperimentRun:
 
     # --- config helpers -------------------------------------------------
 
-    def _input_paths(self) -> list[str]:
-        """Every file a stage reads; a missing one or a non-file is hashed as None and fails its stage."""
-        paths = self.cfg["paths"]
-        inputs = [paths["data"]] + ([paths["stopwords"]] if paths.get("stopwords") else [])
-        if self.cfg.get("augment", {}).get("enabled"):
-            inputs.append(self.cfg["augment"]["registry"])
-            inputs += [d.path for d in self._registry]
-        report_cfg = self.cfg.get("report", {})
-        if report_cfg.get("enabled") and report_cfg.get("baselines"):
-            inputs.append(report_cfg["baselines"])
-        return inputs
-
-    def _tuned_members(self) -> list[tuple[EncoderSpec, HyperParams]]:
+    @cached_property
+    def _members(self) -> list[tuple[str, EncoderSpec, HyperParams]]:
+        """(artifact name, spec, hyperparams) per backend; members that share a backend
+        key (e.g. three toys of different seeds) are named ``<key>-<index>``."""
         members = encoder_members(self.cfg, self.seed)
-        best_path = self.run_dir / "tune" / "best.json"
-        if not best_path.exists():
-            return members
-        best = json.loads(best_path.read_text(encoding="utf-8"))
+        keys = [spec.backend_key for spec, _ in members]
         return [
-            (spec, HyperParams.from_mapping(best[name], hp.seed) if best.get(name) else hp)
-            for name, (spec, hp) in zip(self._member_names(), members)
+            (key if keys.count(key) == 1 else f"{key}-{index}", spec, hp)
+            for index, (key, (spec, hp)) in enumerate(zip(keys, members))
         ]
 
-    def _member_names(self) -> list[str]:
-        # Artifact directory names; duplicate backend keys (e.g. three toy
-        # members with different seeds) get an index suffix.
-        keys = [entry["key"] for entry in self.cfg["encoder"]["backends"]]
-        names = []
-        for index, key in enumerate(keys):
-            names.append(key if keys.count(key) == 1 else f"{key}-{index}")
-        return names
-
-    # --- stage artifact paths --------------------------------------------
-
-    @property
-    def normalized_base(self) -> Path:
-        return self.run_dir / "normalized" / "base.jsonl"
-
-    def normalized_source(self, key: str) -> Path:
-        return self.run_dir / "normalized" / "sources" / f"{key}.jsonl"
-
-    @property
-    def augmented_corpus(self) -> Path:
-        return self.run_dir / "augmented" / "corpus.jsonl"
-
-    def trace_path(self, name: str) -> Path:
-        return self.run_dir / "tune" / f"{name}_trace.csv"
-
-    def predictions_path(self, name: str) -> Path:
-        return self.run_dir / "predictions" / f"{name}.csv"
-
-    @property
-    def metrics_path(self) -> Path:
-        return self.run_dir / "metrics.json"
-
-    @property
-    def report_path(self) -> Path:
-        suffix = "md" if self.cfg.get("report", {}).get("format", "markdown") == "markdown" else "csv"
-        return self.run_dir / "report" / f"tables.{suffix}"
-
-    def _evaluation_corpus_path(self) -> Path:
-        if self.cfg.get("augment", {}).get("enabled"):
-            return self.augmented_corpus
-        return self.normalized_base
+    def _tuned_members(self, best: Path | None) -> list[tuple[EncoderSpec, HyperParams]]:
+        """Each member's (spec, hyperparams), with the tune stage's winner from ``best`` when tune is on."""
+        winners = json.loads(best.read_text(encoding="utf-8")) if best is not None else {}
+        return [
+            (spec, HyperParams.from_mapping(winners[name], hp.seed) if winners.get(name) else hp)
+            for name, spec, hp in self._members
+        ]
 
     # --- corpus hand-off between stages ----------------------------------
 
@@ -200,104 +164,98 @@ class ExperimentRun:
 
     # --- stages -----------------------------------------------------------
 
-    def _stage_normalize(self) -> None:
+    def _stage_normalize(self, base: Path, sources: dict[str, Path]) -> None:
         cfg = normalization_config(self.cfg)
-        base = normalize_corpus(corpus_mod.read_jsonl(self.cfg["paths"]["data"], key="base"), cfg)
-        self._write_rows(self.normalized_base, base)
+        rows = normalize_corpus(corpus_mod.read_jsonl(self.cfg["paths"]["data"], key="base"), cfg)
+        self._write_rows(base, rows)
         if self._registry_error is not None:
             raise self._registry_error
         for descriptor in self._registry:
-            rows = normalize_corpus(corpus_mod.load_dataset(descriptor), cfg)
-            self._write_rows(self.normalized_source(descriptor.key), rows)
+            self._write_rows(sources[descriptor.key], normalize_corpus(corpus_mod.load_dataset(descriptor), cfg))
         # The base rows are exactly the gold rows that evaluation folds, so a
         # class with fewer of them than folds fails here, before any fit.
-        fold_plan(self.cfg, base, self.seed)
+        fold_plan(self.cfg, rows, self.seed)
 
-    def _stage_augment(self) -> None:
-        augment_cfg = self.cfg["augment"]
-        base = self._read_rows(self.normalized_base)
-        datasets = {
-            descriptor.key: (descriptor, self._read_rows(self.normalized_source(descriptor.key)))
-            for descriptor in self._registry
-        }
+    def _stage_augment(self, base: Path, sources: dict[str, Path], merged: Path, report: Path) -> None:
+        rows = self._read_rows(base)
+        datasets = {d.key: (d, self._read_rows(sources[d.key])) for d in self._registry}
         # The labeler has no mode: several members vote by majority, which
         # takes no weights, so the run's ensemble section does not apply.
-        labeler = Classifier(encoder_members(self.cfg, self.seed))
-        plan = augment_mod.AugmentPlan.from_mapping(augment_cfg, labeler)
-        merged, aug_report = augment_mod.build_augmented_corpus(base, plan, datasets)
-        self._write_rows(self.augmented_corpus, merged)
-        aug_report.write_json(self.run_dir / "augmented" / "report.json")
+        labeler = Classifier([(spec, hp) for _, spec, hp in self._members])
+        plan = augment_mod.AugmentPlan.from_mapping(self._augment, labeler)
+        merged_rows, aug_report = augment_mod.build_augmented_corpus(rows, plan, datasets)
+        self._write_rows(merged, merged_rows)
+        aug_report.write_json(report)
 
-    def _stage_tune(self) -> None:
-        tune_cfg = self.cfg["tune"]
-        data = self._read_rows(self._evaluation_corpus_path())
+    def _stage_tune(self, corpus: Path, best: Path, traces: list[Path]) -> None:
+        data = self._read_rows(corpus)
         protocol = tune_mod.make_cv_protocol(fold_plan(self.cfg, data, self.seed))
         best_map = {}
-        for name, (spec, hp) in zip(self._member_names(), encoder_members(self.cfg, self.seed)):
-            grid = tune_mod.SearchGrid.from_mapping(tune_cfg, hp)
-            best, trace = tune_mod.coordinate_search(spec, grid, data, protocol)
-            tune_mod.write_trace_csv(self.trace_path(name), trace)
-            best_map[name] = best.fields()
-            self._tuned_cv[spec, best] = next(entry.detail for entry in trace if entry.hp == best)
-        corpus_mod.write_json(self.run_dir / "tune" / "best.json", best_map)
+        for (name, spec, hp), trace_csv in zip(self._members, traces):
+            grid = tune_mod.SearchGrid.from_mapping(self._tune, hp)
+            winner, trace = tune_mod.coordinate_search(spec, grid, data, protocol)
+            tune_mod.write_trace_csv(trace_csv, trace)
+            best_map[name] = winner.fields()
+            self._tuned_cv[spec, winner] = next(entry.detail for entry in trace if entry.hp == winner)
+        corpus_mod.write_json(best, best_map)
 
-    def _stage_train(self) -> None:
-        data = self._read_rows(self._evaluation_corpus_path())
+    def _stage_train(self, corpus: Path, best: Path | None, models: list[Path], predictions: list[Path]) -> None:
+        data = self._read_rows(corpus)
         trainable = [row for row in data if row.norm_text]
-        models = encoder.fit_many([(spec, hp, trainable) for spec, hp in self._tuned_members()])
-        for name, model in zip(self._member_names(), models):
+        fitted = encoder.fit_many([(spec, hp, trainable) for spec, hp in self._tuned_members(best)])
+        texts, ids = [row.norm_text or "" for row in data], [row.id for row in data]
+        for model, model_dir, prediction_csv in zip(fitted, models, predictions):
             if isinstance(model, ArahateError):
                 raise model
-            encoder.save_model(model, self.run_dir / "models" / name)
-            matrix = encoder.predict_proba(
-                model, [row.norm_text or "" for row in data], ids=[row.id for row in data]
-            )
-            write_proba_csv(self.predictions_path(name), matrix)
+            encoder.save_model(model, model_dir)
+            write_proba_csv(prediction_csv, encoder.predict_proba(model, texts, ids=ids))
 
-    def _stage_evaluate(self) -> None:
-        data = self._read_rows(self._evaluation_corpus_path())
+    def _stage_evaluate(self, corpus: Path, best: Path | None, metrics_json: Path, folds_json: Path) -> None:
+        data = self._read_rows(corpus)
         folds = fold_plan(self.cfg, data, self.seed)
-        members = self._tuned_members()
+        members = self._tuned_members(best)
         classifier = Classifier(members, **self.cfg.get("ensemble", {}))
         if classifier.mode == "single" and members[0] in self._tuned_cv:
             # Same member, corpus and fold plan as the tune stage's CV of its winner.
             metrics = replace(self._tuned_cv[members[0]], seed=self.seed, config_hash=self.run_id)
         else:
             metrics = cross_validate(data, classifier.fit_many, folds, seed=self.seed, config_hash=self.run_id)
-        metrics.write_json(self.metrics_path)
-        corpus_mod.write_json(self.run_dir / "folds.json", folds.to_dict())
+        metrics.write_json(metrics_json)
+        corpus_mod.write_json(folds_json, folds.to_dict())
 
-    def _stage_report(self) -> None:
-        report_cfg = self.cfg.get("report", {})
-        baselines = report_mod.load_baselines(report_cfg.get("baselines"))
-        report_mod.write_report(
-            self.report_path, [self.run_dir], baselines, report_cfg.get("format", "markdown")
-        )
+    def _stage_report(self, tables: Path, fmt: str) -> None:
+        report_mod.write_report(tables, [self.run_dir], report_mod.load_baselines(self._report.get("baselines")), fmt)
 
     def _stages(self) -> list[Stage]:
-        normalized = [self.normalized_base] + [self.normalized_source(d.key) for d in self._registry]
-        stages = [Stage("normalize", normalized, self._stage_normalize)]
-        if self.cfg.get("augment", {}).get("enabled"):
-            stages.append(
-                Stage(
-                    "augment",
-                    [self.augmented_corpus, self.run_dir / "augmented" / "report.json"],
-                    self._stage_augment,
-                )
-            )
-        names = self._member_names()
-        if self.cfg.get("tune", {}).get("enabled"):
-            tuned = [self.run_dir / "tune" / "best.json"] + [self.trace_path(name) for name in names]
-            stages.append(Stage("tune", tuned, self._stage_tune))
-        trained = [self.predictions_path(name) for name in names] + [
-            self.run_dir / "models" / name / artifact
-            for name, entry in zip(names, self.cfg["encoder"]["backends"])
-            for artifact in encoder.get_backend(entry["key"]).artifacts
+        """Every configured stage in run order, each bound to the artifact paths it writes and reads."""
+        run_dir, names = self.run_dir, [name for name, _, _ in self._members]
+        base = run_dir / "normalized" / "base.jsonl"
+        sources = {d.key: run_dir / "normalized" / "sources" / f"{d.key}.jsonl" for d in self._registry}
+        stages = [Stage("normalize", [base, *sources.values()], partial(self._stage_normalize, base, sources))]
+        corpus = base  # the corpus that tune, train and evaluate read
+        if self._augment is not None:
+            corpus, report = run_dir / "augmented" / "corpus.jsonl", run_dir / "augmented" / "report.json"
+            augment = partial(self._stage_augment, base, sources, corpus, report)
+            stages.append(Stage("augment", [corpus, report], augment))
+        best = None
+        if self._tune is not None:
+            best, traces = run_dir / "tune" / "best.json", [run_dir / "tune" / f"{name}_trace.csv" for name in names]
+            stages.append(Stage("tune", [best, *traces], partial(self._stage_tune, corpus, best, traces)))
+        models = [run_dir / "models" / name for name in names]
+        predictions = [run_dir / "predictions" / f"{name}.csv" for name in names]
+        model_files = [
+            model / artifact
+            for model, (_, spec, _) in zip(models, self._members)
+            for artifact in encoder.get_backend(spec.backend_key).artifacts
         ]
-        stages.append(Stage("train", trained, self._stage_train))
-        stages.append(Stage("evaluate", [self.metrics_path, self.run_dir / "folds.json"], self._stage_evaluate))
-        if self.cfg.get("report", {}).get("enabled", False):
-            stages.append(Stage("report", [self.report_path], self._stage_report))
+        train = partial(self._stage_train, corpus, best, models, predictions)
+        stages.append(Stage("train", predictions + model_files, train))
+        metrics, folds = run_dir / "metrics.json", run_dir / "folds.json"
+        stages.append(Stage("evaluate", [metrics, folds], partial(self._stage_evaluate, corpus, best, metrics, folds)))
+        if self._report is not None:
+            fmt = self._report.get("format", "markdown")
+            tables = run_dir / "report" / f"tables.{'md' if fmt == 'markdown' else 'csv'}"
+            stages.append(Stage("report", [tables], partial(self._stage_report, tables, fmt)))
         return stages
 
     def _write_manifest(self) -> None:
@@ -318,9 +276,8 @@ class ExperimentRun:
         """Run (or resume) every configured stage; returns the run directory."""
         self.run_dir.mkdir(parents=True, exist_ok=True)
         (self.run_dir / "stages").mkdir(exist_ok=True)
-        stages = self._stages()
         rerun_downstream = False
-        for stage in stages:
+        for stage in self._stages():
             if not rerun_downstream and stage.complete(self.run_dir):
                 log.info("stage %s: already complete, skipping", stage.name)
                 self._stage_status[stage.name] = "complete"
@@ -346,4 +303,7 @@ class ExperimentRun:
 
 def run_experiment(cfg: dict, out_root: str | Path, seed: int | None = None) -> Path:
     with paused_gc():
-        return ExperimentRun(cfg, out_root, seed=seed).execute()
+        try:
+            return ExperimentRun(cfg, out_root, seed=seed).execute()
+        finally:
+            encoder._FEATURE_MEMO.clear()  # the memo lives for one run

@@ -11,6 +11,8 @@ those rows expected rather than alarming.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -174,9 +176,9 @@ def render(
         lines.append(cells)
 
     if format == "csv":
-        out = [",".join(header)]
-        out += [",".join(cells) for cells in lines]
-        return "\n".join(out) + "\n"
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *lines])
+        return buffer.getvalue()
 
     widths = [max(len(header[i]), *(len(row[i]) for row in lines)) if lines else len(header[i]) for i in range(len(header))]
     def md_row(cells):

@@ -61,9 +61,11 @@ class SearchGrid:
     initial: HyperParams = HyperParams(*DEFAULT_HYPERPARAMS)
 
     def __post_init__(self) -> None:
-        # A config's whole floats, such as 5.0, are the integers they stand for.
+        # A config's whole floats, such as 5.0, are the integers they stand for,
+        # and a whole learning rate, such as 1, is the float it stands for.
         object.__setattr__(self, "epochs_axis", tuple(int(value) for value in self.epochs_axis))
         object.__setattr__(self, "batch_axis", tuple(int(value) for value in self.batch_axis))
+        object.__setattr__(self, "lr_axis", tuple(float(value) for value in self.lr_axis))
         for name, axis, field in (
             ("epochs_axis", self.epochs_axis, "epochs"),
             ("batch_axis", self.batch_axis, "batch_size"),

@@ -304,6 +304,21 @@ class TestRunCommand:
             aggregates.append(json.loads((run_dir_of(capsys) / "metrics.json").read_text())["aggregates"])
         assert aggregates[0] == aggregates[1]
 
+    def test_whole_learning_rates_run_as_floats(self, tmp_path, small_corpus, capsys):
+        # JSON's number admits 1; a learning rate is the float 1.0 in every tune file.
+        initial = {"epochs": 2, "batch_size": 8, "learning_rate": 1.0}
+        floats = {"enabled": True, "epochs_axis": [2], "batch_axis": [8], "lr_axis": [1.0, 2.0], "initial": initial}
+        integers = json.loads(json.dumps(floats).replace(".0", ""))
+        assert integers["lr_axis"] == [1, 2] and integers["initial"]["learning_rate"] == 1
+        tune_files = []
+        for name, section in (("floats", floats), ("integers", integers)):
+            (tmp_path / name).mkdir()
+            assert main(["run", "--config", str(write_config(tmp_path / name, small_corpus, tune=section))]) == 0
+            tune_dir = run_dir_of(capsys) / "tune"
+            tune_files.append({path.name: path.read_bytes() for path in sorted(tune_dir.iterdir())})
+        assert sorted(tune_files[0]) == ["best.json", "toy_trace.csv"]
+        assert tune_files[0] == tune_files[1]
+
     def test_disabled_tune_section_builds_no_grid(self, tmp_path, small_corpus):
         # Enabled, this initial point would be off the default lr_axis.
         initial = {"epochs": 2, "batch_size": 8, "learning_rate": 0.1}

@@ -39,7 +39,7 @@ from scipy.sparse import _compressed
 
 from arahate import cli, encoder, pipeline
 from arahate.config import load_config
-from arahate.pipeline import StageFailure, paused_gc, run_experiment
+from arahate.pipeline import ExperimentRun, StageFailure, paused_gc, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).resolve().parent / "data" / "run_identity.tsv"
@@ -57,23 +57,26 @@ def _gen():
     return gen
 
 
+def workload_hashes(workload: str, root: Path) -> dict[tuple[str, str], str]:
+    """(workload, file) -> SHA-256 of every unmasked file of the tiny workload's run under ``root``."""
+    config = _gen().generate(workload, SEED, root / workload / "inputs", tiny=True)
+    run_dir = run_experiment(load_config(config), root / workload / "runs")
+    run_id = run_dir.name.removeprefix("run-").encode()
+    hashes = {}
+    for path in sorted(run_dir.rglob("*")):
+        name = path.relative_to(run_dir).as_posix()
+        if not path.is_file() or name.startswith(SKIPPED):
+            continue
+        content = path.read_bytes()
+        if name in RUN_ID_FILES:
+            content = content.replace(run_id, b"RUN_ID")
+        hashes[workload, name] = hashlib.sha256(content).hexdigest()
+    return hashes
+
+
 def run_hashes(root: Path) -> dict[tuple[str, str], str]:
     """(workload, file) -> SHA-256 of every unmasked file of each tiny workload's run under ``root``."""
-    gen = _gen()
-    hashes = {}
-    for workload in gen.WORKLOADS:
-        config = gen.generate(workload, SEED, root / workload / "inputs", tiny=True)
-        run_dir = run_experiment(load_config(config), root / workload / "runs")
-        run_id = run_dir.name.removeprefix("run-").encode()
-        for path in sorted(run_dir.rglob("*")):
-            name = path.relative_to(run_dir).as_posix()
-            if not path.is_file() or name.startswith(SKIPPED):
-                continue
-            content = path.read_bytes()
-            if name in RUN_ID_FILES:
-                content = content.replace(run_id, b"RUN_ID")
-            hashes[workload, name] = hashlib.sha256(content).hexdigest()
-    return hashes
+    return {key: digest for workload in _gen().WORKLOADS for key, digest in workload_hashes(workload, root).items()}
 
 
 def read_table() -> dict[tuple[str, str], str]:
@@ -104,6 +107,32 @@ def test_tiny_runs_match_identity_table(traced_runs):
     assert sorted(hashes) == sorted(expected), "the runs write other files than the table lists"
     changed = ["/".join(key) for key, digest in hashes.items() if expected[key] != digest]
     assert not changed, f"output bytes changed: {changed}"
+
+
+def test_every_file_a_run_writes_is_a_declared_stage_output(tmp_path, monkeypatch):
+    # A resume trusts a stage whose marker and declared outputs exist, so a
+    # file a stage writes but does not declare could be served stale.
+    monkeypatch.setattr(encoder, "_FEATURE_MEMO", {})
+    for workload in _gen().WORKLOADS:
+        written = {name for _, name in workload_hashes(workload, tmp_path)}
+        run = ExperimentRun(load_config(tmp_path / workload / "inputs" / "config.json"), tmp_path / workload / "runs")
+        declared = {path.relative_to(run.run_dir).as_posix() for stage in run._stages() for path in stage.outputs}
+        assert declared == written, workload
+
+
+def test_each_run_and_subcommand_leaves_the_feature_memo_empty(tmp_path, monkeypatch, capsys):
+    # Two runs in one process: the second starts from an empty memo, so it
+    # still writes the table's bytes, and neither leaves rows behind.
+    monkeypatch.setattr(encoder, "_FEATURE_MEMO", {})
+    expected = read_table()
+    for workload in ("desk", "augment-vote"):
+        hashes = workload_hashes(workload, tmp_path)
+        assert encoder._FEATURE_MEMO == {}
+        assert hashes == {key: digest for key, digest in expected.items() if key[0] == workload}
+    config = tmp_path / "desk" / "inputs" / "config.json"
+    data = next((tmp_path / "desk" / "runs").glob("run-*/normalized/base.jsonl"))
+    assert cli.main(["train", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "model")]) == 0
+    assert encoder._FEATURE_MEMO == {}
 
 
 def test_runs_construct_no_scipy_sparse_matrix(traced_runs):

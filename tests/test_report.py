@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -93,6 +95,14 @@ class TestRender:
         document = render([run], BASELINES, format="csv")
         run_line = next(l for l in document.splitlines() if "clean" in l)
         assert run_line.endswith(",percent,")
+
+    def test_csv_quotes_cells_that_hold_commas_or_quotes(self, tmp_path):
+        f1s = {Label.NH: 90.0, Label.GH: 60.0, Label.Re: 80.0, Label.Ra: 50.0, Label.Se: 70.0}
+        runs = [fake_run(tmp_path, name, f1s) for name in ("a,b", 'say "hi"')]
+        header, *rows = csv.reader(io.StringIO(render(runs, BASELINES, format="csv")))
+        assert len(header) == 12
+        assert all(len(row) == 12 for row in rows)
+        assert [row[1] for row in rows[:2]] == ["a,b", 'say "hi"']
 
     def test_baselines_only_table(self):
         document = render([], BASELINES, format="markdown")

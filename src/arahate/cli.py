@@ -25,7 +25,7 @@ from .ensemble import average_vote, ensemble_policy, majority_vote, read_proba_c
 from .errors import ArahateError, ConfigError
 from .evaluate import cross_validate
 from .normalize import normalize_corpus
-from .pipeline import paused_gc, run_experiment
+from .pipeline import paused_gc, retained_heap, run_experiment
 
 
 class _Parser(argparse.ArgumentParser):
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     )
     try:  # --hp and --grid files are read while parsing
         args = build_parser().parse_args(argv)
-        with paused_gc():
+        with paused_gc(), retained_heap():
             try:
                 return args.fn(args) or 0
             finally:

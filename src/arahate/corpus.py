@@ -23,7 +23,8 @@ predicted NH. So no path skips a check that an outside record needs.
 This module also holds the one way the package opens files. Every input file
 is read through ``open_input``, which raises the reader's own error, naming
 the file, for a path that is missing, is not a file or is not UTF-8 text.
-Every output file is written through ``atomic_open``.
+Every output file is written through ``atomic_open``, and every output
+directory is made by ``make_output_dir``.
 """
 
 from __future__ import annotations
@@ -291,21 +292,39 @@ def write_jsonl(path: str | Path, rows: list[LabeledText]) -> None:
             )
 
 
+def make_output_dir(directory: Path) -> None:
+    """Create ``directory`` and its parents; one the file system refuses raises ``ArahateError`` naming it."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ArahateError(f"cannot create the directory {directory}: {exc.strerror}") from exc
+
+
 @contextmanager
 def atomic_open(path: str | Path, mode: str = "w", newline: str | None = None) -> Iterator[IO]:
     """Write ``path`` through a temporary sibling that replaces it when the block ends.
 
     Readers see the old file or the complete new one, never a partial write:
     if the block raises, the temporary file is removed and ``path`` is left
-    as it was. Text modes write UTF-8; parent directories are created.
+    as it was. Text modes write UTF-8; parent directories are created
+    (``make_output_dir``). A temporary file or rename that the file system
+    refuses raises ``ArahateError`` naming ``path``; what the block raises
+    passes unchanged.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    make_output_dir(path.parent)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8", newline=newline) as fh:
+        fh = open(tmp, mode, encoding=None if "b" in mode else "utf-8", newline=newline)
+    except OSError as exc:
+        raise ArahateError(f"cannot write {path}: {exc.strerror}") from exc
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ArahateError(f"cannot write {path}: {exc.strerror}") from exc
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

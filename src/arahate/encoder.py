@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import LabeledText, atomic_open, read_input
+from .corpus import LabeledText, atomic_open, make_output_dir, read_input
 from .ensemble import ProbabilityMatrix
 from .errors import ArahateError, ConfigError
 from .labels import LABEL_INDEX, N_CLASSES
@@ -1128,7 +1128,7 @@ def _model_from_manifest(directory: Path, manifest: dict[str, str], params) -> T
 def save_model(model: TrainedModel, directory: str | Path) -> Path:
     """Persist a model artifact: weights blob + key=value manifest."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    make_output_dir(directory)
     backend = get_backend(model.spec.backend_key)
     backend.save(model, directory)
     return directory

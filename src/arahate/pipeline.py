@@ -20,10 +20,25 @@ collector would scan them again and again. So ``run_experiment`` runs under
 reference cycles: reference counting frees everything a run drops, and a
 cycle made anyway (a caught exception's traceback) is collected by the
 normal thresholds once the run ends.
+
+A run also keeps the memory it frees in the heap (``retained_heap``).
+Hashing, normalization and the lockstep fits allocate short-lived arrays of
+a few MiB, and glibc's dynamic thresholds serve many of them with fresh
+mappings that are unmapped when freed, or trim them off the heap top, so
+the next array of that size faults its pages in again. On glibc the scope
+fixes both thresholds at the largest values the dynamic ones reach on
+64-bit: 32 MiB for mmap, 64 MiB for trimming. Fixing only one turns the
+dynamic adjustment of both off and leaves the other at its small start
+value, which faults more than the defaults do. ``mallopt`` has no getter,
+so the thresholds stay set after the run; the scope's end gives the free
+pages back with ``malloc_trim(0)``. Where the C library has no ``mallopt``
+the scope does nothing. Freed memory only changes where later allocations
+land, so no output bit depends on it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import hashlib
 import json
@@ -68,6 +83,45 @@ def paused_gc() -> Iterator[None]:
     finally:
         if enabled:
             gc.enable()
+
+
+# glibc's mallopt parameters, and the largest values its dynamic thresholds reach on 64-bit.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+_TRIM_THRESHOLD_MAX = 2 * _MMAP_THRESHOLD_MAX
+
+
+def _glibc() -> ctypes.CDLL | None:
+    """The process's C library when it has glibc's ``mallopt`` and ``malloc_trim``, else None."""
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (OSError, TypeError, AttributeError):  # Windows cannot load None; macOS and musl lack the calls
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return libc
+
+
+@contextmanager
+def retained_heap() -> Iterator[None]:
+    """Keep freed memory in the heap for reuse during the block; give free pages back when it ends.
+
+    On glibc this fixes the mmap and trim thresholds at 32 and 64 MiB, which
+    persist after the block, since ``mallopt`` cannot read the old values,
+    and calls ``malloc_trim(0)`` when the block ends, also by an exception.
+    Elsewhere it does nothing.
+    """
+    libc = _glibc()
+    if libc is None:
+        yield
+        return
+    libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_MAX)
+    try:
+        yield
+    finally:
+        libc.malloc_trim(0)
 
 
 def _sha256_file(path: Path) -> str:
@@ -274,8 +328,7 @@ class ExperimentRun:
 
     def execute(self) -> Path:
         """Run (or resume) every configured stage; returns the run directory."""
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        (self.run_dir / "stages").mkdir(exist_ok=True)
+        corpus_mod.make_output_dir(self.run_dir / "stages")
         rerun_downstream = False
         for stage in self._stages():
             if not rerun_downstream and stage.complete(self.run_dir):
@@ -302,7 +355,7 @@ class ExperimentRun:
 
 
 def run_experiment(cfg: dict, out_root: str | Path, seed: int | None = None) -> Path:
-    with paused_gc():
+    with paused_gc(), retained_heap():
         try:
             return ExperimentRun(cfg, out_root, seed=seed).execute()
         finally:

@@ -1239,6 +1239,25 @@ class TestMalformedInputs:
         assert main(["report", flag, str(value), "--out", str(tmp_path / "tables.md")]) == 2
         assert str(path) in self._error(capsys)
 
+    @pytest.mark.parametrize("command", ["normalize-into-directory", "run-into-file", "train-into-file"])
+    def test_output_path_that_cannot_be_written(self, tmp_path, corpus_file, command, capsys):
+        taken = tmp_path / "taken"
+        if command == "normalize-into-directory":
+            taken.mkdir()
+            argv, message = ["normalize", "--in", str(corpus_file)], f"cannot write {taken}: "
+        elif command == "run-into-file":
+            taken.write_text("a file\n", encoding="utf-8")
+            argv = ["run", "--config", str(write_config(tmp_path, read_jsonl(corpus_file)))]
+            message = f"cannot create the directory {taken}{os.sep}run-"
+        else:
+            taken.write_text("a file\n", encoding="utf-8")
+            argv = ["train", "--config", str(write_config(tmp_path, read_jsonl(corpus_file))), "--data", str(corpus_file)]
+            message = f"cannot create the directory {taken}: "
+        assert main([*argv, "--out", str(taken)]) == 2
+        error = self._error(capsys)
+        assert error.startswith(f"error: {message}") and error.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir() if path.name.startswith("taken")) == ["taken"]
+
     def test_report_inputs_the_malformed_cases_break_are_valid(self, tmp_path):
         run_dir = tmp_path / "run"
         run_dir.mkdir()

@@ -22,6 +22,15 @@ A run pauses automatic cyclic collection (``pipeline.paused_gc``) and hands
 the caller's setting back; ``TestPausedCollector`` checks that the pause is
 in effect, that no output byte depends on it, and that every way out of a
 run, the CLI's included, restores the setting.
+
+A run also keeps the memory it frees in the heap (``pipeline.retained_heap``):
+on glibc it fixes the mmap and trim thresholds and trims the heap when it
+ends. ``TestRetainedHeap`` checks, through a fake C library, that both
+thresholds are set before the first stage, that every way out of a run or
+subcommand trims, and that a C library without ``mallopt`` is left alone. It
+compares a run's bytes with a fresh interpreter's run without the scope, and
+on Linux with glibc it checks the mechanism: a freed array allocated again
+inside the scope costs a small fraction of the page faults it costs outside.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import contextlib
 import gc
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +49,7 @@ from scipy.sparse import _compressed
 
 from arahate import cli, encoder, pipeline
 from arahate.config import load_config
+from arahate.errors import ArahateError
 from arahate.pipeline import ExperimentRun, StageFailure, paused_gc, run_experiment
 
 REPO = Path(__file__).resolve().parent.parent
@@ -246,6 +257,126 @@ class TestPausedCollector:
         assert cli.main(["normalize", "--config", str(config), "--out", str(out)]) == 0
         assert seen == [False]
         assert gc.isenabled() == caller_collects
+
+
+MMAP_THRESHOLD = ("mallopt", -3, 32 << 20)
+TRIM_THRESHOLD = ("mallopt", -1, 64 << 20)
+TRIM = ("malloc_trim", 0)
+
+
+class FakeLibc:
+    """A C library that records its calls in ``calls`` and has only the functions ``names``."""
+
+    def __init__(self, calls: list, names=("mallopt", "malloc_trim")):
+        for name in names:
+            setattr(self, name, self._recorder(calls, name))
+
+    @staticmethod
+    def _recorder(calls: list, name: str):
+        def call(*args):
+            calls.append((name, *args))
+            return 1
+
+        return call  # a function, so the scope can declare its argtypes
+
+
+class TestRetainedHeap:
+    @pytest.fixture
+    def calls(self, monkeypatch) -> list:
+        """The calls the heap scope makes, into a fake glibc."""
+        calls = []
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda name: FakeLibc(calls))
+        return calls
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+    @pytest.mark.parametrize("entry", ["run", "subcommand"])
+    def test_work_runs_inside_the_scope_and_every_way_out_trims(self, tmp_path, monkeypatch, calls, entry, fails):
+        # Both thresholds are set before the first stage's work, and the heap
+        # is trimmed once whether the run or subcommand succeeds or fails.
+        config, seen = _gen().generate("desk", SEED, tmp_path / "inputs", tiny=True), []
+        module = pipeline if entry == "run" else cli
+        original = module.normalize_corpus
+
+        def normalize_corpus(rows, cfg):
+            seen.append(list(calls))
+            if fails:
+                raise ArahateError("the stage fails")
+            return original(rows, cfg)
+
+        monkeypatch.setattr(module, "normalize_corpus", normalize_corpus)
+        if entry == "subcommand":
+            argv = ["normalize", "--config", str(config), "--out", str(tmp_path / "normalized.jsonl")]
+            assert cli.main(argv) == (2 if fails else 0)
+        elif fails:
+            with pytest.raises(StageFailure):
+                run_experiment(load_config(config), tmp_path / "runs")
+        else:
+            run_experiment(load_config(config), tmp_path / "runs")
+        assert seen == [[MMAP_THRESHOLD, TRIM_THRESHOLD]]
+        assert calls == [MMAP_THRESHOLD, TRIM_THRESHOLD, TRIM]
+
+    @pytest.mark.parametrize("libc", ["no-mallopt", "no-malloc-trim", "os-error", "type-error"])
+    def test_without_mallopt_the_scope_does_nothing(self, monkeypatch, libc):
+        calls = []
+
+        def cdll(name):
+            if libc.endswith("error"):
+                raise {"os-error": OSError, "type-error": TypeError}[libc]("no C library")
+            return FakeLibc(calls, names=["malloc_trim"] if libc == "no-mallopt" else ["mallopt"])
+
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", cdll)
+        assert pipeline._glibc() is None
+        with pipeline.retained_heap():
+            pass
+        assert calls == []
+
+    def test_run_writes_the_bytes_of_a_run_without_the_scope(self, tmp_path, monkeypatch):
+        # The thresholds outlive the scope, so the run without it goes to a
+        # fresh interpreter, whose glibc still adjusts them dynamically.
+        config = _gen().generate("augment-vote", SEED, tmp_path / "inputs", tiny=True)
+        monkeypatch.setattr(encoder, "_FEATURE_MEMO", {})
+        retained = run_experiment(load_config(config), tmp_path / "retained")
+        code = (
+            "import contextlib, sys\n"
+            "from arahate import pipeline\n"
+            "from arahate.config import load_config\n"
+            "pipeline.retained_heap = contextlib.nullcontext\n"
+            "print(pipeline.run_experiment(load_config(sys.argv[1]), sys.argv[2]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        argv = [sys.executable, "-c", code, str(config), str(tmp_path / "dynamic")]
+        out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True, timeout=300).stdout
+        dynamic = Path(out.strip())
+        files = sorted(p.relative_to(retained) for p in retained.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(dynamic) for p in dynamic.rglob("*") if p.is_file())
+        changed = [str(f) for f in files if (retained / f).read_bytes() != (dynamic / f).read_bytes()]
+        assert not changed
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc", reason="needs Linux with glibc"
+    )
+    def test_a_freed_array_is_reused_without_page_faults(self):
+        # In a fresh interpreter, glibc's dynamic thresholds serve the first
+        # 8 MiB array with a mapping and unmap it when freed, so the same
+        # array allocated again faults its pages in again.
+        code = (
+            "import contextlib, resource, sys\n"
+            "import numpy as np\n"
+            "from arahate.pipeline import retained_heap\n"
+            "with retained_heap() if sys.argv[1] == 'inside' else contextlib.nullcontext():\n"
+            "    np.ones(1 << 20)\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    np.ones(1 << 20)\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+        def faults(where: str) -> int:
+            argv = [sys.executable, "-c", code, where]
+            return int(subprocess.run(argv, env=env, check=True, capture_output=True, text=True, timeout=300).stdout)
+
+        outside, inside = faults("outside"), faults("inside")
+        assert outside > 0 and inside <= outside / 10, (outside, inside)
 
 
 if __name__ == "__main__":

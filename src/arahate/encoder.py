@@ -22,7 +22,11 @@ for one run: ``run_experiment`` and each CLI subcommand empty it as they end.
 
 Fits of equal token limit, epochs, batch size and learning rate train in one
 lockstep step loop. Each model gets bit for bit the weights, bias and losses
-of its own fit, and a model that turns non-finite fails alone.
+of its own fit, and a model that turns non-finite fails alone. A group whose
+steps hold enough rows is split into contiguous parts, one thread each (see
+``ToyBackend.fit_many``); the step's numpy and scipy kernels release the GIL,
+so the parts overlap. A model's arithmetic does not depend on the split, so
+no output byte depends on the number of usable CPUs.
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ import json
 import logging
 import math
 import os
+import threading
 import zipfile
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -658,6 +664,55 @@ _TOY_GEOMETRY = {
 }
 
 
+# The fewest rows per step each thread's part of a lockstep group keeps.
+# Fits of desk's rows on a shared 2-vCPU host took, on two threads, this
+# share of one thread's time: 1.85 at 32 rows per part (4 models x 16),
+# 1.01 at 40 (10 x 8, desk's 10-fold fit), 1.11 at 64 (4 x 32), 0.65 at 80
+# (10 x 16), 0.67 at 128 (4 x 64) and 0.63 at 288 (9 x 64). The crossover
+# lies between 64 and 80 rows per part; 128 leaves a margin.
+_PART_MIN_ROWS = 128
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS and Windows have no affinity call
+        return os.cpu_count() or 1
+
+
+def _run_parts(parts: Sequence[Callable[[], list]]) -> list[list]:
+    """Each part's result, in order: part 0 runs on the calling thread and each other part on a
+    thread started and joined here, under the calling thread's numpy error handling (each thread
+    has its own). The first part's exception, in part order, is raised only after every thread
+    has joined."""
+    results: list = [None] * len(parts)
+    errors: list = [None] * len(parts)
+    handling = np.geterr()
+
+    def run(k: int) -> None:
+        try:
+            with np.errstate(**handling):
+                results[k] = parts[k]()
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors[k] = exc
+
+    started = []
+    try:
+        for k in range(1, len(parts)):
+            thread = threading.Thread(target=run, args=(k,), name=f"arahate-fit-{k}")
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
 class ToyBackend:
     """Hashed character n-gram bag-of-features + linear softmax head."""
 
@@ -667,19 +722,54 @@ class ToyBackend:
     def fit_many(
         self, entries: Sequence[FitEntry], on_epoch: EntryEpochHook | None = None
     ) -> list[TrainedModel | ArahateError]:
-        """Train entries of equal token limit, epochs, batch size and learning rate in lockstep."""
+        """Train entries of equal token limit, epochs, batch size and learning rate in lockstep.
+
+        Each group's texts are first hashed into the feature memo on the
+        calling thread, which keeps ``_memo_rows`` the memo's one writer.
+        A group's rows per step are the smaller of batch size and row count,
+        summed over its entries. The group then splits into ``min(usable CPUs,
+        entries, rows per step // _PART_MIN_ROWS)`` contiguous parts of near
+        equal entry counts, each its own lockstep: part 0 runs on the calling
+        thread and each other part on a thread started and joined inside the
+        call; with one part no thread starts. A split changes only each
+        model's ``cols``: a bucket it never touched weighs 0.0 either way.
+        ``on_epoch`` may be called from a worker thread, but all calls for
+        one entry come from one thread, in epoch order. Workers run under the
+        calling thread's numpy error handling.
+        """
         groups: dict[tuple, list[int]] = {}
         for index, (spec, hp, _) in enumerate(entries):
             groups.setdefault((spec.max_sequence_tokens, hp.epochs, hp.batch_size, hp.learning_rate), []).append(index)
         outcomes: list = [None] * len(entries)
         for indices in groups.values():
-            group = self._fit_lockstep([entries[i] for i in indices], _subset_hook(on_epoch, indices))
-            for index, outcome in zip(indices, group):
+            spec, hp, _ = entries[indices[0]]
+            trains = [entries[i][2] for i in indices]
+            texts = [row.norm_text for train in trains for row in train]
+            features, text_rows = _memo_rows(texts, spec.max_sequence_tokens)
+            rows = np.split(text_rows, np.cumsum([len(train) for train in trains])[:-1])
+            step_rows = sum(min(hp.batch_size, len(train)) for train in trains)
+            parts = max(1, min(_usable_cpus(), len(indices), step_rows // _PART_MIN_ROWS))
+            bounds = [len(indices) * k // parts for k in range(parts + 1)]
+            fits = [
+                partial(
+                    self._fit_lockstep,
+                    [entries[i] for i in indices[lo:hi]],
+                    features,
+                    rows[lo:hi],
+                    _subset_hook(on_epoch, indices[lo:hi]),
+                )
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+            for index, outcome in zip(indices, (outcome for part in _run_parts(fits) for outcome in part)):
                 outcomes[index] = outcome
         return outcomes
 
     def _fit_lockstep(
-        self, entries: Sequence[FitEntry], on_epoch: EntryEpochHook | None
+        self,
+        entries: Sequence[FitEntry],
+        features: StepBatch,
+        rows: Sequence[np.ndarray],
+        on_epoch: EntryEpochHook | None,
     ) -> list[TrainedModel | EncoderError]:
         """One step loop over same-shape fits; bit for bit the models separate fits return.
 
@@ -698,15 +788,15 @@ class ToyBackend:
         those weights, calls ``toy_forward_backward`` and scatters the update
         back. Each row's loss goes into an epoch buffer, from which the
         epoch's end takes every step's mean per model and each model's running
-        loss.
+        loss. ``features`` are the memo's rows and ``rows[i]`` entry i's rows
+        in them; the fit only reads them.
         """
-        spec, hp, _ = entries[0]
+        _, hp, _ = entries[0]
         trains = [train for _, _, train in entries]
-        features, text_rows = _memo_rows([row.norm_text for train in trains for row in train], spec.max_sequence_tokens)
-        rows = np.split(text_rows, np.cumsum([len(train) for train in trains])[:-1])
         touched = np.zeros(TOY_DEFAULT_BUCKETS, dtype=bool)
         read = np.zeros(features.shape[0], dtype=bool)
-        read[text_rows] = True
+        for entry_rows in rows:
+            read[entry_rows] = True
         touched[_take_rows(features, np.flatnonzero(read)).indices] = True
         cols = np.flatnonzero(touched)
         width = len(cols)
@@ -1021,8 +1111,14 @@ def fit_many(entries: Sequence[FitEntry], on_epoch: EntryEpochHook | None = None
     Returns, per entry in order, its model or the ArahateError that stopped
     it; one entry's failure stops no other. The toy backend trains entries
     of equal token limit, epochs, batch size and learning rate in one
-    lockstep loop. ``on_epoch(index, model)`` sees entry ``index``'s model
-    after each of its epochs, on the terms ``fit`` gives.
+    lockstep loop, after hashing their texts into the feature memo on the
+    calling thread. It splits a group whose steps hold at least
+    ``_PART_MIN_ROWS`` rows per part into contiguous parts, at most one per
+    usable CPU: the calling thread runs the first and a thread started and
+    joined inside the call runs each other. ``on_epoch(index, model)`` sees
+    entry ``index``'s model after each of its epochs, on the terms ``fit``
+    gives. It may be called from a worker thread, but one entry's calls all
+    come from one thread, in epoch order.
     """
     outcomes: list = [None] * len(entries)
     by_backend: dict[str, list[int]] = {}

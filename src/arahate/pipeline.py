@@ -31,9 +31,13 @@ fixes both thresholds at the largest values the dynamic ones reach on
 dynamic adjustment of both off and leaves the other at its small start
 value, which faults more than the defaults do. ``mallopt`` has no getter,
 so the thresholds stay set after the run; the scope's end gives the free
-pages back with ``malloc_trim(0)``. Where the C library has no ``mallopt``
-the scope does nothing. Freed memory only changes where later allocations
-land, so no output bit depends on it.
+pages back with ``malloc_trim(0)``. The scope also caps glibc at one
+arena, so the threads a large lockstep fit starts allocate from the main
+heap, whose freed memory the thresholds keep, instead of each growing an
+arena of its own that adds to the peak; the cap too stays set after the
+run. Where the C library has no ``mallopt`` the scope does nothing. Freed
+memory only changes where later allocations land, so no output bit depends
+on it.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ def paused_gc() -> Iterator[None]:
 
 
 # glibc's mallopt parameters, and the largest values its dynamic thresholds reach on 64-bit.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _MMAP_THRESHOLD_MAX = 32 << 20
 _TRIM_THRESHOLD_MAX = 2 * _MMAP_THRESHOLD_MAX
 
@@ -107,10 +111,10 @@ def _glibc() -> ctypes.CDLL | None:
 def retained_heap() -> Iterator[None]:
     """Keep freed memory in the heap for reuse during the block; give free pages back when it ends.
 
-    On glibc this fixes the mmap and trim thresholds at 32 and 64 MiB, which
-    persist after the block, since ``mallopt`` cannot read the old values,
-    and calls ``malloc_trim(0)`` when the block ends, also by an exception.
-    Elsewhere it does nothing.
+    On glibc this fixes the mmap and trim thresholds at 32 and 64 MiB and
+    the arena count at 1, which persist after the block, since ``mallopt``
+    cannot read the old values, and calls ``malloc_trim(0)`` when the block
+    ends, also by an exception. Elsewhere it does nothing.
     """
     libc = _glibc()
     if libc is None:
@@ -118,6 +122,7 @@ def retained_heap() -> Iterator[None]:
         return
     libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
     libc.mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_MAX)
+    libc.mallopt(_M_ARENA_MAX, 1)
     try:
         yield
     finally:

@@ -7,7 +7,9 @@ import dataclasses
 import importlib.machinery
 import math
 import sys
+import threading
 import tracemalloc
+import warnings
 import zlib
 from pathlib import Path
 from typing import Sequence
@@ -985,32 +987,59 @@ def snapshot(model):
     )
 
 
+def fit_each_alone_and_compare(entries) -> tuple[list, dict[int, list], dict[int, set]]:
+    """``fit_many``'s outcomes, the models its hook saw per entry and the threads it saw them on,
+    after checking the first two against one ``fit`` per entry: the same model or error, and the
+    same models after each epoch."""
+    seen: dict[int, list] = {i: [] for i in range(len(entries))}
+    threads: dict[int, set] = {i: set() for i in range(len(entries))}
+
+    def on_epoch(i, model):
+        seen[i].append(snapshot(model))
+        threads[i].add(threading.current_thread())
+
+    with np.errstate(all="ignore"):
+        many = encoder.fit_many(entries, on_epoch)
+    for i, (spec, hp, rows) in enumerate(entries):
+        alone_seen = []
+        with np.errstate(all="ignore"):
+            try:
+                alone = snapshot(encoder.fit(spec, hp, rows, lambda model: alone_seen.append(snapshot(model))))
+            except EncoderError as exc:
+                alone = str(exc)
+        assert seen[i] == alone_seen
+        assert (str(many[i]) if isinstance(many[i], EncoderError) else snapshot(many[i])) == alone
+    return many, seen, threads
+
+
+@contextlib.contextmanager
+def split_groups(cpus: int, part_min_rows: int = 1):
+    """``fit_many`` sees ``cpus`` usable CPUs and splits a group whose parts keep ``part_min_rows`` rows per step."""
+    with mock.patch.object(encoder, "_usable_cpus", lambda: cpus), mock.patch.object(
+        encoder, "_PART_MIN_ROWS", part_min_rows
+    ):
+        yield
+
+
+def no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
 class TestFitMany:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(entries=fit_entries(), overflow=st.booleans())
-    def test_equals_one_fit_per_entry(self, entries, overflow):
+    @given(entries=fit_entries(), overflow=st.booleans(), cpus=st.sampled_from([1, 2, 3]))
+    def test_equals_one_fit_per_entry(self, entries, overflow, cpus):
         if overflow:
             # Same shape as its bias-only neighbour, so the two share a lockstep group.
             entries = entries + [
                 (TOY, HyperParams(**OVERFLOW_HP, seed=5), OVERFLOWING),
                 (TOY, HyperParams(**OVERFLOW_HP, seed=6), BIAS_ONLY),
             ]
-        seen: dict[int, list] = {i: [] for i in range(len(entries))}
-        with np.errstate(all="ignore"):
-            many = encoder.fit_many(entries, lambda i, model: seen[i].append(snapshot(model)))
-        for i, (spec, hp, rows) in enumerate(entries):
-            alone_seen = []
-            with np.errstate(all="ignore"):
-                try:
-                    alone = snapshot(encoder.fit(spec, hp, rows, lambda model: alone_seen.append(snapshot(model))))
-                except EncoderError as exc:
-                    alone = str(exc)
-            assert seen[i] == alone_seen
-            assert (str(many[i]) if isinstance(many[i], EncoderError) else snapshot(many[i])) == alone
+        with split_groups(cpus):  # every group of several entries splits on 2 or 3 CPUs
+            many, seen, _ = fit_each_alone_and_compare(entries)
         if overflow:
             assert isinstance(many[-2], EncoderError) and [s[0].epochs for s in seen[len(entries) - 2]] == [1]
             assert not isinstance(many[-1], EncoderError)
-
 
     def test_stacked_group_equals_dense_oracle(self):
         # 50, 25 and 18 rows in steps of 12: the group's last steps hold rows of the first model only.
@@ -1025,6 +1054,71 @@ class TestFitMany:
             assert model.params.dense_weights().tobytes() == params.weights.tobytes()
             assert model.params.bias.tobytes() == params.bias.tobytes()
             assert model.epoch_losses == losses
+
+    @pytest.mark.parametrize("cpus", [2, 3, 4])
+    def test_split_parts_equal_one_fit_per_entry(self, cpus):
+        # Entries of 50, 25, 18 and 17 rows. In the second group the overflowing
+        # entry shares the worker's part with a bias-only one when two CPUs split
+        # it. The threads switch every microsecond, so parts interleave finely.
+        sizes = [POOL, POOL[1::2], POOL[4:22], POOL[::3]]
+        fits = [(TOY, HyperParams(3, 12, 0.1, seed), rows) for seed, rows in enumerate(sizes)]
+        overflow = [
+            (TOY, HyperParams(**OVERFLOW_HP, seed=seed), rows)
+            for seed, rows in [(7, BIAS_ONLY), (5, OVERFLOWING), (6, BIAS_ONLY)]
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with split_groups(cpus):
+                many, seen, threads = fit_each_alone_and_compare(fits + overflow)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(model.params.cols) for model in many[: len(fits)]}) == cpus  # a lockstep per part
+        failing = len(fits) + 1
+        assert [isinstance(outcome, EncoderError) for outcome in many] == [i == failing for i in range(len(many))]
+        assert len(seen[failing]) == 1
+        for i, snapshots in seen.items():
+            assert [hp.epochs for hp, *_ in snapshots] == list(range(1, len(snapshots) + 1))
+            assert len(threads[i]) == 1  # one entry's epochs all come from one thread
+        assert threads[0] == threads[len(fits)] == {threading.current_thread()}
+        assert threads[len(fits) - 1] != threads[0]
+
+    def test_workers_take_the_callers_error_handling(self):
+        # numpy's error handling is per thread. The overflowing entry is the
+        # worker's part, and it must not warn of what its caller ignores.
+        entries = [(TOY, HyperParams(**OVERFLOW_HP, seed=seed), rows) for seed, rows in [(6, BIAS_ONLY), (5, OVERFLOWING)]]
+        with split_groups(2), np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            many = encoder.fit_many(entries)
+        assert isinstance(many[1], EncoderError)
+
+    @pytest.mark.parametrize("failing", ["calling thread", "worker"])
+    def test_a_failing_part_raises_after_every_thread_joins(self, failing):
+        entries = [(TOY, HyperParams(3, 12, 0.1, seed=seed), POOL[seed::2]) for seed in range(3)]
+        fails = 0 if failing == "calling thread" else len(entries) - 1
+        done: list[int] = []
+
+        def on_epoch(i, model):
+            if i == fails:
+                raise RuntimeError("the hook failed")
+            done.append(i)
+
+        before = threading.active_count()
+        with split_groups(3), pytest.raises(RuntimeError, match="the hook failed"):
+            encoder.fit_many(entries, on_epoch)
+        assert threading.active_count() == before
+        assert sorted(done) == sorted(i for i in range(len(entries)) if i != fails for _ in range(3))
+
+    @pytest.mark.parametrize(
+        "cpus, part_min_rows", [(1, 1), (2, encoder._PART_MIN_ROWS)], ids=["one-cpu", "few-rows"]
+    )
+    def test_no_thread_starts_without_a_split(self, monkeypatch, cpus, part_min_rows):
+        # 10 entries of 8-row steps hold 80 rows per step, fewer than one part keeps.
+        entries = [(TOY, HyperParams(2, 8, 0.1, seed=seed), POOL[seed % 3 :: 2]) for seed in range(10)]
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        with split_groups(cpus, part_min_rows):
+            models = encoder.fit_many(entries)
+        assert len({id(model.params.cols) for model in models}) == 1
 
 
 class TestEpochHook:

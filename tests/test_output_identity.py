@@ -23,10 +23,14 @@ the caller's setting back; ``TestPausedCollector`` checks that the pause is
 in effect, that no output byte depends on it, and that every way out of a
 run, the CLI's included, restores the setting.
 
+A large lockstep group fits in parts on several threads;
+``test_split_fits_write_the_bytes_of_unsplit_fits`` forces a split of every
+group of a tiny augment-vote run and compares it with a run on one CPU.
+
 A run also keeps the memory it frees in the heap (``pipeline.retained_heap``):
-on glibc it fixes the mmap and trim thresholds and trims the heap when it
-ends. ``TestRetainedHeap`` checks, through a fake C library, that both
-thresholds are set before the first stage, that every way out of a run or
+on glibc it fixes the mmap and trim thresholds and the arena cap, and trims
+the heap when it ends. ``TestRetainedHeap`` checks, through a fake C library,
+that all three are set before the first stage, that every way out of a run or
 subcommand trims, and that a C library without ``mallopt`` is left alone. It
 compares a run's bytes with a fresh interpreter's run without the scope, and
 on Linux with glibc it checks the mechanism: a freed array allocated again
@@ -259,8 +263,37 @@ class TestPausedCollector:
         assert gc.isenabled() == caller_collects
 
 
+def test_split_fits_write_the_bytes_of_unsplit_fits(tmp_path, monkeypatch):
+    # Every lockstep group of several entries splits, one part per entry up
+    # to three, against one part per group on a single usable CPU.
+    config = load_config(_gen().generate("augment-vote", SEED, tmp_path / "inputs", tiny=True))
+    parts, run_parts = [], encoder._run_parts
+
+    def counted(fits):
+        parts.append(len(fits))
+        return run_parts(fits)
+
+    monkeypatch.setattr(encoder, "_run_parts", counted)
+    monkeypatch.setattr(encoder, "_PART_MIN_ROWS", 1)
+    runs = {}
+    for cpus in (3, 1):
+        monkeypatch.setattr(encoder, "_FEATURE_MEMO", {})
+        monkeypatch.setattr(encoder, "_usable_cpus", lambda: cpus)
+        runs[cpus] = run_experiment(config, tmp_path / f"cpus-{cpus}")
+        if cpus == 3:
+            assert 3 in parts
+            parts.clear()
+    assert set(parts) == {1}
+    split, unsplit = runs[3], runs[1]
+    files = sorted(p.relative_to(split) for p in split.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(unsplit) for p in unsplit.rglob("*") if p.is_file())
+    changed = [str(f) for f in files if (split / f).read_bytes() != (unsplit / f).read_bytes()]
+    assert not changed
+
+
 MMAP_THRESHOLD = ("mallopt", -3, 32 << 20)
 TRIM_THRESHOLD = ("mallopt", -1, 64 << 20)
+ARENA_MAX = ("mallopt", -8, 1)
 TRIM = ("malloc_trim", 0)
 
 
@@ -291,8 +324,9 @@ class TestRetainedHeap:
     @pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
     @pytest.mark.parametrize("entry", ["run", "subcommand"])
     def test_work_runs_inside_the_scope_and_every_way_out_trims(self, tmp_path, monkeypatch, calls, entry, fails):
-        # Both thresholds are set before the first stage's work, and the heap
-        # is trimmed once whether the run or subcommand succeeds or fails.
+        # Both thresholds and the arena cap are set before the first stage's
+        # work, and the heap is trimmed once whether the run or subcommand
+        # succeeds or fails.
         config, seen = _gen().generate("desk", SEED, tmp_path / "inputs", tiny=True), []
         module = pipeline if entry == "run" else cli
         original = module.normalize_corpus
@@ -312,8 +346,8 @@ class TestRetainedHeap:
                 run_experiment(load_config(config), tmp_path / "runs")
         else:
             run_experiment(load_config(config), tmp_path / "runs")
-        assert seen == [[MMAP_THRESHOLD, TRIM_THRESHOLD]]
-        assert calls == [MMAP_THRESHOLD, TRIM_THRESHOLD, TRIM]
+        assert seen == [[MMAP_THRESHOLD, TRIM_THRESHOLD, ARENA_MAX]]
+        assert calls == [MMAP_THRESHOLD, TRIM_THRESHOLD, ARENA_MAX, TRIM]
 
     @pytest.mark.parametrize("libc", ["no-mallopt", "no-malloc-trim", "os-error", "type-error"])
     def test_without_mallopt_the_scope_does_nothing(self, monkeypatch, libc):
